@@ -470,8 +470,21 @@ fn sorted(hs: &[HostId]) -> Vec<HostId> {
 /// Run the experiment on the given grid (typically
 /// [`grads_sim::topology::macrogrid_qr`]).
 pub fn run_qr_experiment(grid: Grid, ecfg: QrExperimentConfig) -> QrExperimentResult {
+    run_qr_experiment_with(grid, ecfg, |_| {})
+}
+
+/// [`run_qr_experiment`] with `prepare` applied to the tuned engine before
+/// anything spawns — the way end-to-end identity tests reach kernel test
+/// oracles that no [`EngineTune`] exposes.
+#[doc(hidden)]
+pub fn run_qr_experiment_with(
+    grid: Grid,
+    ecfg: QrExperimentConfig,
+    prepare: impl FnOnce(&mut Engine),
+) -> QrExperimentResult {
     let mut eng = Engine::new(grid.clone());
     eng.apply_tune(ecfg.tune);
+    prepare(&mut eng);
     eng.set_obs(ecfg.obs.clone());
     eng.set_recorder(ecfg.recorder.clone());
     let all_hosts: Vec<HostId> = (0..grid.hosts().len() as u32).map(HostId).collect();

@@ -14,12 +14,15 @@
 //! The applied-event count is mode-invariant (stale pops are not counted),
 //! so `events/sec = events_processed / wall` is an apples-to-apples
 //! throughput number. The run asserts that all modes agree on the
-//! simulation outcome before printing the table.
+//! simulation outcome before printing the table. Every mode row and the
+//! worker sweep run on the kernel's production timing (one coalesced rate
+//! solve per virtual instant).
 //!
 //! Two further axes ride on the Incremental mode: a windowed-kernel worker
-//! sweep, and an eager-vs-coalesced recompute-*timing* A/B (churn marks
-//! dirty sets, one solve per virtual instant) — each asserted bit-identical
-//! to the serial eager reference before its throughput is recorded.
+//! sweep, and a coalesced-vs-eager recompute-*timing* A/B against the
+//! eager test oracle (one solve per churn event) — each asserted
+//! bit-identical to the serial reference before its throughput is
+//! recorded.
 //!
 //! Usage: `cargo run --release -p grads-bench --bin kernel_scale [rounds]`
 
@@ -64,9 +67,10 @@ fn build_grid() -> (Grid, Vec<HostId>) {
 
 /// Substrate under test: the default fast path (direct handoff + indexed
 /// queue), or a reverted substrate via `GRADS_KERNEL_TUNE` — `seed`
-/// (channel pair + stale-mark heap), `stale` (queue only), `channel`
-/// (transport only) — so before/after numbers for the substrate swap, and
-/// one-axis isolation runs, all come from the same binary.
+/// (channel pair + stale-mark heap, plus eager recompute timing: see
+/// [`seed_timing`]), `stale` (queue only), `channel` (transport only) — so
+/// before/after numbers for the substrate swap, and one-axis isolation
+/// runs, all come from the same binary.
 fn tune_from_env() -> EngineTune {
     match std::env::var("GRADS_KERNEL_TUNE").as_deref() {
         Ok("seed") => EngineTune {
@@ -86,12 +90,20 @@ fn tune_from_env() -> EngineTune {
     }
 }
 
+/// Whether the substrate under test times rate solves eagerly: only the
+/// `seed` substrate does (through the engine's eager test oracle), so
+/// "seed" keeps meaning the seed kernel; every other run uses the
+/// production coalesced timing.
+fn seed_timing() -> bool {
+    std::env::var("GRADS_KERNEL_TUNE").as_deref() == Ok("seed")
+}
+
 fn run_once(mode: RecomputeMode, rounds: usize) -> (RunReport, f64) {
     run_kernel(mode, rounds, KernelMode::Serial)
 }
 
 fn run_kernel(mode: RecomputeMode, rounds: usize, kernel: KernelMode) -> (RunReport, f64) {
-    run_tuned(mode, rounds, kernel, RecomputeTiming::Eager, false, None)
+    run_tuned(mode, rounds, kernel, seed_timing(), false, None)
 }
 
 /// `uniform` selects the payload schedule: `false` keeps the historical
@@ -105,7 +117,7 @@ fn run_tuned(
     mode: RecomputeMode,
     rounds: usize,
     kernel: KernelMode,
-    timing: RecomputeTiming,
+    eager_oracle: bool,
     uniform: bool,
     obs: Option<grads_core::obs::Obs>,
 ) -> (RunReport, f64) {
@@ -114,9 +126,9 @@ fn run_tuned(
     eng.set_recompute_mode(mode);
     eng.apply_tune(EngineTune {
         kernel,
-        recompute: timing,
         ..tune_from_env()
     });
+    eng.set_eager_recompute_oracle(eager_oracle);
     if let Some(o) = obs {
         eng.set_obs(o);
     }
@@ -285,35 +297,36 @@ fn main() {
     // ---- Coalesced-recompute A/B ----------------------------------------
     //
     // Uniform-payload all-to-all (a synchronized `MPI_Alltoall` round),
-    // Incremental scope, eager vs coalesced *timing*: churn events only
-    // mark dirty sets and the rate solve runs once per virtual instant, so
-    // each round's 4032-flow send burst costs one solve instead of 4032,
-    // and each bitwise-synchronized completion wave costs one solve
-    // instead of one per flow. The uniform point is the headline number
-    // because it is the regime the optimization targets; the skewed
-    // workload (every completion at its own instant) is measured below it
-    // as the honest floor — there, every eager-only activation solve pairs
-    // 1:1 with a completion solve both timings must pay, which caps the
-    // ratio strictly below 2x no matter how cheap the solves get.
+    // Incremental scope, eager oracle vs coalesced production *timing*:
+    // churn events only mark dirty sets and the rate solve runs once per
+    // virtual instant, so each round's 4032-flow send burst costs one
+    // solve instead of 4032, and each bitwise-synchronized completion
+    // wave costs one solve instead of one per flow. The uniform point is
+    // the headline number because it is the regime the optimization
+    // targets; the skewed workload (every completion at its own instant)
+    // is measured below it as the honest floor — there, every eager-only
+    // activation solve pairs 1:1 with a completion solve both timings
+    // must pay, which caps the ratio strictly below 2x no matter how
+    // cheap the solves get.
     // Bit-identity of the full run report is asserted before any
     // throughput is recorded (`identity_ok` in the snapshot is earned, not
     // aspirational), and a separate obs-enabled run reports how much churn
     // the deferral absorbed.
-    let coal = |timing: RecomputeTiming, uniform: bool, obs| {
+    let coal = |eager_oracle: bool, uniform: bool, obs| {
         run_tuned(
             RecomputeMode::Incremental,
             rounds,
             KernelMode::Serial,
-            timing,
+            eager_oracle,
             uniform,
             obs,
         )
     };
-    let (e1, et1) = coal(RecomputeTiming::Eager, true, None);
-    let (e2, et2) = coal(RecomputeTiming::Eager, true, None);
+    let (e1, et1) = coal(true, true, None);
+    let (e2, et2) = coal(true, true, None);
     assert_eq!(&e1, &e2, "eager run must be run-to-run deterministic");
-    let (c1, ct1) = coal(RecomputeTiming::Coalesced, true, None);
-    let (c2, ct2) = coal(RecomputeTiming::Coalesced, true, None);
+    let (c1, ct1) = coal(false, true, None);
+    let (c2, ct2) = coal(false, true, None);
     assert_eq!(
         &e1, &c1,
         "coalesced recompute must be bit-identical to the eager reference"
@@ -339,15 +352,22 @@ fn main() {
     );
     // The skewed-payload floor: same A/B on the worker-sweep workload,
     // where no two transfers finish at the same instant.
-    let (sc1, sct1) = coal(RecomputeTiming::Coalesced, false, None);
-    let (sc2, sct2) = coal(RecomputeTiming::Coalesced, false, None);
+    let (se1, set1) = coal(true, false, None);
+    let (se2, set2) = coal(true, false, None);
+    let (sc1, sct1) = coal(false, false, None);
+    let (sc2, sct2) = coal(false, false, None);
+    assert_eq!(
+        &se1, &sc1,
+        "skewed coalesced run must be bit-identical to the eager oracle"
+    );
     assert_eq!(
         serial_ref, &sc1,
-        "skewed coalesced run must be bit-identical to the eager reference"
+        "skewed coalesced run must be bit-identical to the mode rows"
     );
+    assert_eq!(&se1, &se2, "skewed eager run must be deterministic");
     assert_eq!(&sc1, &sc2, "skewed coalesced run must be deterministic");
     let skewed_rate = sc1.events_processed as f64 / sct1.min(sct2);
-    let skewed_speedup = skewed_rate / serial_rate;
+    let skewed_speedup = skewed_rate / (se1.events_processed as f64 / set1.min(set2));
     println!(
         "{:>12} {:>12} {:>10.3} {:>14.0} {:>9.2}x   (skewed payloads: completion-paired floor)",
         "coalesced",
@@ -360,7 +380,7 @@ fn main() {
     // churn notifications arrived, how many solves actually ran, and the
     // same-instant burst-size distribution the deferral collapses.
     let obs = grads_core::obs::Obs::enabled();
-    let (co, _) = coal(RecomputeTiming::Coalesced, true, Some(obs.clone()));
+    let (co, _) = coal(false, true, Some(obs.clone()));
     assert_eq!(&e1, &co, "obs-enabled run must not perturb results");
     let snap = obs.snapshot();
     let churn = snap.counter("sim.recomputes").unwrap_or(0);
@@ -397,10 +417,10 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let substrate = match std::env::var("GRADS_KERNEL_TUNE").as_deref() {
-        Ok("seed") => "channel_handoff+stale_mark_queue",
-        Ok("stale") => "direct_handoff+stale_mark_queue",
-        Ok("channel") => "channel_handoff+indexed_queue",
-        _ => "direct_handoff+indexed_queue",
+        Ok("seed") => "channel_handoff+stale_mark_queue+eager_recompute",
+        Ok("stale") => "direct_handoff+stale_mark_queue+coalesced_recompute",
+        Ok("channel") => "channel_handoff+indexed_queue+coalesced_recompute",
+        _ => "direct_handoff+indexed_queue+coalesced_recompute",
     };
     let mut fields: Vec<(&str, String)> = vec![
         ("cores_detected", cores.to_string()),

@@ -47,46 +47,51 @@ pub struct SchedTune {
     /// mapping. Off ⇒ the scoring arithmetic is untouched and decisions
     /// are bit-identical to a build without the knob.
     pub attr_alpha_milli: u32,
-    /// Incremental decision epochs (default off). When on, service
-    /// drivers maintain the round's scheduling state incrementally —
-    /// delta forecast capture ([`grads_nws::ForecastSnapshot::capture_delta`]),
-    /// a persistent [`crate::SnapshotIndex`] repaired from the snapshot
-    /// delta instead of re-sorted per job, and a reusable mapping plan
-    /// with per-cluster free-host bitsets and a within-round placement
-    /// memo. Every decision, ledger, and bench byte is bit-identical to
-    /// the rebuilt-per-job path; only the cost of reaching them changes.
+    /// Incremental decision epochs (default on — the production path).
+    /// Service drivers maintain the round's scheduling state
+    /// incrementally — delta forecast capture
+    /// ([`grads_nws::ForecastSnapshot::capture_delta`]), a persistent
+    /// [`crate::SnapshotIndex`] repaired from the snapshot delta instead
+    /// of re-sorted per job, and a reusable mapping plan with per-cluster
+    /// free-host bitsets and a within-round placement memo. Every
+    /// decision, ledger, and bench byte is bit-identical to the
+    /// rebuilt-per-job path, which survives as the identity tests' oracle
+    /// ([`SchedTune::reference`], or any tune `with_epoch(false)`); only
+    /// the cost of reaching them changes. The service's epoch path maps
+    /// through its own plan, so there `path` and `workers` select only
+    /// the rebuild path; drivers without epoch state ignore this field.
     pub epoch: bool,
 }
 
+/// The production tune: fast path, scored on the calling thread,
+/// attribution feedback off, incremental decision epochs on.
 impl Default for SchedTune {
     fn default() -> Self {
         SchedTune {
             path: DecisionPath::default(),
             workers: 1,
             attr_alpha_milli: 0,
-            epoch: false,
+            epoch: true,
         }
     }
 }
 
 impl SchedTune {
-    /// The seed reference path.
+    /// The seed reference path, rebuilt per job (epochs off): the oracle
+    /// the identity tests compare the production tune against.
     pub fn reference() -> Self {
         SchedTune {
             path: DecisionPath::Reference,
-            workers: 1,
-            attr_alpha_milli: 0,
             epoch: false,
+            ..Self::default()
         }
     }
 
-    /// The fast path, scored on the calling thread.
+    /// The fast path, scored on the calling thread (the production tune).
     pub fn fast() -> Self {
         SchedTune {
             path: DecisionPath::Fast,
-            workers: 1,
-            attr_alpha_milli: 0,
-            epoch: false,
+            ..Self::default()
         }
     }
 
@@ -95,8 +100,7 @@ impl SchedTune {
         SchedTune {
             path: DecisionPath::Fast,
             workers: workers.max(1),
-            attr_alpha_milli: 0,
-            epoch: false,
+            ..Self::default()
         }
     }
 

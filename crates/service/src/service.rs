@@ -850,9 +850,12 @@ mod tests {
 
     #[test]
     fn epoch_path_is_bit_identical_and_counts_its_work() {
-        // The tentpole contract: epoch on vs off must agree on every
-        // float bit of the result (ServiceResult's PartialEq is bitwise).
-        let r_off = run_service_experiment(small_cfg());
+        // The epoch contract: the production epoch path must agree with
+        // the rebuild-per-job oracle on every float bit of the result
+        // (ServiceResult's PartialEq is bitwise).
+        let mut oracle = small_cfg();
+        oracle.sched = oracle.sched.with_epoch(false);
+        let r_off = run_service_experiment(oracle);
         let mut cfg = small_cfg();
         cfg.sched = cfg.sched.with_epoch(true);
         cfg.obs = Obs::enabled();

@@ -56,30 +56,6 @@ pub enum RecomputeMode {
     Incremental,
 }
 
-/// *When* the kernel re-derives rates relative to the churn that dirtied
-/// them.
-///
-/// Rates are only observable through the work they accrue, and work accrues
-/// only while virtual time advances — so any number of same-instant churn
-/// events (a collective starting dozens of flows at one timestamp, a load
-/// inject/remove pair, a compute storm at a barrier) can share a single
-/// solve as long as it lands before the clock moves past that instant. Both
-/// timings produce bit-identical [`RunReport`]s in every
-/// [`RecomputeMode`] × [`KernelMode`] combination
-/// (`tests/prop_coalesced.rs`, `tests/determinism.rs`); DESIGN.md
-/// ("Coalesced recomputation") carries the soundness argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecomputeTiming {
-    /// Solve inline on every churn event — the reference and the default.
-    #[default]
-    Eager,
-    /// Churn only marks dirty sets; one solve runs per virtual instant, at
-    /// the point the kernel is about to pop a completion event or advance
-    /// past the current timestamp. A same-time churn burst of size *k*
-    /// collapses from *k* solves to one.
-    Coalesced,
-}
-
 /// Which process ↔ kernel transport newly spawned processes use.
 ///
 /// Both transports carry the same messages in the same order — the kernel
@@ -157,8 +133,6 @@ pub struct EngineTune {
     /// Run-loop organisation. [`KernelMode::Windowed`] implies (and
     /// forces) the indexed queue, sharded by cluster.
     pub kernel: KernelMode,
-    /// When rate solves run relative to churn ([`RecomputeTiming`]).
-    pub recompute: RecomputeTiming,
 }
 
 /// When the kernel rebuilds the event heap to shed stale completion
@@ -263,6 +237,21 @@ impl RunReport {
         }
         self.link_bytes[link.0 as usize] / (l.bandwidth * self.end_time)
     }
+}
+
+/// Completion time of `remaining` work progressing at `rate` from `now`.
+///
+/// Debug builds assert the fp assumption the coalesced flush rests on
+/// (see [`Engine::must_flush_before`]): live work (`remaining > 0`) never
+/// stamps its completion at or before `now`.
+#[inline]
+fn due_at(now: f64, remaining: f64, rate: f64) -> f64 {
+    let t = now + remaining / rate;
+    debug_assert!(
+        remaining <= 0.0 || t > now,
+        "live re-stamp at or before now: now={now:e} remaining={remaining:e} rate={rate:e}"
+    );
+    t
 }
 
 struct CpuAction {
@@ -534,14 +523,17 @@ pub struct Engine {
     completed: Vec<Arc<str>>,
     failed: Vec<(String, String)>,
     mode: RecomputeMode,
-    /// When solves run relative to churn ([`RecomputeTiming`]).
-    timing: RecomputeTiming,
+    /// Test oracle only: solve inline on every churn instead of once per
+    /// virtual instant (see [`Engine::set_eager_recompute_oracle`]).
+    eager_oracle: bool,
     /// Churn notifications since the last solve (0 = rates are current).
-    /// Always 0 between events under [`RecomputeTiming::Eager`].
+    /// The run loop drains it before the clock advances past the instant
+    /// the churn happened at.
     pending_churn: u32,
-    /// Rate solves actually executed (== `recomputes` under `Eager`).
+    /// Rate solves actually executed: one per virtual instant with churn
+    /// (== `recomputes` only under the eager oracle).
     solves: u64,
-    /// Churn notifications absorbed into a shared solve (`Coalesced` only).
+    /// Churn notifications absorbed into a shared same-instant solve.
     coalesced_absorbed: u64,
     routes_tbl: Vec<RouteEntry>,
     route_ids: HashMap<(u32, u32), u32>,
@@ -679,7 +671,7 @@ impl Engine {
             completed: Vec::new(),
             failed: Vec::new(),
             mode: RecomputeMode::default(),
-            timing: RecomputeTiming::default(),
+            eager_oracle: false,
             pending_churn: 0,
             solves: 0,
             coalesced_absorbed: 0,
@@ -736,21 +728,23 @@ impl Engine {
         self.mode
     }
 
-    /// Select when rate solves run relative to churn (default:
-    /// [`RecomputeTiming::Eager`]). Safe to switch any time the engine is
-    /// not mid-run; composes with every [`RecomputeMode`] and
-    /// [`KernelMode`] without perturbing a result bit.
-    pub fn set_recompute_timing(&mut self, t: RecomputeTiming) {
+    /// Test oracle: with `on`, every churn event is solved inline instead
+    /// of joining the per-instant burst the run loop flushes once (the
+    /// production timing — see [`Self::must_flush_before`]). Rates are
+    /// only observable through the work they accrue, and work accrues only
+    /// while virtual time advances, so both timings produce bit-identical
+    /// [`RunReport`]s in every [`RecomputeMode`] × [`KernelMode`]
+    /// combination; the coalescing identity suites compare against this
+    /// oracle, and DESIGN.md ("Coalesced recomputation") carries the
+    /// soundness argument. Not a tuning knob: the eager timing only ever
+    /// costs more solves. Switch between runs, not mid-burst.
+    #[doc(hidden)]
+    pub fn set_eager_recompute_oracle(&mut self, on: bool) {
         debug_assert_eq!(
             self.pending_churn, 0,
             "switch recompute timing between runs, not mid-burst"
         );
-        self.timing = t;
-    }
-
-    /// The active recompute timing.
-    pub fn recompute_timing(&self) -> RecomputeTiming {
-        self.timing
+        self.eager_oracle = on;
     }
 
     /// Select the process ↔ kernel transport for *subsequently spawned*
@@ -881,7 +875,6 @@ impl Engine {
         self.set_handoff_mode(t.handoff);
         self.set_event_queue_mode(t.queue);
         self.set_kernel_mode(t.kernel);
-        self.set_recompute_timing(t.recompute);
     }
 
     /// The event partition an event belongs to: the cluster of the host
@@ -1519,7 +1512,8 @@ impl Engine {
             // Timing split: `recomputes` counts churn notifications (a
             // timing-invariant property of the scenario), `solves` the rate
             // solves actually run, `coalesced` the same-instant churns a
-            // deferred solve absorbed. Eager: solves == recomputes.
+            // deferred solve absorbed (solves == recomputes only under the
+            // eager test oracle).
             self.obs.counter_add("sim.recompute.solves", self.solves);
             self.obs
                 .counter_add("sim.recompute.coalesced", self.coalesced_absorbed);
@@ -1698,15 +1692,16 @@ impl Engine {
         self.compactions += 1;
     }
 
-    /// Note a churn (the site already marked its dirty hosts/links). Under
-    /// [`RecomputeTiming::Eager`] the solve runs inline, exactly as it
-    /// always did; under [`RecomputeTiming::Coalesced`] the churn joins the
-    /// pending burst and the run loop flushes it before the rates become
-    /// observable (see [`Self::must_flush_before`]).
+    /// Note a churn (the site already marked its dirty hosts/links). The
+    /// churn joins the pending same-instant burst and the run loop flushes
+    /// it once, before the rates become observable (see
+    /// [`Self::must_flush_before`]); a same-time burst of *k* churns costs
+    /// one solve instead of *k*. The eager test oracle
+    /// ([`Self::set_eager_recompute_oracle`]) solves inline instead.
     fn recompute(&mut self) {
         self.recomputes += 1;
         self.pending_churn += 1;
-        if self.timing == RecomputeTiming::Eager {
+        if self.eager_oracle {
             self.flush_rates();
         }
     }
@@ -1734,12 +1729,13 @@ impl Engine {
     ///   at [`EventKind::FlowActivate`] without ever scheduling a
     ///   [`EventKind::FlowDone`].
     ///
-    /// The one caveat is floating point: `now + remaining / rate` can in
-    /// principle round down to `now` when the quotient is below half an
-    /// ulp of `now`, which would let an eager solve pop that completion
-    /// earlier within the instant than the deferred solve does. DESIGN.md
-    /// records this as the pinned modeling assumption behind the flush
-    /// rule; the randomized determinism suites probe it continuously.
+    /// The second point leans on floating point: `now + remaining / rate`
+    /// could in principle round down to `now` when the quotient is below
+    /// half an ulp of `now`, which would let an eager solve pop that
+    /// completion earlier within the instant than the deferred solve does.
+    /// Every live re-stamp goes through [`due_at`], which asserts in debug
+    /// builds that this never happens (DESIGN.md, "Coalesced
+    /// recomputation").
     #[inline]
     fn must_flush_before(&self, peeked: Option<(f64, u8)>) -> bool {
         match peeked {
@@ -1749,7 +1745,7 @@ impl Engine {
     }
 
     /// Re-derive rates and reschedule completions for the pending churn
-    /// burst (a burst of one, under eager timing).
+    /// burst (a burst of one under the eager oracle).
     fn flush_rates(&mut self) {
         debug_assert!(self.pending_churn > 0, "flush without pending churn");
         self.solves += 1;
@@ -1805,7 +1801,7 @@ impl Engine {
                 if a.rate > 0.0 {
                     // Defer the cancel into the re-push so the indexed
                     // queue can overwrite the old event in place.
-                    cpu_events.push((now + a.remaining / a.rate, id, a.gen, had_pending));
+                    cpu_events.push((due_at(now, a.remaining, a.rate), id, a.gen, had_pending));
                 } else if had_pending {
                     Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut a.ev);
                     a.due = f64::INFINITY;
@@ -1863,7 +1859,7 @@ impl Engine {
             f.gen = self.gen_counter;
             self.gen_counter += 1;
             if f.rate > 0.0 && f.rate.is_finite() {
-                flow_events.push((now + f.remaining / f.rate, id, f.gen, had_pending));
+                flow_events.push((due_at(now, f.remaining, f.rate), id, f.gen, had_pending));
             } else if had_pending {
                 Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut f.ev);
                 f.due = f64::INFINITY;
@@ -1934,7 +1930,7 @@ impl Engine {
                 a.gen = self.gen_counter;
                 self.gen_counter += 1;
                 if rate > 0.0 {
-                    a.due = now + a.remaining / rate;
+                    a.due = due_at(now, a.remaining, rate);
                     Self::restamp_ev(
                         &mut self.events,
                         &mut self.stale_events,
@@ -2107,7 +2103,7 @@ impl Engine {
             f.gen = self.gen_counter;
             self.gen_counter += 1;
             if rate > 0.0 && rate.is_finite() {
-                f.due = now + f.remaining / rate;
+                f.due = due_at(now, f.remaining, rate);
                 Self::restamp_ev(
                     &mut self.events,
                     &mut self.stale_events,
@@ -3094,16 +3090,16 @@ mod tests {
     /// contention, external load churn and a host failure — every event
     /// class the windowed kernel must merge correctly.
     fn cross_cluster_scenario(kernel: KernelMode, policy: WindowPolicy) -> RunReport {
-        cross_cluster_scenario_tuned(
-            EngineTune {
-                kernel,
-                ..Default::default()
-            },
-            policy,
-        )
+        cross_cluster_scenario_timed(kernel, policy, false)
     }
 
-    fn cross_cluster_scenario_tuned(tune: EngineTune, policy: WindowPolicy) -> RunReport {
+    /// [`cross_cluster_scenario`] with the eager-recompute oracle
+    /// selectable.
+    fn cross_cluster_scenario_timed(
+        kernel: KernelMode,
+        policy: WindowPolicy,
+        eager_oracle: bool,
+    ) -> RunReport {
         let mut b = GridBuilder::new();
         let mut all_hosts = Vec::new();
         let mut clusters = Vec::new();
@@ -3118,7 +3114,8 @@ mod tests {
         b.connect(clusters[0], clusters[2], 5e6, 0.05);
         let grid = b.build().unwrap();
         let mut eng = Engine::new(grid);
-        eng.apply_tune(tune);
+        eng.set_kernel_mode(kernel);
+        eng.set_eager_recompute_oracle(eager_oracle);
         eng.set_window_policy(policy);
         // Cross-cluster ring: each hop computes then forwards.
         for ring in 0..3u64 {
@@ -3280,46 +3277,29 @@ mod tests {
 
     /// Coalesced timing is a pure scheduling change: on the mixed
     /// cross-cluster scenario (WAN flows, load windows, a host failure) the
-    /// run report matches the eager reference bit for bit under both
+    /// run report matches the eager oracle bit for bit under both
     /// kernels. Unit level of the three-level pin (property:
     /// `tests/prop_coalesced.rs`, e2e: `tests/substrate_determinism.rs`).
     #[test]
     fn coalesced_recompute_matches_eager_bitwise() {
         for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-            let eager = cross_cluster_scenario_tuned(
-                EngineTune {
-                    kernel,
-                    recompute: RecomputeTiming::Eager,
-                    ..Default::default()
-                },
-                WindowPolicy::default(),
-            );
-            let coalesced = cross_cluster_scenario_tuned(
-                EngineTune {
-                    kernel,
-                    recompute: RecomputeTiming::Coalesced,
-                    ..Default::default()
-                },
-                WindowPolicy::default(),
-            );
+            let eager = cross_cluster_scenario_timed(kernel, WindowPolicy::default(), true);
+            let coalesced = cross_cluster_scenario_timed(kernel, WindowPolicy::default(), false);
             assert_eq!(eager, coalesced, "{kernel:?}");
         }
     }
 
     /// Coalescing actually coalesces: a same-instant send burst (one
     /// process issuing several non-blocking sends back to back) runs fewer
-    /// rate solves than churn notifications, while eager runs exactly one
-    /// solve per churn. Both see the same churn count — `sim.recomputes`
+    /// rate solves than churn notifications on a default engine, while the
+    /// eager oracle runs exactly one solve per churn. Both see the same churn count — `sim.recomputes`
     /// is a property of the scenario, not of the timing.
     #[test]
     fn coalescing_reduces_solves_on_same_instant_bursts() {
-        let run = |timing: RecomputeTiming| {
+        let run = |eager_oracle: bool| {
             let (g, h0, h1) = two_host_grid();
             let mut eng = Engine::new(g);
-            eng.apply_tune(EngineTune {
-                recompute: timing,
-                ..Default::default()
-            });
+            eng.set_eager_recompute_oracle(eager_oracle);
             let obs = grads_obs::Obs::enabled();
             eng.set_obs(obs.clone());
             for i in 0..4u64 {
@@ -3340,8 +3320,8 @@ mod tests {
                 snap.counter("sim.recompute.coalesced").unwrap_or(0),
             )
         };
-        let (re, churn_e, solves_e, absorbed_e) = run(RecomputeTiming::Eager);
-        let (rc, churn_c, solves_c, absorbed_c) = run(RecomputeTiming::Coalesced);
+        let (re, churn_e, solves_e, absorbed_e) = run(true);
+        let (rc, churn_c, solves_c, absorbed_c) = run(false);
         assert_eq!(re, rc, "burst reports must be bit-identical");
         assert_eq!(churn_e, churn_c, "churn count is timing-invariant");
         assert_eq!(solves_e, churn_e, "eager solves once per churn");

@@ -61,7 +61,7 @@ pub use window::WindowPolicy;
 pub mod prelude {
     pub use crate::engine::{
         CompactionPolicy, Engine, EngineTune, EventQueueMode, HandoffMode, KernelMode,
-        RecomputeMode, RecomputeTiming, RunReport,
+        RecomputeMode, RunReport,
     };
     pub use crate::handoff::{set_wait_policy, WaitPolicy};
     pub use crate::process::{mail_key, Ctx, MailKey, Payload, ProcId, SendMode};

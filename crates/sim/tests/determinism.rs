@@ -11,20 +11,36 @@ use grads_sim::prelude::*;
 
 /// Build and run the mixed fault scenario under the given recompute mode.
 fn scenario(mode: RecomputeMode) -> RunReport {
-    scenario_full(mode, CompactionPolicy::default(), EngineTune::default())
+    scenario_full(
+        mode,
+        CompactionPolicy::default(),
+        EngineTune::default(),
+        false,
+    )
 }
 
 /// Same scenario, with an explicit heap-compaction policy.
 fn scenario_with(mode: RecomputeMode, policy: CompactionPolicy) -> RunReport {
-    scenario_full(mode, policy, EngineTune::default())
+    scenario_full(mode, policy, EngineTune::default(), false)
 }
 
 /// Same scenario, with explicit substrate tuning (transport + event queue).
 fn scenario_tuned(mode: RecomputeMode, tune: EngineTune) -> RunReport {
-    scenario_full(mode, CompactionPolicy::default(), tune)
+    scenario_full(mode, CompactionPolicy::default(), tune, false)
 }
 
-fn scenario_full(mode: RecomputeMode, policy: CompactionPolicy, tune: EngineTune) -> RunReport {
+/// Same scenario on the eager-recompute test oracle (one rate solve per
+/// churn event instead of one per virtual instant).
+fn scenario_eager(mode: RecomputeMode, tune: EngineTune) -> RunReport {
+    scenario_full(mode, CompactionPolicy::default(), tune, true)
+}
+
+fn scenario_full(
+    mode: RecomputeMode,
+    policy: CompactionPolicy,
+    tune: EngineTune,
+    eager_oracle: bool,
+) -> RunReport {
     let mut b = GridBuilder::new();
     let mut clusters = Vec::new();
     let mut hosts = Vec::new();
@@ -47,6 +63,7 @@ fn scenario_full(mode: RecomputeMode, policy: CompactionPolicy, tune: EngineTune
     eng.set_recompute_mode(mode);
     eng.set_compaction_policy(policy);
     eng.apply_tune(tune);
+    eng.set_eager_recompute_oracle(eager_oracle);
     eng.panic_on_failure = false;
     // External load competing with the workers' compute actions.
     eng.add_load_window(hosts[0], 0.5, Some(3.0), 1.5);
@@ -242,9 +259,9 @@ fn substrate_matrix_is_bit_identical() {
 }
 
 /// Coalesced recomputation — deferring the rate solve to the end of each
-/// virtual instant — must be unobservable: for every recompute mode the
-/// full report matches the eager reference bit for bit, under load
-/// injection and the mid-run host failure.
+/// virtual instant, the production timing — must be unobservable: for
+/// every recompute mode the full report matches the eager oracle bit for
+/// bit, under load injection and the mid-run host failure.
 #[test]
 fn coalesced_matches_eager_bitwise_across_modes() {
     for mode in [
@@ -252,29 +269,17 @@ fn coalesced_matches_eager_bitwise_across_modes() {
         RecomputeMode::Full,
         RecomputeMode::Incremental,
     ] {
-        let eager = scenario_tuned(
-            mode,
-            EngineTune {
-                recompute: RecomputeTiming::Eager,
-                ..Default::default()
-            },
-        );
-        let coalesced = scenario_tuned(
-            mode,
-            EngineTune {
-                recompute: RecomputeTiming::Coalesced,
-                ..Default::default()
-            },
-        );
+        let eager = scenario_eager(mode, EngineTune::default());
+        let coalesced = scenario_tuned(mode, EngineTune::default());
         assert_eq!(eager, coalesced, "{mode:?}: eager vs coalesced timing");
     }
 }
 
 /// Coalesced timing composed with the rest of the substrate matrix
-/// (transport × queue) still reproduces the default-tune reference.
+/// (transport × queue) still reproduces the eager-oracle reference.
 #[test]
 fn coalesced_substrate_matrix_is_bit_identical() {
-    let baseline = scenario_tuned(RecomputeMode::Incremental, EngineTune::default());
+    let baseline = scenario_eager(RecomputeMode::Incremental, EngineTune::default());
     for handoff in [HandoffMode::Channel, HandoffMode::Direct] {
         for queue in [EventQueueMode::StaleMark, EventQueueMode::Indexed] {
             let r = scenario_tuned(
@@ -282,7 +287,6 @@ fn coalesced_substrate_matrix_is_bit_identical() {
                 EngineTune {
                     handoff,
                     queue,
-                    recompute: RecomputeTiming::Coalesced,
                     ..Default::default()
                 },
             );

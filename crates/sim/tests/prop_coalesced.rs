@@ -2,8 +2,9 @@
 //! randomized same-timestamp churn bursts — collective-style multi-flow
 //! send bursts, load inject/remove pairs, compute storms — deferring the
 //! rate solve to the end of each virtual instant
-//! ([`RecomputeTiming::Coalesced`]) must reproduce the eager reference bit
-//! for bit across all three recompute modes and both kernel modes. This is
+//! (the kernel's production timing) must reproduce the eager oracle
+//! ([`Engine::set_eager_recompute_oracle`]) bit for bit across all three
+//! recompute modes and both kernel modes. This is
 //! the property level of the three-level pin (unit: `engine::tests`,
 //! end-to-end: `tests/substrate_determinism.rs`); the route-class solver
 //! equivalence has its own pin in `prop_sharing.rs`.
@@ -77,7 +78,7 @@ fn run_workload(
     scripts: &[Vec<Op>],
     mode: RecomputeMode,
     kernel: KernelMode,
-    timing: RecomputeTiming,
+    eager_oracle: bool,
 ) -> RunReport {
     let mut b = GridBuilder::new();
     let mut hosts = Vec::new();
@@ -94,11 +95,8 @@ fn run_workload(
     }
     let mut eng = Engine::new(b.build().unwrap());
     eng.set_recompute_mode(mode);
-    eng.apply_tune(EngineTune {
-        kernel,
-        recompute: timing,
-        ..Default::default()
-    });
+    eng.set_kernel_mode(kernel);
+    eng.set_eager_recompute_oracle(eager_oracle);
     for (p, script) in scripts.iter().enumerate() {
         let script = script.clone();
         let hostv: Vec<HostId> = (0..scripts.len()).map(|q| hosts[q % hosts.len()]).collect();
@@ -159,10 +157,8 @@ proptest! {
             RecomputeMode::Incremental,
         ] {
             for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-                let eager = run_workload(
-                    nclusters, &scripts, mode, kernel, RecomputeTiming::Eager);
-                let coalesced = run_workload(
-                    nclusters, &scripts, mode, kernel, RecomputeTiming::Coalesced);
+                let eager = run_workload(nclusters, &scripts, mode, kernel, true);
+                let coalesced = run_workload(nclusters, &scripts, mode, kernel, false);
                 prop_assert_eq!(&eager.end_time, &coalesced.end_time,
                     "{:?}/{:?}: end_time", mode, kernel);
                 prop_assert_eq!(&eager.trace, &coalesced.trace,

@@ -40,9 +40,12 @@ fn rerun_is_bit_identical() {
 
 #[test]
 fn decision_paths_agree_bit_identically() {
+    // The per-job rebuild path is where `path` and `workers` select
+    // anything (the epoch path maps through its own plan), so the
+    // decision-path identity is pinned with epochs off.
     let reference = run_service_experiment(cfg(11, SchedTune::reference()));
-    let fast = run_service_experiment(cfg(11, SchedTune::fast()));
-    let parallel = run_service_experiment(cfg(11, SchedTune::fast_parallel(4)));
+    let fast = run_service_experiment(cfg(11, SchedTune::fast().with_epoch(false)));
+    let parallel = run_service_experiment(cfg(11, SchedTune::fast_parallel(4).with_epoch(false)));
     assert_eq!(
         reference.admitted_ids, fast.admitted_ids,
         "reference and fast paths must admit the identical job sequence"
@@ -55,9 +58,10 @@ fn decision_paths_agree_bit_identically() {
 fn epoch_path_agrees_with_every_decision_path_bit_identically() {
     // The incremental-epoch tentpole: delta capture + persistent index +
     // mapping plan must reproduce the rebuilt-per-job run exactly, and
-    // compose with the other tune axes.
+    // compose with the other tune axes. `fast()` has epochs on, so the
+    // oracle side says `with_epoch(false)` explicitly.
     let reference = run_service_experiment(cfg(13, SchedTune::reference()));
-    let fast = run_service_experiment(cfg(13, SchedTune::fast()));
+    let fast = run_service_experiment(cfg(13, SchedTune::fast().with_epoch(false)));
     let epoch = run_service_experiment(cfg(13, SchedTune::fast().with_epoch(true)));
     assert_eq!(
         reference.admitted_ids, epoch.admitted_ids,
@@ -78,11 +82,15 @@ fn epoch_obs_differs_only_in_epoch_counters() {
         run_service_experiment(c);
         obs.snapshot().to_json()
     };
-    let off = snap(SchedTune::fast());
+    let off = snap(SchedTune::fast().with_epoch(false));
     let on = snap(SchedTune::fast().with_epoch(true));
     assert!(
         on.contains("svc.epoch.memo_misses"),
         "epoch mode publishes its counters: {on}"
+    );
+    assert!(
+        !off.contains("svc.epoch."),
+        "the oracle side really runs the per-job rebuild: {off}"
     );
     let strip = |s: &str| {
         s.lines()

@@ -8,8 +8,17 @@
 //! (end time, trace with bitwise `f64` timestamps, per-host flops,
 //! per-link bytes).
 
+use grads_core::apps::qr_driver::run_qr_experiment_with;
 use grads_core::prelude::*;
 use grads_core::sim::topology::macrogrid_qr;
+
+/// Run fig3 on the eager-recompute test oracle (one rate solve per churn
+/// event, the pre-coalescing kernel timing).
+fn run_fig3_eager(cfg: QrExperimentConfig) -> QrExperimentResult {
+    run_qr_experiment_with(macrogrid_qr(), cfg, |eng| {
+        eng.set_eager_recompute_oracle(true)
+    })
+}
 
 /// The fig3 QR-migration scenario at harness scale with an explicit
 /// substrate tune — same shape as `tests/obs_determinism.rs`.
@@ -80,20 +89,18 @@ fn indexed_queue_matches_stale_mark_on_fig3() {
     assert_eq!(indexed.report, stale.report, "full run report");
 }
 
-/// The seed configuration (channel transport + stale-mark queue) agrees
-/// bitwise with the new default (direct + indexed) — the strongest
-/// statement: both substrate layers swapped at once change nothing.
+/// The seed configuration (channel transport + stale-mark queue + eager
+/// recompute) agrees bitwise with the production default (direct +
+/// indexed + coalesced) — the strongest statement: every substrate layer
+/// swapped at once changes nothing.
 #[test]
 fn seed_substrate_matches_fast_substrate_on_fig3() {
     let fast = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
-    let seed = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            handoff: HandoffMode::Channel,
-            queue: EventQueueMode::StaleMark,
-            ..Default::default()
-        }),
-    );
+    let seed = run_fig3_eager(fig3_cfg(EngineTune {
+        handoff: HandoffMode::Channel,
+        queue: EventQueueMode::StaleMark,
+        ..Default::default()
+    }));
     assert!(fast.migrated && seed.migrated, "scenario must migrate");
     assert_eq!(fast.report, seed.report, "full run report");
     assert_eq!(fast.breakdown, seed.breakdown, "phase breakdown");
@@ -107,14 +114,8 @@ fn seed_substrate_matches_fast_substrate_on_fig3() {
 /// `crates/sim/tests/prop_coalesced.rs`).
 #[test]
 fn coalesced_recompute_matches_eager_on_fig3() {
-    let eager = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
-    let coalesced = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            recompute: RecomputeTiming::Coalesced,
-            ..Default::default()
-        }),
-    );
+    let eager = run_fig3_eager(fig3_cfg(EngineTune::default()));
+    let coalesced = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
     assert!(
         eager.migrated && coalesced.migrated,
         "scenario must migrate"
