@@ -2,11 +2,13 @@
 //!
 //! Four storms, each isolating one layer of the kernel:
 //!
-//! * **handoff ping-pong** — one process bouncing `ctx.now()` off the
-//!   kernel: one request/grant pair per op and near-zero event-kernel
-//!   work, so this measures the process↔kernel transport and nothing
-//!   else. Run under both transports; the direct single-slot rendezvous
-//!   must beat the seed mpsc-channel pair by ≥2× (asserted).
+//! * **handoff ping-pong** — one process polling an empty mailbox with
+//!   `ctx.try_recv`: one request/grant pair per op and near-zero
+//!   event-kernel work, so this measures the process↔kernel transport and
+//!   nothing else. (`ctx.now()` would not do: on the direct transport it
+//!   reads the clock stamped on the last grant and never reaches the
+//!   kernel.) Run under both transports; the direct single-slot
+//!   rendezvous must beat the seed mpsc-channel pair by ≥2× (asserted).
 //! * **message ping-pong** — two processes bouncing a message back and
 //!   forth on a LAN. Every round trip is four kernel handoffs plus the
 //!   flow machinery (activate/done events, rate solve, mailbox), so the
@@ -38,19 +40,19 @@ fn lan_pair() -> (Grid, Vec<HostId>) {
     (b.build().unwrap(), hosts)
 }
 
-/// Raw handoff ping-pong: one process performing `n` clock reads, each a
-/// single request/grant round trip with no event-kernel work behind it.
-/// Returns handoffs/sec wall-clock.
+/// Raw handoff ping-pong: one process polling an empty mailbox `n` times,
+/// each poll a single request/grant round trip with no event-kernel work
+/// behind it. Returns handoffs/sec wall-clock.
 fn handoff_pong(tune: EngineTune, n: usize) -> f64 {
     let (grid, hosts) = lan_pair();
     let mut eng = Engine::new(grid);
     eng.apply_tune(tune);
-    eng.spawn("clock", hosts[0], move |ctx| {
-        let mut acc = 0.0;
+    let key = mail_key(&[0]);
+    eng.spawn("poll", hosts[0], move |ctx| {
         for _ in 0..n {
-            acc += ctx.now();
+            assert!(ctx.try_recv(key).is_none(), "nothing is ever sent here");
         }
-        assert_eq!(acc, 0.0, "virtual clock never advances here");
+        assert_eq!(ctx.now(), 0.0, "virtual clock never advances here");
     });
     let t0 = Instant::now();
     let report = eng.run();

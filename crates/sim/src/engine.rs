@@ -332,12 +332,14 @@ enum ProcPort {
 }
 
 impl ProcPort {
-    fn send_grant(&self, g: Grant) {
+    /// Grant `g` at kernel time `now` (the direct slot stamps its clock
+    /// with it; the channel's `Now` requests ask instead).
+    fn send_grant(&self, g: Grant, now: f64) {
         match self {
             ProcPort::Channel(tx) => {
                 let _ = tx.send(g);
             }
-            ProcPort::Direct(slot) => slot.send_grant(g),
+            ProcPort::Direct(slot) => slot.send_grant(g, now),
         }
     }
 }
@@ -1207,26 +1209,55 @@ impl Engine {
     /// Drive process handoff until no process is running or runnable.
     /// Returns `false` when the request channel disconnected (every process
     /// gone) and the run loop should stop.
+    ///
+    /// On the direct transport a request may arrive with deferred
+    /// fire-and-forget requests queued before it (see [`crate::handoff`]).
+    /// They are applied first, in order, each exactly as its own round
+    /// trip would have been: its reply is a front-of-queue `Unit` for the
+    /// same process, which this loop would have granted straight back
+    /// before touching anything else — so popping that reply instead of
+    /// granting it changes no kernel state transition.
     fn pump_processes(&mut self) -> bool {
         loop {
             if let Some(pid) = self.running.take() {
-                let req = match &self.procs[pid.0 as usize].port {
+                let (req, mut deferred) = match &self.procs[pid.0 as usize].port {
                     ProcPort::Channel(_) => {
                         let (rpid, req) = match self.req_rx.recv() {
                             Ok(x) => x,
                             Err(_) => return false,
                         };
                         debug_assert_eq!(rpid, pid, "request from non-running process");
-                        req
+                        (req, Vec::new())
                     }
-                    ProcPort::Direct(slot) => slot.wait_request(),
+                    ProcPort::Direct(slot) => {
+                        let req = slot.wait_request();
+                        debug_assert_eq!(
+                            slot.clock().to_bits(),
+                            self.now.to_bits(),
+                            "process clock diverged from the kernel's"
+                        );
+                        (req, slot.take_outbox())
+                    }
                 };
+                if !deferred.is_empty() {
+                    for d in deferred.drain(..) {
+                        self.handle_request(pid, d);
+                        let reply = self.runnable.pop_front();
+                        debug_assert!(
+                            matches!(reply, Some((p, Grant::Unit)) if p == pid),
+                            "a deferred request must be answered by an immediate Unit"
+                        );
+                    }
+                    if let ProcPort::Direct(slot) = &self.procs[pid.0 as usize].port {
+                        slot.restore_outbox(deferred);
+                    }
+                }
                 self.handle_request(pid, req);
                 continue;
             }
             if let Some((pid, grant)) = self.runnable.pop_front() {
                 if self.procs[pid.0 as usize].state == PState::Alive {
-                    self.procs[pid.0 as usize].port.send_grant(grant);
+                    self.procs[pid.0 as usize].port.send_grant(grant, self.now);
                     self.running = Some(pid);
                 }
                 continue;
@@ -1468,11 +1499,11 @@ impl Engine {
             match p.state {
                 PState::Alive => {
                     unfinished.push(p.name.to_string());
-                    p.port.send_grant(Grant::Kill);
+                    p.port.send_grant(Grant::Kill, self.now);
                 }
                 PState::Died => {
                     died.push(p.name.to_string());
-                    p.port.send_grant(Grant::Kill);
+                    p.port.send_grant(Grant::Kill, self.now);
                 }
                 _ => {}
             }
@@ -2879,6 +2910,103 @@ mod tests {
         assert_eq!(r.failed.len(), 1);
         assert_eq!(r.failed[0].0, "bad");
         assert!(r.failed[0].1.contains("boom"));
+    }
+
+    /// Run `f` on host `a` of [`two_host_grid`] next to a receiver on
+    /// host `b` that takes `msgs` eager messages, under one transport.
+    fn queued_then_ends(
+        mode: HandoffMode,
+        msgs: u64,
+        f: impl FnOnce(&mut Ctx, HostId) + Send + 'static,
+    ) -> RunReport {
+        let (g, a, b) = two_host_grid();
+        let mut eng = Engine::new(g);
+        eng.set_handoff_mode(mode);
+        eng.panic_on_failure = false;
+        eng.spawn("src", a, move |ctx| f(ctx, b));
+        eng.spawn("dst", b, move |ctx| {
+            for i in 0..msgs {
+                let _ = ctx.recv(mail_key(&[9, i]));
+                let t = ctx.now();
+                ctx.trace("got", t);
+            }
+        });
+        eng.run()
+    }
+
+    /// Index of the first trace record matching `f`.
+    fn position(r: &RunReport, f: impl Fn(&TraceKind) -> bool) -> usize {
+        r.trace
+            .records
+            .iter()
+            .position(|rec| f(&rec.kind))
+            .expect("record present")
+    }
+
+    fn custom(l: &'static str) -> impl Fn(&TraceKind) -> bool {
+        move |k| matches!(k, TraceKind::Custom { label, .. } if &**label == l)
+    }
+
+    #[test]
+    fn queued_requests_apply_before_a_panic() {
+        let script = |ctx: &mut Ctx, b: HostId| {
+            ctx.compute(10.0);
+            ctx.isend(mail_key(&[9, 0]), b, 1e4, Box::new(()));
+            ctx.trace("x", 1.0);
+            ctx.inject_load(b, 0.5);
+            ctx.isend(mail_key(&[9, 1]), b, 2e4, Box::new(()));
+            ctx.trace("y", 2.0);
+            panic!("boom");
+        };
+        let direct = queued_then_ends(HandoffMode::Direct, 2, script);
+        let channel = queued_then_ends(HandoffMode::Channel, 2, script);
+        assert_eq!(direct, channel, "batched and unbatched runs differ");
+        assert_eq!(direct.failed.len(), 1);
+        assert_eq!(direct.completed, vec!["dst".to_string()]);
+        assert_eq!(direct.trace.series("got").len(), 2, "both flows delivered");
+        assert!(direct.link_bytes.iter().sum::<f64>() > 0.0);
+        let x = position(&direct, custom("x"));
+        let load = position(&direct, |k| matches!(k, TraceKind::LoadChange { .. }));
+        let y = position(&direct, custom("y"));
+        let fail = position(&direct, |k| matches!(k, TraceKind::ProcFail { .. }));
+        assert!(
+            x < load && load < y && y < fail,
+            "order {x} {load} {y} {fail}"
+        );
+        // All of it at the panic's instant, after the compute.
+        assert_eq!(direct.trace.records[fail].t, 0.1);
+        assert_eq!(direct.trace.records[x].t, 0.1);
+    }
+
+    #[test]
+    fn exit_with_a_full_outbox_applies_every_request() {
+        // More queued requests than the outbox holds, then a plain return:
+        // one full-outbox round trip, then the rest ride with `Exit`.
+        let n = crate::handoff::OUTBOX_CAP as u64 + 5;
+        let script = move |ctx: &mut Ctx, b: HostId| {
+            for i in 0..n {
+                ctx.isend(mail_key(&[9, i]), b, 1e3 * (i + 1) as f64, Box::new(()));
+                ctx.trace("sent", i as f64);
+            }
+        };
+        let direct = queued_then_ends(HandoffMode::Direct, n, script);
+        let channel = queued_then_ends(HandoffMode::Channel, n, script);
+        assert_eq!(direct, channel, "batched and unbatched runs differ");
+        assert_eq!(direct.completed.len(), 2);
+        assert_eq!(direct.trace.series("sent").len(), n as usize);
+        assert_eq!(direct.trace.series("got").len(), n as usize);
+        let sent = custom("sent");
+        let last_sent = direct
+            .trace
+            .records
+            .iter()
+            .rposition(|r| sent(&r.kind))
+            .unwrap();
+        let exit = position(
+            &direct,
+            |k| matches!(k, TraceKind::ProcExit { name } if &**name == "src"),
+        );
+        assert!(last_sent < exit);
     }
 
     #[test]

@@ -33,10 +33,32 @@
 //! edge on `state`. Determinism is preserved by construction — the
 //! transport carries the same messages in the same order as the channel
 //! pair, it just carries them faster.
+//!
+//! # Calls that skip the round trip
+//!
+//! Two more cells let a process answer some calls without the kernel:
+//!
+//! * the **clock** holds the kernel's `now`, stamped before every grant.
+//!   While the process runs the kernel is parked in
+//!   [`HandoffSlot::wait_request`] and its clock cannot move, so
+//!   [`HandoffSlot::clock`] is exactly what a `Now` round trip would
+//!   return;
+//! * the **outbox** queues requests whose only reply is `Grant::Unit`
+//!   (eager sends, traces, load changes). The kernel takes it right after
+//!   the next request and applies every queued request first, in order,
+//!   as if each had been its own round trip: each of them is answered by
+//!   an immediate front-of-queue `Unit` that the kernel would have
+//!   granted straight back to this process before touching anything
+//!   else. At most [`OUTBOX_CAP`] requests wait; the next one goes out as
+//!   an ordinary round trip that carries them.
+//!
+//! Both cells follow the request cell's ownership: the process touches
+//! them between consuming a grant and publishing its next request, the
+//! kernel between consuming that request and publishing the next grant.
 
 use crate::process::{Grant, Request};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
@@ -46,6 +68,11 @@ const IDLE: u8 = 0;
 const REQ: u8 = 1;
 /// A grant is published for the process.
 const GRANT: u8 = 2;
+
+/// Most fire-and-forget requests a process queues in its outbox. The cap
+/// bounds the memory a process can park in its slot; a full outbox costs
+/// one round trip per [`OUTBOX_CAP`] + 1 requests instead of one each.
+pub(crate) const OUTBOX_CAP: usize = 16;
 
 /// How many times to poll the state word before parking the thread. When
 /// the peer responds within the budget (the common case on unloaded
@@ -140,6 +167,10 @@ pub(crate) struct HandoffSlot {
     state: AtomicU8,
     req: UnsafeCell<Option<Request>>,
     grant: UnsafeCell<Option<Grant>>,
+    /// Bits of the kernel's `now` at the last grant.
+    clock: AtomicU64,
+    /// Fire-and-forget requests queued since the last grant.
+    outbox: UnsafeCell<Vec<Request>>,
     kernel: KernelThread,
     /// The process's OS thread, set by the kernel right after spawning it
     /// (from `JoinHandle::thread`, so it is available before the thread
@@ -147,9 +178,9 @@ pub(crate) struct HandoffSlot {
     proc: OnceLock<Thread>,
 }
 
-// SAFETY: the cells are accessed under the `state` protocol above — each
-// cell has exactly one writer and one reader per transition, ordered by
-// the Release store / Acquire load pair on `state`.
+// SAFETY: the cells (request, grant, outbox) are accessed under the
+// `state` protocol above — each cell has exactly one owner per
+// transition, ordered by the Release store / Acquire load pair on `state`.
 unsafe impl Send for HandoffSlot {}
 unsafe impl Sync for HandoffSlot {}
 
@@ -159,6 +190,8 @@ impl HandoffSlot {
             state: AtomicU8::new(IDLE),
             req: UnsafeCell::new(None),
             grant: UnsafeCell::new(None),
+            clock: AtomicU64::new(0f64.to_bits()),
+            outbox: UnsafeCell::new(Vec::new()),
             kernel,
             proc: OnceLock::new(),
         }
@@ -221,6 +254,29 @@ impl HandoffSlot {
         g
     }
 
+    /// The kernel's clock as of the last grant. Process side, or kernel
+    /// side between `wait_request` and the next grant.
+    pub(crate) fn clock(&self) -> f64 {
+        // Relaxed: the store happens-before the GRANT Release store this
+        // side has already acquired.
+        f64::from_bits(self.clock.load(Ordering::Relaxed))
+    }
+
+    /// Process side: queue a fire-and-forget request for the kernel to
+    /// apply before the next one. Hands the request back when the outbox
+    /// is full; the caller then sends it as a round trip.
+    pub(crate) fn defer(&self, req: Request) -> Result<(), Request> {
+        // SAFETY: the running process owns the outbox until it publishes
+        // its next request (see the module docs).
+        let outbox = unsafe { &mut *self.outbox.get() };
+        if outbox.len() < OUTBOX_CAP {
+            outbox.push(req);
+            Ok(())
+        } else {
+            Err(req)
+        }
+    }
+
     /// Kernel side: wait for and consume the running process's request.
     pub(crate) fn wait_request(&self) -> Request {
         self.await_state(REQ);
@@ -231,10 +287,35 @@ impl HandoffSlot {
         r
     }
 
-    /// Kernel side: publish a grant and wake the process. The slot must be
-    /// `IDLE`: the target process is parked (or spinning) in `wait_grant`.
-    pub(crate) fn send_grant(&self, g: Grant) {
+    /// Kernel side, right after `wait_request`: take the requests the
+    /// process queued before it. Empty (and allocation-free) when none
+    /// were; otherwise hand the drained buffer back with
+    /// [`Self::restore_outbox`] before the next grant.
+    pub(crate) fn take_outbox(&self) -> Vec<Request> {
+        // SAFETY: the process is waiting in `wait_grant`; the kernel owns
+        // the outbox until it publishes the next grant.
+        let outbox = unsafe { &mut *self.outbox.get() };
+        if outbox.is_empty() {
+            Vec::new()
+        } else {
+            std::mem::take(outbox)
+        }
+    }
+
+    /// Kernel side: return the drained buffer from [`Self::take_outbox`]
+    /// so its capacity is reused.
+    pub(crate) fn restore_outbox(&self, drained: Vec<Request>) {
+        debug_assert!(drained.is_empty(), "outbox returned undrained");
+        // SAFETY: as in `take_outbox`.
+        unsafe { *self.outbox.get() = drained };
+    }
+
+    /// Kernel side: publish a grant stamped with the kernel clock `now`
+    /// and wake the process. The slot must be `IDLE`: the target process
+    /// is parked (or spinning) in `wait_grant`.
+    pub(crate) fn send_grant(&self, g: Grant, now: f64) {
         debug_assert_eq!(self.state.load(Ordering::Relaxed), IDLE);
+        self.clock.store(now.to_bits(), Ordering::Relaxed);
         // SAFETY: state is IDLE, so the process is not reading the cell.
         unsafe { *self.grant.get() = Some(g) };
         self.state.store(GRANT, Ordering::Release);
@@ -273,12 +354,12 @@ mod tests {
         });
         kernel.set(std::thread::current()).unwrap();
         slot.set_proc_thread(join.thread().clone());
-        slot.send_grant(Grant::Unit);
+        slot.send_grant(Grant::Unit, 0.0);
         let mut seen = 0u64;
         loop {
             match slot.wait_request() {
                 Request::Compute { flops } => {
-                    slot.send_grant(Grant::Time(flops));
+                    slot.send_grant(Grant::Time(flops), 0.0);
                     seen += 1;
                 }
                 Request::Exit => break,
@@ -287,6 +368,56 @@ mod tests {
         }
         assert_eq!(seen, 1000);
         join.join().unwrap();
+    }
+
+    /// The clock and the outbox ride the grant/request edges: the process
+    /// reads the clock stamped on its grant, and the kernel sees every
+    /// queued request, in order, when it takes the next request.
+    #[test]
+    fn clock_and_outbox_cross_threads() {
+        let kernel: KernelThread = Arc::new(OnceLock::new());
+        let slot = Arc::new(HandoffSlot::new(kernel.clone()));
+        let s2 = slot.clone();
+        let join = std::thread::spawn(move || {
+            let mut clocks = Vec::new();
+            for round in 0..100u32 {
+                if !matches!(s2.wait_grant(), Grant::Unit) {
+                    panic!("expected unit grant");
+                }
+                clocks.push(s2.clock());
+                for k in 0..=OUTBOX_CAP as u32 {
+                    let req = Request::Compute {
+                        flops: (round * 100 + k) as f64,
+                    };
+                    if let Err(req) = s2.defer(req) {
+                        assert_eq!(k as usize, OUTBOX_CAP, "only a full outbox refuses");
+                        s2.send_request(req);
+                        break;
+                    }
+                }
+            }
+            clocks
+        });
+        kernel.set(std::thread::current()).unwrap();
+        slot.set_proc_thread(join.thread().clone());
+        for round in 0..100u32 {
+            slot.send_grant(Grant::Unit, round as f64 * 0.5);
+            let last = slot.wait_request();
+            assert_eq!(slot.clock(), round as f64 * 0.5);
+            let mut queued = slot.take_outbox();
+            assert_eq!(queued.len(), OUTBOX_CAP);
+            for (k, r) in queued.drain(..).chain(std::iter::once(last)).enumerate() {
+                match r {
+                    Request::Compute { flops } => {
+                        assert_eq!(flops, (round * 100) as f64 + k as f64)
+                    }
+                    _ => panic!("unexpected request"),
+                }
+            }
+            slot.restore_outbox(queued);
+        }
+        let clocks = join.join().unwrap();
+        assert_eq!(clocks, (0..100).map(|r| r as f64 * 0.5).collect::<Vec<_>>());
     }
 
     /// A kill grant delivered while the process is parked in `wait_grant`
@@ -301,7 +432,7 @@ mod tests {
         slot.set_proc_thread(join.thread().clone());
         // Give the thread a chance to actually park.
         std::thread::sleep(std::time::Duration::from_millis(10));
-        slot.send_grant(Grant::Kill);
+        slot.send_grant(Grant::Kill, 0.0);
         assert!(join.join().unwrap());
     }
 }

@@ -6,6 +6,14 @@
 //! blocking primitives (`compute`, `send`, `recv`, `sleep`, ...); each call
 //! hands control back to the kernel, which advances virtual time and resumes
 //! the process when the operation completes.
+//!
+//! On the direct transport, calls the kernel would answer at once without
+//! moving its clock skip the round trip: `now` reads the clock stamped on
+//! the last grant, zero-length `compute`/`sleep` return at once, and the
+//! fire-and-forget calls (`isend`, `trace`, `inject_load`, `remove_load`)
+//! queue in the slot's outbox and ride with the next real request (see
+//! the `handoff` module). The channel transport keeps one round trip per
+//! call, as the unbatched reference.
 
 use crate::handoff::HandoffSlot;
 use crate::topology::HostId;
@@ -163,6 +171,29 @@ impl Ctx {
         }
     }
 
+    /// Issue a request whose only reply is `Grant::Unit`. On the direct
+    /// transport it is queued in the outbox; only a full outbox makes it a
+    /// round trip (which carries the queued ones with it).
+    fn post(&mut self, req: Request) {
+        let req = match &self.ep {
+            Endpoint::Direct(slot) => match slot.defer(req) {
+                Ok(()) => return,
+                Err(req) => req,
+            },
+            Endpoint::Channel { .. } => req,
+        };
+        match self.call(req) {
+            Grant::Unit => {}
+            _ => unreachable!("kernel grant mismatch for a fire-and-forget request"),
+        }
+    }
+
+    /// `true` on the direct transport, where calls the kernel answers with
+    /// a bare `Unit` and no state change may return without asking it.
+    fn direct(&self) -> bool {
+        matches!(self.ep, Endpoint::Direct(_))
+    }
+
     /// Block until the kernel issues this process's start grant. Returns
     /// `false` if the kernel instead killed the process (simulation over
     /// before it ever ran). Used only by the engine's thread wrapper.
@@ -208,6 +239,9 @@ impl Ctx {
 
     /// Current virtual time in seconds.
     pub fn now(&mut self) -> f64 {
+        if let Endpoint::Direct(slot) = &self.ep {
+            return slot.clock();
+        }
         match self.call(Request::Now) {
             Grant::Time(t) => t,
             _ => unreachable!("kernel grant mismatch for Now"),
@@ -218,6 +252,9 @@ impl Ctx {
     /// `flops / rate` virtual seconds, where the rate reflects CPU sharing
     /// with other actions and injected load on this host.
     pub fn compute(&mut self, flops: f64) {
+        if flops <= 0.0 && self.direct() {
+            return;
+        }
         match self.call(Request::Compute { flops }) {
             Grant::Unit => {}
             _ => unreachable!("kernel grant mismatch for Compute"),
@@ -226,6 +263,9 @@ impl Ctx {
 
     /// Sleep for `dt` virtual seconds.
     pub fn sleep(&mut self, dt: f64) {
+        if dt <= 0.0 && self.direct() {
+            return;
+        }
         match self.call(Request::Sleep { dt }) {
             Grant::Unit => {}
             _ => unreachable!("kernel grant mismatch for Sleep"),
@@ -250,16 +290,13 @@ impl Ctx {
     /// Eager (buffered) send: the transfer starts now; this call returns
     /// immediately without waiting for the receiver.
     pub fn isend(&mut self, key: MailKey, dst: HostId, bytes: f64, payload: Payload) {
-        match self.call(Request::Send {
+        self.post(Request::Send {
             key,
             dst,
             bytes,
             payload,
             mode: SendMode::Eager,
-        }) {
-            Grant::Unit => {}
-            _ => unreachable!("kernel grant mismatch for ISend"),
-        }
+        });
     }
 
     /// Blocking receive on a mailbox key.
@@ -307,18 +344,12 @@ impl Ctx {
     /// Add `amount` units of competing CPU load to a host (1.0 = one
     /// CPU-bound process). Used by experiment drivers to create contention.
     pub fn inject_load(&mut self, host: HostId, amount: f64) {
-        match self.call(Request::InjectLoad { host, amount }) {
-            Grant::Unit => {}
-            _ => unreachable!("kernel grant mismatch for InjectLoad"),
-        }
+        self.post(Request::InjectLoad { host, amount });
     }
 
     /// Remove previously injected load.
     pub fn remove_load(&mut self, host: HostId, amount: f64) {
-        match self.call(Request::RemoveLoad { host, amount }) {
-            Grant::Unit => {}
-            _ => unreachable!("kernel grant mismatch for RemoveLoad"),
-        }
+        self.post(Request::RemoveLoad { host, amount });
     }
 
     /// Record a custom (label, value) trace point at the current virtual
@@ -326,10 +357,7 @@ impl Ctx {
     /// this to extract progress series.
     pub fn trace(&mut self, label: &str, value: f64) {
         let label = self.intern_label(label);
-        match self.call(Request::Trace { label, value }) {
-            Grant::Unit => {}
-            _ => unreachable!("kernel grant mismatch for Trace"),
-        }
+        self.post(Request::Trace { label, value });
     }
 }
 
