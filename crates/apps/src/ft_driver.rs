@@ -14,7 +14,7 @@
 use crate::qr::{restore, write_checkpoint, QrConfig, QrLocal};
 use crate::qr_driver::qr_step;
 use grads_mpi::launch_from;
-use grads_nws::NwsService;
+use grads_nws::{CpuSensor, NwsService};
 use grads_sim::prelude::*;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -140,9 +140,8 @@ pub fn run_ft_experiment(
         let done2 = done.clone();
         let speed = grid.host(h).speed;
         let period = ecfg.heartbeat_period;
-        eng.spawn(&format!("nws-sensor-{h}"), h, move |ctx| {
-            grads_nws::run_cpu_sensor(ctx, &nws2, speed, 1e6, period, &move || *done2.lock());
-        });
+        let sensor = CpuSensor::new(nws2, h, speed, 1e6, period, move || *done2.lock());
+        eng.spawn_daemon(&format!("nws-sensor-{h}"), h, sensor);
     }
 
     // The failure.

@@ -13,7 +13,7 @@
 
 use grads_mpi::swap::SwapWorld;
 use grads_mpi::{launch_swap_world, Comm};
-use grads_nws::NwsService;
+use grads_nws::{CpuSensor, NwsService};
 use grads_reschedule::{run_swap_rescheduler, SwapPolicy};
 use grads_sim::prelude::*;
 use parking_lot::Mutex;
@@ -320,9 +320,8 @@ pub fn run_nbody_experiment(
         let done2 = done.clone();
         let speed = grid.host(h).speed;
         let period = ecfg.sensor_period;
-        eng.spawn(&format!("nws-sensor-{h}"), h, move |ctx| {
-            grads_nws::run_cpu_sensor(ctx, &nws2, speed, 1e6, period, &move || *done2.lock());
-        });
+        let sensor = CpuSensor::new(nws2, h, speed, 1e6, period, move || *done2.lock());
+        eng.spawn_daemon(&format!("nws-sensor-{h}"), h, sensor);
     }
 
     // The swap rescheduler (the §4.2 contract-monitor/rescheduler pair).

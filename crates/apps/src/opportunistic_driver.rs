@@ -15,7 +15,7 @@
 use crate::qr::{restore, QrConfig, QrLocal};
 use crate::qr_driver::{qr_step, QrCop, QrRunning};
 use grads_mpi::launch_from;
-use grads_nws::{ForecastSnapshot, NwsService};
+use grads_nws::{CpuSensor, ForecastSnapshot, NwsService};
 use grads_reschedule::{opportunistic_check, MigrationRescheduler, Reschedulable};
 use grads_sched::SchedTune;
 use grads_sim::prelude::*;
@@ -265,9 +265,8 @@ pub fn run_opportunistic_experiment(
         let nws2 = nws.clone();
         let done2 = done.clone();
         let speed = grid.host(h).speed;
-        eng.spawn(&format!("nws-sensor-{h}"), h, move |ctx| {
-            grads_nws::run_cpu_sensor(ctx, &nws2, speed, 1e6, 10.0, &move || *done2.lock());
-        });
+        let sensor = CpuSensor::new(nws2, h, speed, 1e6, 10.0, move || *done2.lock());
+        eng.spawn_daemon(&format!("nws-sensor-{h}"), h, sensor);
     }
 
     eng.run_until(ecfg.t_max * 1.2);

@@ -31,7 +31,7 @@ use grads_contract::{
     run_contract_monitor_obs, Contract, ContractMonitor, DonePredicate, Response, ViolationHandler,
 };
 use grads_mpi::{host_labels, launch_from_traced};
-use grads_nws::{ForecastSnapshot, ForecastSource, NwsService, SharedSnapshot};
+use grads_nws::{CpuSensor, ForecastSnapshot, ForecastSource, NwsService, SharedSnapshot};
 use grads_obs::{DecisionAction, DecisionKind, Obs, Recorder, WorldTag};
 use grads_perf::{AttrPrefix, PrefixAgg, PrefixPredictor, TreeBcastPrefix};
 use grads_reschedule::{
@@ -508,9 +508,8 @@ pub fn run_qr_experiment_with(
         let nws2 = nws.clone();
         let done2 = done.clone();
         let speed = grid.host(h).speed;
-        eng.spawn(&format!("nws-sensor-{h}"), h, move |ctx| {
-            grads_nws::run_cpu_sensor(ctx, &nws2, speed, 1e6, 10.0, &move || *done2.lock());
-        });
+        let sensor = CpuSensor::new(nws2, h, speed, 1e6, 10.0, move || *done2.lock());
+        eng.spawn_daemon(&format!("nws-sensor-{h}"), h, sensor);
     }
 
     // The artificial load (paper: five minutes in, on one UTK node).

@@ -18,8 +18,8 @@ pub mod snapshot;
 
 pub use ensemble::{Ensemble, Forecast};
 pub use monitor::{
-    app_availability_from_probe, availability_from_load, cpu_probe, net_probe, run_cpu_sensor,
-    run_net_sensor, NwsService,
+    app_availability_from_probe, availability_from_load, cpu_probe, net_probe, run_net_sensor,
+    CpuSensor, NwsService,
 };
 pub use predictors::{standard_battery, Predictor};
 pub use snapshot::{ForecastSnapshot, ForecastSource, SharedSnapshot};

@@ -4,12 +4,15 @@
 //! monitor.
 //!
 //! The service itself is passive storage + forecasting; *sensor* processes
-//! running inside the emulation (see [`cpu_probe`]) produce the
-//! measurements, exactly as NWS sensor daemons did on the GrADS testbeds.
+//! running inside the emulation (see [`CpuSensor`] and [`cpu_probe`])
+//! produce the measurements, exactly as NWS sensor daemons did on the
+//! GrADS testbeds.
 
 use crate::ensemble::{Ensemble, Forecast};
 use grads_sim::prelude::*;
+use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// The bit pattern a snapshot serves for an unmeasured CPU series: an
 /// unmeasured host is assumed idle (`forecast_cpu_or_idle` → `1.0`).
@@ -273,6 +276,12 @@ impl NwsService {
         hs
     }
 
+    /// The most recent CPU availability measurement for a host (as
+    /// recorded, after clamping to `[0, 1]`); `None` if never measured.
+    pub fn last_cpu_measurement(&self, host: HostId) -> Option<f64> {
+        self.cpu.get(&host).and_then(|e| e.last_measurement())
+    }
+
     /// Forecast CPU availability for a host; `None` if never measured.
     pub fn forecast_cpu(&self, host: HostId) -> Option<Forecast> {
         self.cpu.get(&host).and_then(|e| e.forecast())
@@ -354,27 +363,60 @@ pub fn app_availability_from_probe(cores: u32, probe_avail: f64) -> f64 {
     (c / without_probe).clamp(p, 1.0)
 }
 
-/// Run a periodic CPU sensor daemon inside the emulation: every `period`
-/// virtual seconds, probe this host's availability and record it into the
-/// shared weather service. Runs until `done()` turns true. This is the
-/// emulation analog of an NWS CPU sensor process.
-pub fn run_cpu_sensor(
-    ctx: &mut Ctx,
-    nws: &std::sync::Arc<parking_lot::Mutex<NwsService>>,
+/// A periodic CPU sensor, the emulation analog of an NWS CPU sensor
+/// process. Until `done()` turns true it repeats: probe this host's
+/// availability with a `probe_flops` compute burst, record the measurement
+/// and a heartbeat into the shared weather service, sleep `period`.
+///
+/// It is a [`Daemon`]: spawn it with `Engine::spawn_daemon` and the kernel
+/// steps it inline, with no OS thread and no handoff.
+pub struct CpuSensor {
+    nws: Arc<Mutex<NwsService>>,
+    host: HostId,
     peak_speed: f64,
     probe_flops: f64,
     period: f64,
-    done: &(dyn Fn() -> bool + Send + Sync),
-) {
-    let host = ctx.host();
-    while !done() {
-        let a = cpu_probe(ctx, peak_speed, probe_flops);
-        let t = ctx.now();
-        let mut n = nws.lock();
-        n.observe_cpu(host, a);
-        n.note_heartbeat(host, t);
-        drop(n);
-        ctx.sleep(period);
+    done: Box<dyn FnMut() -> bool + Send>,
+    /// Virtual time the running probe started at; `None` between probes.
+    probe_start: Option<f64>,
+}
+
+impl CpuSensor {
+    /// A sensor on `host`, whose nominal per-core rate is `peak_speed`.
+    pub fn new(
+        nws: Arc<Mutex<NwsService>>,
+        host: HostId,
+        peak_speed: f64,
+        probe_flops: f64,
+        period: f64,
+        done: impl FnMut() -> bool + Send + 'static,
+    ) -> Self {
+        CpuSensor {
+            nws,
+            host,
+            peak_speed,
+            probe_flops,
+            period,
+            done: Box::new(done),
+            probe_start: None,
+        }
+    }
+}
+
+impl Daemon for CpuSensor {
+    fn step(&mut self, now: f64) -> Step {
+        if let Some(t0) = self.probe_start.take() {
+            let a = probe_availability(self.probe_flops, now - t0, self.peak_speed);
+            let mut n = self.nws.lock();
+            n.observe_cpu(self.host, a);
+            n.note_heartbeat(self.host, now);
+            return Step::Sleep(self.period);
+        }
+        if (self.done)() {
+            return Step::Exit;
+        }
+        self.probe_start = Some(now);
+        Step::Compute(self.probe_flops)
     }
 }
 
@@ -403,7 +445,7 @@ pub fn net_probe(ctx: &mut Ctx, peer: HostId, bulk_bytes: f64) -> (f64, f64) {
 #[allow(clippy::too_many_arguments)]
 pub fn run_net_sensor(
     ctx: &mut Ctx,
-    nws: &std::sync::Arc<parking_lot::Mutex<NwsService>>,
+    nws: &Arc<Mutex<NwsService>>,
     my_cluster: ClusterId,
     peer: HostId,
     peer_cluster: ClusterId,
@@ -428,7 +470,13 @@ pub fn run_net_sensor(
 pub fn cpu_probe(ctx: &mut Ctx, peak_speed: f64, probe_flops: f64) -> f64 {
     let t0 = ctx.now();
     ctx.compute(probe_flops);
-    let dt = ctx.now() - t0;
+    probe_availability(probe_flops, ctx.now() - t0, peak_speed)
+}
+
+/// Availability a probe of `probe_flops` that took `dt` virtual seconds
+/// measured: achieved rate over peak, in `[0, 1]`; an instant probe
+/// reads as idle.
+fn probe_availability(probe_flops: f64, dt: f64, peak_speed: f64) -> f64 {
     if dt <= 0.0 {
         return 1.0;
     }
@@ -556,6 +604,57 @@ mod tests {
         // Measured forecasts now drive transfer_time.
         let t = n.transfer_time(&g, HostId(0), HostId(1), 1e6);
         assert!((t - (0.05 + 2.0)).abs() < 0.3, "t = {t}");
+    }
+
+    /// A lone sensor on an idle 1-core host with dyadic speed `s`, probe
+    /// `p` and period `T` heartbeats for the k-th time at exactly
+    /// `k·p/s + (k−1)·T` and reads availability 1; one unit of load
+    /// doubles every probe and halves the reading — on the inline path
+    /// and on the thread oracle alike.
+    #[test]
+    fn lone_sensor_matches_the_closed_form() {
+        const K: usize = 8;
+        let (s, p, period) = (1024.0, 256.0, 2.0);
+        for load in [0.0, 1.0] {
+            let avail = availability_from_load(1, load);
+            let probe_s = p / (s * avail);
+            for inline in [true, false] {
+                let mut b = GridBuilder::new();
+                let c = b.cluster("X");
+                let h = b.add_hosts(c, 1, &HostSpec::with_speed(s))[0];
+                let mut eng = Engine::new(b.build().unwrap());
+                if load > 0.0 {
+                    eng.add_load_window(h, 0.0, None, load);
+                }
+                let nws = Arc::new(Mutex::new(NwsService::new()));
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let (nws2, log2) = (nws.clone(), log.clone());
+                // Each `done` check after the first follows one heartbeat.
+                let done = move || {
+                    let n = nws2.lock();
+                    let mut l = log2.lock();
+                    if let Some(hb) = n.last_heartbeat(h) {
+                        l.push((hb, n.last_cpu_measurement(h).unwrap()));
+                    }
+                    l.len() == K
+                };
+                let mut sensor = CpuSensor::new(nws, h, s, p, period, done);
+                if inline {
+                    eng.spawn_daemon("sensor", h, sensor);
+                } else {
+                    eng.spawn("sensor", h, move |ctx| {
+                        grads_sim::run_daemon(ctx, &mut sensor)
+                    });
+                }
+                let r = eng.run();
+                assert_eq!(r.completed, vec!["sensor".to_string()]);
+                let want: Vec<(f64, f64)> = (1..=K)
+                    .map(|k| (k as f64 * probe_s + (k - 1) as f64 * period, avail))
+                    .collect();
+                assert_eq!(*log.lock(), want, "load {load}, inline {inline}");
+                assert_eq!(r.end_time, K as f64 * (probe_s + period));
+            }
+        }
     }
 
     #[test]

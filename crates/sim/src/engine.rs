@@ -2,9 +2,11 @@
 //!
 //! The kernel owns virtual time, the event heap, all resource state (CPU
 //! actions, network flows, injected load) and the process table. Simulated
-//! processes run on real threads but strictly one at a time: the kernel
-//! resumes a process, waits for its next request, and only then considers
-//! the next runnable process or event. Runs are therefore deterministic.
+//! processes run strictly one at a time: the kernel resumes a process,
+//! takes its next request, and only then considers the next runnable
+//! process or event. Runs are therefore deterministic. A thread process
+//! is resumed with a grant and answered by a handoff; an inline
+//! [`Daemon`] is stepped on the kernel thread itself.
 //!
 //! Resource completion times are maintained lazily: whenever the demand set
 //! churns (an action or flow starts or ends, load changes), rates are
@@ -22,11 +24,12 @@
 //! [`RecomputeMode::Legacy`] preserves the pre-change kernel — global
 //! re-solve, unconditional re-stamping — as a benchmark baseline.
 
+use crate::daemon::{Daemon, Step};
 use crate::equeue::{class_key, Event, EventKind, IndexedHeap, ShardedHeap, MAX_SHARDS, NO_HANDLE};
 use crate::handoff::{multicore, HandoffSlot, KernelThread};
 use crate::maildir::{MailDir, QueuedSend};
 use crate::process::{
-    Ctx, Endpoint, Grant, KillToken, MailKey, Payload, ProcFn, ProcId, Request, SendMode,
+    Ctx, Endpoint, Grant, KillToken, MailKey, Payload, ProcBody, ProcFn, ProcId, Request, SendMode,
 };
 use crate::sharing::{cpu_share, FairScratch};
 use crate::topology::{Grid, HostId, LinkId};
@@ -329,18 +332,65 @@ enum PState {
 enum ProcPort {
     Channel(Sender<Grant>),
     Direct(Arc<HandoffSlot>),
+    /// An inline daemon: no thread, stepped by `pump_processes`.
+    Inline(Box<dyn Daemon>),
 }
 
 impl ProcPort {
     /// Grant `g` at kernel time `now` (the direct slot stamps its clock
-    /// with it; the channel's `Now` requests ask instead).
+    /// with it; the channel's `Now` requests ask instead). An inline
+    /// daemon has no thread to resume, so a grant to it (only ever the
+    /// final `Kill`) is a no-op.
     fn send_grant(&self, g: Grant, now: f64) {
         match self {
             ProcPort::Channel(tx) => {
                 let _ = tx.send(g);
             }
             ProcPort::Direct(slot) => slot.send_grant(g, now),
+            ProcPort::Inline(_) => {}
         }
+    }
+}
+
+/// Obs counter names of the per-kind request tallies, indexed by
+/// [`Request::counter`].
+const REQ_COUNTERS: [&str; 10] = [
+    "sim.req.compute",
+    "sim.req.sleep",
+    "sim.req.recv",
+    "sim.req.rendezvous",
+    "sim.req.eager",
+    "sim.req.transfer",
+    "sim.req.trace",
+    "sim.req.load",
+    "sim.req.spawn",
+    "sim.req.exit",
+];
+
+impl Request {
+    /// Index of this request's tally in [`REQ_COUNTERS`]. `TryRecv`
+    /// counts as a receive and `Panic` as an exit; `Now`, which reaches
+    /// the kernel only on the channel transport, has no tally.
+    fn counter(&self) -> Option<usize> {
+        Some(match self {
+            Request::Now => return None,
+            Request::Compute { .. } => 0,
+            Request::Sleep { .. } => 1,
+            Request::Recv { .. } | Request::TryRecv { .. } => 2,
+            Request::Send {
+                mode: SendMode::Rendezvous,
+                ..
+            } => 3,
+            Request::Send {
+                mode: SendMode::Eager,
+                ..
+            } => 4,
+            Request::Transfer { .. } => 5,
+            Request::Trace { .. } => 6,
+            Request::InjectLoad { .. } | Request::RemoveLoad { .. } => 7,
+            Request::Spawn { .. } => 8,
+            Request::Exit | Request::Panic(_) => 9,
+        })
     }
 }
 
@@ -569,6 +619,14 @@ pub struct Engine {
     /// live action/flow. When the heap is mostly stale it is rebuilt.
     stale_events: usize,
     events_processed: u64,
+    /// Requests handled, by kind ([`REQ_COUNTERS`]).
+    req_counts: [u64; REQ_COUNTERS.len()],
+    /// Requests that arrived in an outbox.
+    req_outboxed: u64,
+    /// Requests issued by inline daemons.
+    req_inline: u64,
+    /// Blocking handoffs: requests the kernel waited on a thread for.
+    req_roundtrips: u64,
     stale_discarded: u64,
     compactions: u64,
     recomputes: u64,
@@ -692,6 +750,10 @@ impl Engine {
             dirty_link_mark,
             stale_events: 0,
             events_processed: 0,
+            req_counts: [0; REQ_COUNTERS.len()],
+            req_outboxed: 0,
+            req_inline: 0,
+            req_roundtrips: 0,
             stale_discarded: 0,
             compactions: 0,
             recomputes: 0,
@@ -1112,6 +1174,21 @@ impl Engine {
         self.spawn_at(t, name, host, Box::new(f))
     }
 
+    /// Spawn an inline daemon starting at virtual time 0. It runs on the
+    /// kernel thread: the kernel calls [`Daemon::step`] wherever it would
+    /// resume a thread process, so it costs no OS thread and no handoff
+    /// (see [`crate::daemon`]). It appears in the report like any other
+    /// process.
+    pub fn spawn_daemon(&mut self, name: &str, host: HostId, d: impl Daemon) -> ProcId {
+        self.add_proc(
+            0.0,
+            Arc::from(name),
+            host,
+            ProcPort::Inline(Box::new(d)),
+            None,
+        )
+    }
+
     fn spawn_at(&mut self, t: f64, name: &str, host: HostId, f: ProcFn) -> ProcId {
         let pid = ProcId(self.procs.len() as u32);
         let name: Arc<str> = Arc::from(name);
@@ -1156,12 +1233,26 @@ impl Engine {
             // process thread itself) so grants never race the store.
             slot.set_proc_thread(join.thread().clone());
         }
+        self.add_proc(t, name, host, port, Some(join))
+    }
+
+    /// Enter a process in the table and schedule its start at `t`; on a
+    /// dead host it dies at once instead.
+    fn add_proc(
+        &mut self,
+        t: f64,
+        name: Arc<str>,
+        host: HostId,
+        port: ProcPort,
+        join: Option<JoinHandle<()>>,
+    ) -> ProcId {
+        let pid = ProcId(self.procs.len() as u32);
         let alive = self.host_alive[host.0 as usize];
         self.procs.push(ProcSlot {
             name,
             host,
             port,
-            join: Some(join),
+            join,
             state: if alive { PState::Alive } else { PState::Died },
         });
         if alive {
@@ -1217,9 +1308,14 @@ impl Engine {
     /// same process, which this loop would have granted straight back
     /// before touching anything else — so popping that reply instead of
     /// granting it changes no kernel state transition.
+    ///
+    /// An inline daemon is never `running`: where a thread would get its
+    /// grant and be waited on, the daemon's next request is computed by
+    /// [`Self::step_daemon`] on this thread and handled at once.
     fn pump_processes(&mut self) -> bool {
         loop {
             if let Some(pid) = self.running.take() {
+                self.req_roundtrips += 1;
                 let (req, mut deferred) = match &self.procs[pid.0 as usize].port {
                     ProcPort::Channel(_) => {
                         let (rpid, req) = match self.req_rx.recv() {
@@ -1238,8 +1334,10 @@ impl Engine {
                         );
                         (req, slot.take_outbox())
                     }
+                    ProcPort::Inline(_) => unreachable!("an inline daemon never runs"),
                 };
                 if !deferred.is_empty() {
+                    self.req_outboxed += deferred.len() as u64;
                     for d in deferred.drain(..) {
                         self.handle_request(pid, d);
                         let reply = self.runnable.pop_front();
@@ -1256,13 +1354,36 @@ impl Engine {
                 continue;
             }
             if let Some((pid, grant)) = self.runnable.pop_front() {
-                if self.procs[pid.0 as usize].state == PState::Alive {
-                    self.procs[pid.0 as usize].port.send_grant(grant, self.now);
-                    self.running = Some(pid);
+                let p = &self.procs[pid.0 as usize];
+                if p.state == PState::Alive {
+                    if matches!(p.port, ProcPort::Inline(_)) {
+                        let req = self.step_daemon(pid);
+                        self.handle_request(pid, req);
+                    } else {
+                        p.port.send_grant(grant, self.now);
+                        self.running = Some(pid);
+                    }
                 }
                 continue;
             }
             return true;
+        }
+    }
+
+    /// Step an inline daemon at the current instant and translate its
+    /// [`Step`] into the request a thread process would have sent. A
+    /// panicking step becomes `Request::Panic`, as a thread's would.
+    fn step_daemon(&mut self, pid: ProcId) -> Request {
+        self.req_inline += 1;
+        let now = self.now;
+        let ProcPort::Inline(d) = &mut self.procs[pid.0 as usize].port else {
+            unreachable!("stepped a thread process");
+        };
+        match catch_unwind(AssertUnwindSafe(|| d.step(now))) {
+            Ok(Step::Compute(flops)) => Request::Compute { flops },
+            Ok(Step::Sleep(dt)) => Request::Sleep { dt },
+            Ok(Step::Exit) => Request::Exit,
+            Err(e) => Request::Panic(panic_message(&*e)),
         }
     }
 
@@ -1548,6 +1669,15 @@ impl Engine {
             self.obs.counter_add("sim.recompute.solves", self.solves);
             self.obs
                 .counter_add("sim.recompute.coalesced", self.coalesced_absorbed);
+            // Requests by kind, then by how they reached the kernel: in an
+            // outbox, from an inline daemon, or over a blocking handoff.
+            for (name, &n) in REQ_COUNTERS.iter().zip(&self.req_counts) {
+                self.obs.counter_add(name, n);
+            }
+            self.obs.counter_add("sim.req.outboxed", self.req_outboxed);
+            self.obs.counter_add("sim.req.inline", self.req_inline);
+            self.obs
+                .counter_add("sim.req.roundtrips", self.req_roundtrips);
             self.obs.gauge_set("sim.end_time", self.now);
             // Staged-but-unapplied window events are still pending events;
             // `staged_total` is 0 outside windowed mode, so serial
@@ -2180,6 +2310,9 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn handle_request(&mut self, pid: ProcId, req: Request) {
+        if let Some(k) = req.counter() {
+            self.req_counts[k] += 1;
+        }
         match req {
             Request::Now => self.resume_first(pid, Grant::Time(self.now)),
             Request::Compute { flops } => {
@@ -2221,8 +2354,13 @@ impl Engine {
                 let src = self.procs[pid.0 as usize].host;
                 self.start_flow(src, dst, bytes, None, OnDone::Wake(pid));
             }
-            Request::Spawn { name, host, f } => {
-                let child = self.spawn_at(self.now, &name, host, f);
+            Request::Spawn { name, host, body } => {
+                let child = match body {
+                    ProcBody::Thread(f) => self.spawn_at(self.now, &name, host, f),
+                    ProcBody::Daemon(d) => {
+                        self.add_proc(self.now, Arc::from(name), host, ProcPort::Inline(d), None)
+                    }
+                };
                 self.resume_first(pid, Grant::Proc(child));
             }
             Request::InjectLoad { host, amount } => {
@@ -3490,5 +3628,193 @@ mod tests {
         let loop0 = eng.route_id(ha[0], ha[0]);
         assert_eq!(loop0, eng.route_id(hb[2], hb[2]));
         assert!(eng.routes_tbl[loop0 as usize].links.is_empty());
+    }
+
+    /// A daemon that sleeps `dt` forever, or panics on step `panic_at`,
+    /// counting its steps.
+    struct Ticker {
+        dt: f64,
+        steps: Arc<std::sync::atomic::AtomicU32>,
+        panic_at: Option<u32>,
+    }
+
+    impl Ticker {
+        fn new(dt: f64) -> (Self, Arc<std::sync::atomic::AtomicU32>) {
+            let steps = Arc::new(std::sync::atomic::AtomicU32::new(0));
+            let t = Ticker {
+                dt,
+                steps: steps.clone(),
+                panic_at: None,
+            };
+            (t, steps)
+        }
+    }
+
+    impl Daemon for Ticker {
+        fn step(&mut self, _now: f64) -> Step {
+            let k = self
+                .steps
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                + 1;
+            if self.panic_at == Some(k) {
+                panic!("ticker broke at step {k}");
+            }
+            Step::Sleep(self.dt)
+        }
+    }
+
+    fn steps(c: &std::sync::atomic::AtomicU32) -> u32 {
+        c.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn daemon_on_failed_host_dies_and_is_never_stepped_again() {
+        let (g, a, b) = two_host_grid();
+        let mut eng = Engine::new(g);
+        let (t, n) = Ticker::new(1.0);
+        eng.spawn_daemon("tick", a, t);
+        eng.spawn("other", b, |ctx| ctx.sleep(10.0));
+        eng.fail_host_at(a, 2.5);
+        let r = eng.run();
+        // Steps at t = 0, 1, 2; the wake-up due at 3 finds it dead.
+        assert_eq!(steps(&n), 3);
+        assert_eq!(r.died, vec!["tick".to_string()]);
+        assert_eq!(r.completed, vec!["other".to_string()]);
+        assert_eq!(r.end_time, 10.0);
+    }
+
+    #[test]
+    fn daemon_spawned_on_a_dead_host_dies_at_once() {
+        let (g, a, b) = two_host_grid();
+        let mut eng = Engine::new(g);
+        let (t, n) = Ticker::new(1.0);
+        eng.fail_host_at(a, 0.5);
+        eng.spawn("spawner", b, move |ctx| {
+            ctx.sleep(1.0);
+            ctx.spawn_daemon("late", a, t);
+            ctx.sleep(1.0);
+        });
+        let r = eng.run();
+        assert_eq!(steps(&n), 0);
+        assert_eq!(r.died, vec!["late".to_string()]);
+        assert!(r.trace.records.iter().all(|rec| !matches!(
+            &rec.kind,
+            TraceKind::ProcStart { name } if name.as_ref() == "late"
+        )));
+    }
+
+    #[test]
+    fn cutoff_lists_a_live_daemon_as_unfinished() {
+        let (g, h) = one_host_grid(1.0);
+        let mut eng = Engine::new(g);
+        let (t, n) = Ticker::new(2.0);
+        eng.spawn_daemon("tick", h, t);
+        // The final `Kill` is a no-op for an inline daemon: no thread to
+        // join, so `finish` returns instead of hanging.
+        let r = eng.run_until(5.0);
+        assert_eq!(steps(&n), 3);
+        assert_eq!(r.unfinished, vec!["tick".to_string()]);
+        assert!(r.completed.is_empty() && r.died.is_empty());
+        assert_eq!(r.end_time, 4.0);
+    }
+
+    #[test]
+    fn daemon_panic_is_reported_without_a_kernel_panic() {
+        let (g, a, b) = two_host_grid();
+        let mut eng = Engine::new(g);
+        eng.panic_on_failure = false;
+        let (mut t, n) = Ticker::new(1.0);
+        t.panic_at = Some(2);
+        eng.spawn_daemon("bad", a, t);
+        eng.spawn("ok", b, |ctx| ctx.sleep(5.0));
+        let r = eng.run();
+        assert_eq!(steps(&n), 2, "a failed daemon is never stepped again");
+        assert_eq!(r.failed.len(), 1);
+        assert_eq!(r.failed[0].0, "bad");
+        assert!(r.failed[0].1.contains("ticker broke at step 2"));
+        assert_eq!(r.completed, vec!["ok".to_string()]);
+        assert_eq!(r.end_time, 5.0);
+    }
+
+    /// Per-kind request tallies on a scenario whose every request is
+    /// known: which kinds arrive, and how each reached the kernel (in an
+    /// outbox, from a daemon, or over a blocking handoff).
+    #[test]
+    fn request_counters_tally_every_kind_and_transport() {
+        struct ComputeOnce(u8);
+        impl Daemon for ComputeOnce {
+            fn step(&mut self, _now: f64) -> Step {
+                self.0 += 1;
+                match self.0 {
+                    1 => Step::Compute(50.0),
+                    2 => Step::Sleep(1.0),
+                    _ => Step::Exit,
+                }
+            }
+        }
+        let (g, a, b) = two_host_grid();
+        let mut eng = Engine::new(g);
+        let obs = grads_obs::Obs::enabled();
+        eng.set_obs(obs.clone());
+        let (k1, k2) = (mail_key(&[1]), mail_key(&[2]));
+        eng.spawn("t", a, move |ctx| {
+            ctx.trace("x", 1.0); // outbox
+            ctx.compute(10.0); // round trip
+            ctx.inject_load(a, 1.0); // outbox
+            ctx.remove_load(a, 1.0); // outbox
+            ctx.sleep(1.0); // round trip
+            ctx.isend(k1, b, 100.0, Box::new(1u8)); // outbox
+            ctx.transfer(b, 100.0); // round trip
+            ctx.send(k2, b, 10.0, Box::new(2u8)); // round trip
+            ctx.spawn("child", a, |_| {}); // round trip
+        }); // exit: round trip
+        eng.spawn("r", b, move |ctx| {
+            let _ = ctx.recv(k1);
+            let _ = ctx.recv(k2);
+            assert!(ctx.try_recv(k1).is_none());
+        }); // three receives and an exit: four round trips
+        eng.spawn_daemon("d", b, ComputeOnce(0)); // three inline requests
+        let r = eng.run();
+        assert_eq!(r.completed.len(), 4);
+        let snap = obs.snapshot();
+        let c = |n: &str| {
+            snap.counter(n)
+                .unwrap_or_else(|| panic!("{n} not published"))
+        };
+        let kinds = [
+            ("sim.req.compute", 2),
+            ("sim.req.sleep", 2),
+            ("sim.req.recv", 3),
+            ("sim.req.rendezvous", 1),
+            ("sim.req.eager", 1),
+            ("sim.req.transfer", 1),
+            ("sim.req.trace", 1),
+            ("sim.req.load", 2),
+            ("sim.req.spawn", 1),
+            ("sim.req.exit", 4),
+        ];
+        for (name, want) in kinds {
+            assert_eq!(c(name), want, "{name}");
+        }
+        assert_eq!(c("sim.req.outboxed"), 4);
+        assert_eq!(c("sim.req.inline"), 3);
+        // t: 6, r: 4, child: 1.
+        assert_eq!(c("sim.req.roundtrips"), 11);
+        let total: u64 = kinds.iter().map(|&(_, n)| n).sum();
+        assert_eq!(
+            total,
+            c("sim.req.outboxed") + c("sim.req.inline") + c("sim.req.roundtrips")
+        );
+    }
+
+    #[test]
+    fn request_counters_stay_unpublished_without_obs() {
+        let (g, h) = one_host_grid(1.0);
+        let mut eng = Engine::new(g);
+        let obs = grads_obs::Obs::disabled();
+        eng.set_obs(obs.clone());
+        eng.spawn_daemon("tick", h, Ticker::new(1.0).0);
+        eng.run_until(3.0);
+        assert_eq!(obs.snapshot().counter("sim.req.inline"), None);
     }
 }

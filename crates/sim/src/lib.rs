@@ -14,11 +14,14 @@
 //!   additive one-way latency.
 //!
 //! Runs are fully deterministic: exactly one simulated process executes at
-//! a time and all event ties are broken by insertion order. The kernel can
-//! execute in a conservative-parallel windowed mode (`KernelMode::Windowed`)
-//! that shards the event queue by cluster and pre-drains per-cluster event
-//! windows on a worker pool — results stay bit-identical to the serial
-//! kernel at any worker count (DESIGN.md, "Parallel kernel").
+//! a time and all event ties are broken by insertion order. A process is
+//! either a thread running ordinary blocking code or an inline
+//! [`Daemon`], a state machine the kernel steps on its own thread
+//! ([`daemon`]). The kernel can execute in a conservative-parallel
+//! windowed mode (`KernelMode::Windowed`) that shards the event queue by
+//! cluster and pre-drains per-cluster event windows on a worker pool —
+//! results stay bit-identical to the serial kernel at any worker count
+//! (DESIGN.md, "Parallel kernel").
 //!
 //! ```
 //! use grads_sim::prelude::*;
@@ -43,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+pub mod daemon;
 pub mod dml;
 pub mod engine;
 pub(crate) mod equeue;
@@ -54,11 +58,14 @@ pub mod topology;
 pub mod trace;
 pub(crate) mod window;
 
+#[doc(hidden)]
+pub use daemon::run_daemon;
 pub use handoff::{set_wait_policy, wait_policy, WaitPolicy};
 pub use window::WindowPolicy;
 
 /// Convenient re-exports of the commonly used types.
 pub mod prelude {
+    pub use crate::daemon::{Daemon, Step};
     pub use crate::engine::{
         CompactionPolicy, Engine, EngineTune, EventQueueMode, HandoffMode, KernelMode,
         RecomputeMode, RunReport,

@@ -1,11 +1,14 @@
 //! Simulated processes and their blocking API.
 //!
-//! Every simulated process runs on its own OS thread but the kernel grants
-//! execution to exactly one process at a time, so simulations are fully
-//! deterministic. Application code receives a [`Ctx`] handle and calls
-//! blocking primitives (`compute`, `send`, `recv`, `sleep`, ...); each call
-//! hands control back to the kernel, which advances virtual time and resumes
-//! the process when the operation completes.
+//! A simulated process spawned with `Engine::spawn` runs on its own OS
+//! thread, but the kernel grants execution to exactly one process at a
+//! time, so simulations are fully deterministic. (A process spawned with
+//! `Engine::spawn_daemon` has no thread at all: the kernel steps it
+//! inline, see [`crate::daemon`].) Application code receives a [`Ctx`]
+//! handle and calls blocking primitives (`compute`, `send`, `recv`,
+//! `sleep`, ...); each call hands control back to the kernel, which
+//! advances virtual time and resumes the process when the operation
+//! completes.
 //!
 //! On the direct transport, calls the kernel would answer at once without
 //! moving its clock skip the round trip: `now` reads the clock stamped on
@@ -15,6 +18,7 @@
 //! the `handoff` module). The channel transport keeps one round trip per
 //! call, as the unbatched reference.
 
+use crate::daemon::Daemon;
 use crate::handoff::HandoffSlot;
 use crate::topology::HostId;
 use crossbeam::channel::{Receiver, Sender};
@@ -37,6 +41,12 @@ pub type Payload = Box<dyn Any + Send>;
 
 /// Entry point of a simulated process.
 pub type ProcFn = Box<dyn FnOnce(&mut Ctx) + Send + 'static>;
+
+/// What a spawned process runs: thread code or an inline daemon.
+pub(crate) enum ProcBody {
+    Thread(ProcFn),
+    Daemon(Box<dyn Daemon>),
+}
 
 /// Mailbox address. Higher layers (the MPI crate) hash their richer
 /// addressing tuples — (communicator, source, destination, tag) — into this.
@@ -84,7 +94,7 @@ pub(crate) enum Request {
     Spawn {
         name: String,
         host: HostId,
-        f: ProcFn,
+        body: ProcBody,
     },
     InjectLoad {
         host: HostId,
@@ -331,10 +341,21 @@ impl Ctx {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
+        self.spawn_body(name, host, ProcBody::Thread(Box::new(f)))
+    }
+
+    /// Spawn an inline daemon on `host` (see `Engine::spawn_daemon`); it
+    /// becomes runnable at the current virtual time, after the current
+    /// process next blocks.
+    pub fn spawn_daemon(&mut self, name: &str, host: HostId, d: impl Daemon) -> ProcId {
+        self.spawn_body(name, host, ProcBody::Daemon(Box::new(d)))
+    }
+
+    fn spawn_body(&mut self, name: &str, host: HostId, body: ProcBody) -> ProcId {
         match self.call(Request::Spawn {
             name: name.to_string(),
             host,
-            f: Box::new(f),
+            body,
         }) {
             Grant::Proc(p) => p,
             _ => unreachable!("kernel grant mismatch for Spawn"),

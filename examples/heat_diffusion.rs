@@ -8,7 +8,7 @@
 use grads_core::apps::jacobi::{jacobi_step, JacobiConfig, JacobiState};
 use grads_core::contract::render_timeline;
 use grads_core::mpi::launch_swap_world;
-use grads_core::nws::NwsService;
+use grads_core::nws::{CpuSensor, NwsService};
 use grads_core::reschedule::{run_swap_rescheduler, SwapPolicy};
 use grads_core::sim::prelude::*;
 use grads_core::sim::topology::GridBuilder;
@@ -62,9 +62,8 @@ fn main() {
         let nws2 = nws.clone();
         let done2 = done.clone();
         let speed = grid.host(h).speed;
-        eng.spawn(&format!("sensor-{h}"), h, move |ctx| {
-            grads_core::nws::run_cpu_sensor(ctx, &nws2, speed, 1e6, 5.0, &move || *done2.lock());
-        });
+        let sensor = CpuSensor::new(nws2, h, speed, 1e6, 5.0, move || *done2.lock());
+        eng.spawn_daemon(&format!("sensor-{h}"), h, sensor);
     }
     {
         let (sw2, nws2, done2, grid2) = (sw.clone(), nws.clone(), done.clone(), grid.clone());
