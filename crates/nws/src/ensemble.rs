@@ -20,9 +20,40 @@ pub struct Forecast {
 
 struct Tracked {
     predictor: Box<dyn Predictor + Send + Sync>,
+    /// `predictor.predict()` for the current state: the outstanding
+    /// forecast the next measurement scores.
+    next: Option<f64>,
     abs_err_sum: f64,
     sq_err_sum: f64,
     n_scored: u64,
+}
+
+impl Tracked {
+    /// Mean absolute error so far; `+inf` while unscored.
+    fn mae(&self) -> f64 {
+        if self.n_scored > 0 {
+            self.abs_err_sum / self.n_scored as f64
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// The predictor with the lowest MAE among those that forecast, as
+/// `(mae, index, forecast)`; ties go to the earlier battery entry.
+fn select(tracked: &[Tracked]) -> Option<(f64, usize, f64)> {
+    let mut best: Option<(f64, usize, f64)> = None;
+    for (i, t) in tracked.iter().enumerate() {
+        let Some(pred) = t.next else {
+            continue;
+        };
+        let mae = t.mae();
+        match best {
+            Some((bmae, _, _)) if mae >= bmae => {}
+            _ => best = Some((mae, i, pred)),
+        }
+    }
+    best
 }
 
 /// An ensemble forecaster with NWS-style dynamic predictor selection.
@@ -40,6 +71,9 @@ pub struct Ensemble {
     tracked: Vec<Tracked>,
     n_updates: u64,
     last: Option<f64>,
+    /// The current winner as `(mae, battery index, forecast)`, chosen
+    /// once per [`Ensemble::update`] so every forecast read is O(1).
+    best: Option<(f64, usize, f64)>,
 }
 
 impl Ensemble {
@@ -51,33 +85,40 @@ impl Ensemble {
     /// Ensemble over a custom predictor set.
     pub fn new(predictors: Vec<Box<dyn Predictor + Send + Sync>>) -> Self {
         assert!(!predictors.is_empty(), "ensemble needs predictors");
+        let tracked: Vec<Tracked> = predictors
+            .into_iter()
+            .map(|p| Tracked {
+                next: p.predict(),
+                predictor: p,
+                abs_err_sum: 0.0,
+                sq_err_sum: 0.0,
+                n_scored: 0,
+            })
+            .collect();
         Ensemble {
-            tracked: predictors
-                .into_iter()
-                .map(|p| Tracked {
-                    predictor: p,
-                    abs_err_sum: 0.0,
-                    sq_err_sum: 0.0,
-                    n_scored: 0,
-                })
-                .collect(),
+            best: select(&tracked),
+            tracked,
             n_updates: 0,
             last: None,
         }
     }
 
     /// Feed one measurement: score every predictor's outstanding forecast
-    /// against it, then let every predictor absorb it.
+    /// against it, let every predictor absorb it, and select the winner
+    /// that [`Ensemble::forecast`] serves until the next update: the lowest
+    /// mean absolute error, ties to the earlier battery entry.
     pub fn update(&mut self, value: f64) {
         for t in &mut self.tracked {
-            if let Some(pred) = t.predictor.predict() {
+            if let Some(pred) = t.next {
                 let e = pred - value;
                 t.abs_err_sum += e.abs();
                 t.sq_err_sum += e * e;
                 t.n_scored += 1;
             }
             t.predictor.update(value);
+            t.next = t.predictor.predict();
         }
+        self.best = select(&self.tracked);
         self.n_updates += 1;
         self.last = Some(value);
     }
@@ -97,53 +138,22 @@ impl Ensemble {
         self.last
     }
 
-    /// [`Ensemble::forecast`]'s value alone, skipping the predictor-name
-    /// allocation — the same winning predictor by the same tie rule, so
-    /// the returned value is bit-identical to `forecast().value`. This is
-    /// the per-observation fast path of the delta-capture dirty check in
-    /// [`crate::monitor::NwsService`].
+    /// [`Ensemble::forecast`]'s value alone, without the predictor-name
+    /// allocation: bit-identical to `forecast().value`. This is the read
+    /// of every value-only consumer (capture, transfer estimates, the
+    /// delta-capture dirty check in [`crate::monitor::NwsService`]).
     pub fn forecast_value(&self) -> Option<f64> {
-        let mut best: Option<(f64, f64)> = None; // (mae, predicted)
-        for t in &self.tracked {
-            let Some(pred) = t.predictor.predict() else {
-                continue;
-            };
-            let mae = if t.n_scored > 0 {
-                t.abs_err_sum / t.n_scored as f64
-            } else {
-                f64::INFINITY
-            };
-            match best {
-                Some((bmae, _)) if mae >= bmae => {}
-                _ => best = Some((mae, pred)),
-            }
-        }
-        best.map(|(_, v)| v)
+        self.best.map(|(_, _, value)| value)
     }
 
     /// Forecast the next value using the predictor with the lowest mean
     /// absolute error so far. Ties break toward the earlier battery entry
     /// (deterministic). `None` until at least one measurement has arrived.
     pub fn forecast(&self) -> Option<Forecast> {
-        let mut best: Option<(f64, &Tracked, f64)> = None;
-        for t in &self.tracked {
-            let Some(pred) = t.predictor.predict() else {
-                continue;
-            };
-            let mae = if t.n_scored > 0 {
-                t.abs_err_sum / t.n_scored as f64
-            } else {
-                f64::INFINITY
-            };
-            match best {
-                Some((bmae, _, _)) if mae >= bmae => {}
-                _ => best = Some((mae, t, pred)),
-            }
-        }
-        best.map(|(mae, t, pred)| Forecast {
-            value: pred,
+        self.best.map(|(mae, i, value)| Forecast {
+            value,
             mae: if mae.is_finite() { mae } else { 0.0 },
-            predictor: t.predictor.name(),
+            predictor: self.tracked[i].predictor.name(),
         })
     }
 

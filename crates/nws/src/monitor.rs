@@ -33,57 +33,68 @@ fn pair(a: ClusterId, b: ClusterId) -> (ClusterId, ClusterId) {
 
 /// Per-series change tracking for delta snapshot capture.
 ///
-/// `*_latest` holds the bit pattern of the forecast each series would
-/// serve *right now* (refreshed on every observation while tracking is
-/// on); `*_clean` holds the bits the last synchronized snapshot capture
-/// served. A series is **dirty** iff latest ≠ clean — and because the
-/// comparison is bitwise on the served forecast, an observation whose
-/// ensemble output lands back on the clean bits *removes* the series
-/// from the dirty set again. Never-captured series compare against the
-/// sentinel the snapshot serves for them ([`IDLE_BITS`] / [`NONE_BITS`]).
+/// `*_clean` holds the bits the last synchronized snapshot capture served
+/// for each series. A series is **dirty** iff the forecast its ensemble
+/// serves right now ([`Ensemble::forecast_value`], cached at update time)
+/// differs bitwise from that baseline — so an observation whose ensemble
+/// output lands back on the clean bits *removes* the series from the
+/// dirty set again. Never-captured series compare against the sentinel
+/// the snapshot serves for them ([`IDLE_BITS`] / [`NONE_BITS`]).
 #[derive(Default)]
 pub(crate) struct DeltaTrack {
-    pub(crate) cpu_latest: HashMap<HostId, u64>,
     cpu_clean: HashMap<HostId, u64>,
-    pub(crate) bw_latest: HashMap<(ClusterId, ClusterId), u64>,
     bw_clean: HashMap<(ClusterId, ClusterId), u64>,
-    pub(crate) lat_latest: HashMap<(ClusterId, ClusterId), u64>,
     lat_clean: HashMap<(ClusterId, ClusterId), u64>,
-    pub(crate) dirty_hosts: BTreeSet<HostId>,
-    pub(crate) dirty_bw: BTreeSet<(ClusterId, ClusterId)>,
-    pub(crate) dirty_lat: BTreeSet<(ClusterId, ClusterId)>,
+    dirty_hosts: BTreeSet<HostId>,
+    dirty_bw: BTreeSet<(ClusterId, ClusterId)>,
+    dirty_lat: BTreeSet<(ClusterId, ClusterId)>,
+}
+
+/// A forecast series whose served value moved since the last sync.
+pub(crate) enum Series {
+    Cpu(HostId),
+    Bandwidth(ClusterId, ClusterId),
+    Latency(ClusterId, ClusterId),
 }
 
 impl DeltaTrack {
-    /// Record the latest served bits for one series and flip its dirty
-    /// membership against the clean baseline `default` (the sentinel an
-    /// uncaptured series serves).
+    /// Flip one series' dirty membership: `e`'s served bits against the
+    /// clean baseline, `default` (the sentinel an uncaptured series
+    /// serves) when the series was never captured.
     fn note<K: Ord + std::hash::Hash + Copy>(
-        latest: &mut HashMap<K, u64>,
         clean: &HashMap<K, u64>,
         dirty: &mut BTreeSet<K>,
         key: K,
-        bits: u64,
+        e: &Ensemble,
         default: u64,
     ) {
-        latest.insert(key, bits);
-        if bits == clean.get(&key).copied().unwrap_or(default) {
+        if served(e).to_bits() == clean.get(&key).copied().unwrap_or(default) {
             dirty.remove(&key);
         } else {
             dirty.insert(key);
         }
     }
 
-    /// Mark everything clean: the snapshot just captured serves exactly
-    /// the latest bits.
-    fn sync(&mut self) {
-        self.cpu_clean = self.cpu_latest.clone();
-        self.bw_clean = self.bw_latest.clone();
-        self.lat_clean = self.lat_latest.clone();
-        self.dirty_hosts.clear();
-        self.dirty_bw.clear();
-        self.dirty_lat.clear();
+    /// Make the dirty series' baselines the values their ensembles serve
+    /// now, hand each to `moved`, and empty the dirty set; every other
+    /// series already serves its baseline.
+    fn sync<K: Ord + std::hash::Hash + Copy>(
+        clean: &mut HashMap<K, u64>,
+        dirty: &mut BTreeSet<K>,
+        series: &HashMap<K, Ensemble>,
+        mut moved: impl FnMut(K, f64),
+    ) {
+        for k in std::mem::take(dirty) {
+            let v = served(&series[&k]);
+            clean.insert(k, v.to_bits());
+            moved(k, v);
+        }
     }
+}
+
+/// The value a measured series serves: its ensemble's cached forecast.
+fn served(e: &Ensemble) -> f64 {
+    e.forecast_value().expect("measured series forecasts")
 }
 
 /// The weather service: stores measurement streams and serves forecasts.
@@ -110,15 +121,7 @@ impl NwsService {
         let e = self.cpu.entry(host).or_insert_with(Ensemble::standard);
         e.update(availability.clamp(0.0, 1.0));
         if let Some(t) = &mut self.track {
-            let bits = e.forecast_value().expect("just updated").to_bits();
-            DeltaTrack::note(
-                &mut t.cpu_latest,
-                &t.cpu_clean,
-                &mut t.dirty_hosts,
-                host,
-                bits,
-                IDLE_BITS,
-            );
+            DeltaTrack::note(&t.cpu_clean, &mut t.dirty_hosts, host, e, IDLE_BITS);
         }
     }
 
@@ -128,15 +131,7 @@ impl NwsService {
         let e = self.bandwidth.entry(p).or_insert_with(Ensemble::standard);
         e.update(bytes_per_s.max(0.0));
         if let Some(t) = &mut self.track {
-            let bits = e.forecast_value().expect("just updated").to_bits();
-            DeltaTrack::note(
-                &mut t.bw_latest,
-                &t.bw_clean,
-                &mut t.dirty_bw,
-                p,
-                bits,
-                NONE_BITS,
-            );
+            DeltaTrack::note(&t.bw_clean, &mut t.dirty_bw, p, e, NONE_BITS);
         }
     }
 
@@ -146,15 +141,7 @@ impl NwsService {
         let e = self.latency.entry(p).or_insert_with(Ensemble::standard);
         e.update(seconds.max(0.0));
         if let Some(t) = &mut self.track {
-            let bits = e.forecast_value().expect("just updated").to_bits();
-            DeltaTrack::note(
-                &mut t.lat_latest,
-                &t.lat_clean,
-                &mut t.dirty_lat,
-                p,
-                bits,
-                NONE_BITS,
-            );
+            DeltaTrack::note(&t.lat_clean, &mut t.dirty_lat, p, e, NONE_BITS);
         }
     }
 
@@ -172,40 +159,13 @@ impl NwsService {
         }
         let mut t = DeltaTrack::default();
         for (&h, e) in &self.cpu {
-            if let Some(v) = e.forecast_value() {
-                DeltaTrack::note(
-                    &mut t.cpu_latest,
-                    &t.cpu_clean,
-                    &mut t.dirty_hosts,
-                    h,
-                    v.to_bits(),
-                    IDLE_BITS,
-                );
-            }
+            DeltaTrack::note(&t.cpu_clean, &mut t.dirty_hosts, h, e, IDLE_BITS);
         }
         for (&p, e) in &self.bandwidth {
-            if let Some(v) = e.forecast_value() {
-                DeltaTrack::note(
-                    &mut t.bw_latest,
-                    &t.bw_clean,
-                    &mut t.dirty_bw,
-                    p,
-                    v.to_bits(),
-                    NONE_BITS,
-                );
-            }
+            DeltaTrack::note(&t.bw_clean, &mut t.dirty_bw, p, e, NONE_BITS);
         }
         for (&p, e) in &self.latency {
-            if let Some(v) = e.forecast_value() {
-                DeltaTrack::note(
-                    &mut t.lat_latest,
-                    &t.lat_clean,
-                    &mut t.dirty_lat,
-                    p,
-                    v.to_bits(),
-                    NONE_BITS,
-                );
-            }
+            DeltaTrack::note(&t.lat_clean, &mut t.dirty_lat, p, e, NONE_BITS);
         }
         self.track = Some(t);
     }
@@ -235,18 +195,30 @@ impl NwsService {
             .is_some_and(|t| !t.dirty_bw.is_empty() || !t.dirty_lat.is_empty())
     }
 
-    /// Read-only view of the tracking state for the snapshot module.
-    pub(crate) fn delta_track(&self) -> Option<&DeltaTrack> {
-        self.track.as_ref()
-    }
-
-    /// Mark every tracked series clean — called by the snapshot module
-    /// right after a capture that serves the latest bits.
-    pub(crate) fn sync_clean(&mut self) {
-        self.track
+    /// Mark every tracked series clean, handing each dirty series and the
+    /// value it serves now to `moved` — called by the snapshot module,
+    /// whose capture then serves exactly these values. Costs `O(dirty)`:
+    /// only the dirty series' baselines move.
+    pub(crate) fn sync_clean(&mut self, mut moved: impl FnMut(Series, f64)) {
+        let t = self
+            .track
             .as_mut()
-            .expect("sync_clean requires delta tracking")
-            .sync();
+            .expect("delta capture requires delta tracking (enable_delta_tracking)");
+        DeltaTrack::sync(&mut t.cpu_clean, &mut t.dirty_hosts, &self.cpu, |h, v| {
+            moved(Series::Cpu(h), v)
+        });
+        DeltaTrack::sync(
+            &mut t.bw_clean,
+            &mut t.dirty_bw,
+            &self.bandwidth,
+            |(a, b), v| moved(Series::Bandwidth(a, b), v),
+        );
+        DeltaTrack::sync(
+            &mut t.lat_clean,
+            &mut t.dirty_lat,
+            &self.latency,
+            |(a, b), v| moved(Series::Latency(a, b), v),
+        );
     }
 
     /// Record a sensor heartbeat: the sensor on `host` was alive at
@@ -262,9 +234,9 @@ impl NwsService {
         self.heartbeat.get(&host).copied()
     }
 
-    /// Hosts whose sensors have reported within `max_age` of `now`
-    /// (never-reporting hosts are excluded once any heartbeat exists for
-    /// them... they are excluded always: no heartbeat, no liveness proof).
+    /// Hosts whose sensors have reported within `max_age` of `now`,
+    /// ascending. A host that never reported is never live: no heartbeat,
+    /// no liveness proof.
     pub fn live_hosts(&self, now: f64, max_age: f64) -> Vec<HostId> {
         let mut hs: Vec<HostId> = self
             .heartbeat
@@ -289,7 +261,10 @@ impl NwsService {
 
     /// Forecast CPU availability, assuming an unmeasured host is idle.
     pub fn forecast_cpu_or_idle(&self, host: HostId) -> f64 {
-        self.forecast_cpu(host).map(|f| f.value).unwrap_or(1.0)
+        self.cpu
+            .get(&host)
+            .and_then(Ensemble::forecast_value)
+            .unwrap_or(1.0)
     }
 
     /// Forecast bandwidth between two sites; `None` if never measured.
@@ -300,6 +275,20 @@ impl NwsService {
     /// Forecast latency between two sites; `None` if never measured.
     pub fn forecast_latency(&self, a: ClusterId, b: ClusterId) -> Option<Forecast> {
         self.latency.get(&pair(a, b)).and_then(|e| e.forecast())
+    }
+
+    /// [`NwsService::forecast_bandwidth`]'s value alone.
+    pub(crate) fn bandwidth_value(&self, a: ClusterId, b: ClusterId) -> Option<f64> {
+        self.bandwidth
+            .get(&pair(a, b))
+            .and_then(Ensemble::forecast_value)
+    }
+
+    /// [`NwsService::forecast_latency`]'s value alone.
+    pub(crate) fn latency_value(&self, a: ClusterId, b: ClusterId) -> Option<f64> {
+        self.latency
+            .get(&pair(a, b))
+            .and_then(Ensemble::forecast_value)
     }
 
     /// Effective compute rate (flop/s) a single new process would see on a
@@ -326,15 +315,8 @@ impl NwsService {
             .iter()
             .map(|&l| grid.link(l).bandwidth)
             .fold(f64::INFINITY, f64::min);
-        let bw = self
-            .forecast_bandwidth(sc, dc)
-            .map(|f| f.value)
-            .unwrap_or(static_bw)
-            .max(1.0);
-        let lat = self
-            .forecast_latency(sc, dc)
-            .map(|f| f.value)
-            .unwrap_or(route.latency);
+        let bw = self.bandwidth_value(sc, dc).unwrap_or(static_bw).max(1.0);
+        let lat = self.latency_value(sc, dc).unwrap_or(route.latency);
         lat + bytes / bw
     }
 }

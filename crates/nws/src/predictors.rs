@@ -96,10 +96,15 @@ impl Predictor for SlidingMean {
 
 /// Predicts the median of the last `k` measurements. Robust to the load
 /// spikes that plague CPU-availability signals.
+///
+/// The window is kept twice: in arrival order (for eviction) and sorted
+/// under [`f64::total_cmp`], so `predict` is an O(1) read and `update` an
+/// O(k) insert/remove with no allocation.
 #[derive(Debug, Clone)]
 pub struct SlidingMedian {
     k: usize,
     window: VecDeque<f64>,
+    sorted: Vec<f64>,
 }
 
 impl SlidingMedian {
@@ -108,7 +113,8 @@ impl SlidingMedian {
         assert!(k >= 1, "window length must be >= 1");
         SlidingMedian {
             k,
-            window: VecDeque::with_capacity(k + 1),
+            window: VecDeque::with_capacity(k),
+            sorted: Vec::with_capacity(k),
         }
     }
 }
@@ -118,24 +124,39 @@ impl Predictor for SlidingMedian {
         format!("sliding_median({})", self.k)
     }
     fn update(&mut self, value: f64) {
-        self.window.push_back(value);
-        if self.window.len() > self.k {
-            self.window.pop_front();
-        }
+        slide_sorted(&mut self.window, &mut self.sorted, self.k, value);
     }
     fn predict(&self) -> Option<f64> {
-        if self.window.is_empty() {
+        let v = &self.sorted;
+        let n = v.len();
+        if n == 0 {
             return None;
         }
-        let mut v: Vec<f64> = self.window.iter().copied().collect();
-        v.sort_by(f64::total_cmp);
-        let n = v.len();
         Some(if n % 2 == 1 {
             v[n / 2]
         } else {
             0.5 * (v[n / 2 - 1] + v[n / 2])
         })
     }
+}
+
+/// Push `value` into a FIFO window of length at most `k` and keep
+/// `sorted` equal to the window sorted by [`f64::total_cmp`].
+///
+/// `total_cmp` equality is bit equality, so whichever equal element the
+/// binary search removes, the sorted sequence is exactly the one sorting
+/// the window from scratch would produce.
+fn slide_sorted(window: &mut VecDeque<f64>, sorted: &mut Vec<f64>, k: usize, value: f64) {
+    if window.len() == k {
+        let old = window.pop_front().expect("full window");
+        let at = sorted
+            .binary_search_by(|x| x.total_cmp(&old))
+            .expect("evicted value is in the sorted window");
+        sorted.remove(at);
+    }
+    window.push_back(value);
+    let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+    sorted.insert(at, value);
 }
 
 /// Exponentially smoothed forecast: `s <- alpha * x + (1 - alpha) * s`.
@@ -170,11 +191,16 @@ impl Predictor for ExpSmoothing {
 
 /// Mean of the last `k` measurements after discarding the `trim` smallest
 /// and `trim` largest.
+///
+/// Like [`SlidingMedian`] it keeps a sorted copy of the window; the mean
+/// is computed once per `update` and `predict` returns it.
 #[derive(Debug, Clone)]
 pub struct TrimmedMean {
     k: usize,
     trim: usize,
     window: VecDeque<f64>,
+    sorted: Vec<f64>,
+    mean: Option<f64>,
 }
 
 impl TrimmedMean {
@@ -184,7 +210,9 @@ impl TrimmedMean {
         TrimmedMean {
             k,
             trim,
-            window: VecDeque::with_capacity(k + 1),
+            window: VecDeque::with_capacity(k),
+            sorted: Vec::with_capacity(k),
+            mean: None,
         }
     }
 }
@@ -194,24 +222,18 @@ impl Predictor for TrimmedMean {
         format!("trimmed_mean({},{})", self.k, self.trim)
     }
     fn update(&mut self, value: f64) {
-        self.window.push_back(value);
-        if self.window.len() > self.k {
-            self.window.pop_front();
-        }
-    }
-    fn predict(&self) -> Option<f64> {
-        if self.window.is_empty() {
-            return None;
-        }
-        let mut v: Vec<f64> = self.window.iter().copied().collect();
-        v.sort_by(f64::total_cmp);
+        slide_sorted(&mut self.window, &mut self.sorted, self.k, value);
+        let v = &self.sorted;
         let t = if v.len() > 2 * self.trim {
             self.trim
         } else {
             0
         };
         let kept = &v[t..v.len() - t];
-        Some(kept.iter().sum::<f64>() / kept.len() as f64)
+        self.mean = Some(kept.iter().sum::<f64>() / kept.len() as f64);
+    }
+    fn predict(&self) -> Option<f64> {
+        self.mean
     }
 }
 

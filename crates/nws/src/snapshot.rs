@@ -1,14 +1,15 @@
 //! Dense per-epoch forecast snapshots for the scheduler's hot loop.
 //!
-//! [`NwsService::effective_speed`] runs the whole ensemble battery —
-//! twelve predictors, three of which sort a sliding window — on every
-//! call. The reference decision path calls it inside every sort
-//! comparator and every predictor evaluation, so one scheduling pass over
-//! `H` hosts pays `O(H log H + H·K)` ensemble forecasts for `K` candidate
-//! prefixes. A [`ForecastSnapshot`] pays the forecast cost **once per
-//! host and once per cluster pair** at capture time and then answers
-//! every query from a dense array, turning the per-candidate cost into a
-//! couple of loads.
+//! A live forecast read is cheap: each ensemble selects its winning
+//! predictor once per observation and caches the value, so
+//! [`NwsService::effective_speed`] is a hash lookup plus a multiply and
+//! no predictor sorts anything on a read. Still, the reference decision
+//! path calls it inside every sort comparator and every predictor
+//! evaluation, so one scheduling pass over `H` hosts pays
+//! `O(H log H + H·K)` hash lookups for `K` candidate prefixes. A
+//! [`ForecastSnapshot`] pays the lookups **once per host and once per
+//! cluster pair** at capture time and then answers every query from a
+//! dense array, turning the per-candidate cost into a couple of loads.
 //!
 //! The snapshot is a pure cache: every value it serves is bit-identical
 //! to what the live service would have returned at capture time, so a
@@ -24,7 +25,7 @@
 //! the rescheduler's `Reschedulable` trait) can be written once and run
 //! against either.
 
-use crate::monitor::NwsService;
+use crate::monitor::{NwsService, Series};
 use grads_sim::prelude::*;
 
 /// Read-only forecast queries shared by the live [`NwsService`] and a
@@ -78,12 +79,8 @@ impl ForecastSnapshot {
         for a in 0..nc as u32 {
             for b in a..nc as u32 {
                 let i = a as usize * nc + b as usize;
-                bandwidth[i] = nws
-                    .forecast_bandwidth(ClusterId(a), ClusterId(b))
-                    .map(|f| f.value);
-                latency[i] = nws
-                    .forecast_latency(ClusterId(a), ClusterId(b))
-                    .map(|f| f.value);
+                bandwidth[i] = nws.bandwidth_value(ClusterId(a), ClusterId(b));
+                latency[i] = nws.latency_value(ClusterId(a), ClusterId(b));
             }
         }
         ForecastSnapshot {
@@ -105,7 +102,7 @@ impl ForecastSnapshot {
             "capture_sync requires delta tracking (enable_delta_tracking)"
         );
         let snap = Self::capture(grid, nws);
-        nws.sync_clean();
+        nws.sync_clean(|_, _| {});
         snap
     }
 
@@ -116,19 +113,19 @@ impl ForecastSnapshot {
     /// `prev` must be the snapshot of the *last* synchronized capture
     /// ([`ForecastSnapshot::capture_sync`] or a previous `capture_delta`)
     /// over the same grid — the dirty sets are deltas against exactly
-    /// that baseline. Cost is `O(dirty)` forecast-bit lookups (the
-    /// forecasts themselves were already computed at observation time)
-    /// plus an `O(hosts)` memcpy, instead of `O(hosts + cluster_pairs)`
-    /// ensemble batteries.
+    /// that baseline. Cost is `O(dirty)` cached-forecast reads (each
+    /// ensemble selected its forecast at observation time) plus an
+    /// `O(hosts)` memcpy, instead of `O(hosts + cluster_pairs)` reads.
     ///
     /// **Bit-identity argument** (pinned by `tests/prop_delta_capture.rs`
     /// and the unit suite): a clean series' ensemble serves bitwise the
     /// same forecast it served at `prev`'s capture, so reusing `prev`'s
     /// cached value reproduces the same `speed × value` product bits a
-    /// full capture would compute; a dirty series' latest bits are the
-    /// bits the ensemble serves *now* (forecasting is a pure function of
-    /// ensemble state, unchanged since the last observation), so the
+    /// full capture would compute; a dirty series is re-read from its
+    /// ensemble with the same expression a full capture uses, so the
     /// recomputed entry equals the full capture's too.
+    ///
+    /// Panics unless [`NwsService::enable_delta_tracking`] is on.
     pub fn capture_delta(grid: &Grid, nws: &mut NwsService, prev: &ForecastSnapshot) -> Self {
         let nc = grid.clusters().len();
         assert_eq!(
@@ -141,40 +138,21 @@ impl ForecastSnapshot {
             "capture_delta: prev snapshot covers a different cluster set"
         );
         let mut snap = prev.clone();
-        {
-            let t = nws
-                .delta_track()
-                .expect("capture_delta requires delta tracking (enable_delta_tracking)");
-            for &h in &t.dirty_hosts {
-                let i = h.0 as usize;
-                if i < snap.speeds.len() {
-                    let value = f64::from_bits(t.cpu_latest[&h]);
-                    snap.speeds[i] = grid.host(h).speed * value;
+        nws.sync_clean(|series, value| {
+            let (table, a, b) = match series {
+                Series::Cpu(h) => {
+                    if let Some(speed) = snap.speeds.get_mut(h.0 as usize) {
+                        *speed = grid.host(h).speed * value;
+                    }
+                    return;
                 }
-            }
-            let opt = |bits: u64| {
-                if bits == crate::monitor::NONE_BITS {
-                    None
-                } else {
-                    Some(f64::from_bits(bits))
-                }
+                Series::Bandwidth(a, b) => (&mut snap.bandwidth, a, b),
+                Series::Latency(a, b) => (&mut snap.latency, a, b),
             };
-            for &(a, b) in &t.dirty_bw {
-                if a.0 as usize >= nc || b.0 as usize >= nc {
-                    continue;
-                }
-                let i = a.0 as usize * nc + b.0 as usize;
-                snap.bandwidth[i] = opt(t.bw_latest[&(a, b)]);
+            if (a.0 as usize) < nc && (b.0 as usize) < nc {
+                table[a.0 as usize * nc + b.0 as usize] = Some(value);
             }
-            for &(a, b) in &t.dirty_lat {
-                if a.0 as usize >= nc || b.0 as usize >= nc {
-                    continue;
-                }
-                let i = a.0 as usize * nc + b.0 as usize;
-                snap.latency[i] = opt(t.lat_latest[&(a, b)]);
-            }
-        }
-        nws.sync_clean();
+        });
         snap
     }
 

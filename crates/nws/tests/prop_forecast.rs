@@ -1,11 +1,143 @@
 //! Property-based tests of the forecasting ensemble.
 
-use grads_nws::predictors::{Predictor, SlidingMean, SlidingMedian, TrimmedMean};
+use grads_nws::predictors::{
+    standard_battery, ExpSmoothing, LastValue, Predictor, RunningMean, SlidingMean, SlidingMedian,
+    TrimmedMean,
+};
 use grads_nws::Ensemble;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn series() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..100.0, 1..120)
+}
+
+/// Values from a small alphabet, so windows hold many duplicates, with
+/// both signed zeros (distinct under `total_cmp`, equal under `==`).
+const ALPHABET: [f64; 8] = [0.0, -0.0, 0.25, 0.5, 0.5000000000000001, 1.0, 3.0, 1e-9];
+
+fn alphabet() -> impl Strategy<Value = f64> {
+    (0..ALPHABET.len()).prop_map(|i| ALPHABET[i])
+}
+
+/// A window length in 1..60 and a series from [`ALPHABET`] that is longer
+/// than the window, so eviction runs.
+fn windowed_series() -> impl Strategy<Value = (usize, Vec<f64>)> {
+    (1usize..60).prop_flat_map(|k| {
+        let vals = proptest::collection::vec(alphabet(), k + 1..k + 120);
+        (Just(k), vals)
+    })
+}
+
+/// Sort-on-predict sliding median: the allocating implementation the
+/// sorted-window [`SlidingMedian`] must match bit for bit.
+struct OracleMedian {
+    k: usize,
+    window: VecDeque<f64>,
+}
+
+impl Predictor for OracleMedian {
+    fn name(&self) -> String {
+        format!("sliding_median({})", self.k)
+    }
+    fn update(&mut self, value: f64) {
+        self.window.push_back(value);
+        if self.window.len() > self.k {
+            self.window.pop_front();
+        }
+    }
+    fn predict(&self) -> Option<f64> {
+        if self.window.is_empty() {
+            return None;
+        }
+        let mut v: Vec<f64> = self.window.iter().copied().collect();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        Some(if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            0.5 * (v[n / 2 - 1] + v[n / 2])
+        })
+    }
+}
+
+/// Sort-on-predict trimmed mean, the oracle for [`TrimmedMean`].
+struct OracleTrimmed {
+    k: usize,
+    trim: usize,
+    window: VecDeque<f64>,
+}
+
+impl Predictor for OracleTrimmed {
+    fn name(&self) -> String {
+        format!("trimmed_mean({},{})", self.k, self.trim)
+    }
+    fn update(&mut self, value: f64) {
+        self.window.push_back(value);
+        if self.window.len() > self.k {
+            self.window.pop_front();
+        }
+    }
+    fn predict(&self) -> Option<f64> {
+        if self.window.is_empty() {
+            return None;
+        }
+        let mut v: Vec<f64> = self.window.iter().copied().collect();
+        v.sort_by(f64::total_cmp);
+        let t = if v.len() > 2 * self.trim {
+            self.trim
+        } else {
+            0
+        };
+        let kept = &v[t..v.len() - t];
+        Some(kept.iter().sum::<f64>() / kept.len() as f64)
+    }
+}
+
+fn oracle_median(k: usize) -> OracleMedian {
+    OracleMedian {
+        k,
+        window: VecDeque::new(),
+    }
+}
+
+fn oracle_trimmed(k: usize, trim: usize) -> OracleTrimmed {
+    OracleTrimmed {
+        k,
+        trim,
+        window: VecDeque::new(),
+    }
+}
+
+/// [`standard_battery`] with its windowed order statistics swapped for
+/// the sort-on-predict oracles, in the same order.
+fn oracle_battery() -> Vec<Box<dyn Predictor + Send + Sync>> {
+    vec![
+        Box::new(LastValue::default()),
+        Box::new(RunningMean::default()),
+        Box::new(SlidingMean::new(5)),
+        Box::new(SlidingMean::new(21)),
+        Box::new(SlidingMean::new(51)),
+        Box::new(oracle_median(5)),
+        Box::new(oracle_median(21)),
+        Box::new(oracle_median(51)),
+        Box::new(ExpSmoothing::new(0.05)),
+        Box::new(ExpSmoothing::new(0.2)),
+        Box::new(ExpSmoothing::new(0.5)),
+        Box::new(oracle_trimmed(21, 3)),
+    ]
+}
+
+fn bits(v: Option<f64>) -> Option<u64> {
+    v.map(f64::to_bits)
+}
+
+#[test]
+fn oracle_battery_mirrors_the_standard_battery() {
+    let names = |b: Vec<Box<dyn Predictor + Send + Sync>>| -> Vec<String> {
+        b.iter().map(|p| p.name()).collect()
+    };
+    assert_eq!(names(oracle_battery()), names(standard_battery()));
 }
 
 proptest! {
@@ -85,6 +217,74 @@ proptest! {
             if mae.is_finite() {
                 prop_assert!(f.mae <= mae + 1e-9, "{} beats winner: {} < {}", name, mae, f.mae);
             }
+        }
+    }
+
+    /// The sorted-window predictors serve bitwise what sorting the window
+    /// on every `predict()` serves, after every update.
+    #[test]
+    fn windowed_predictors_match_sort_on_predict(
+        (k, vals) in windowed_series(),
+        trim_seed in 0usize..30,
+    ) {
+        let trim = trim_seed % k.div_ceil(2);
+        let mut median = SlidingMedian::new(k);
+        let mut trimmed = TrimmedMean::new(k, trim);
+        let mut want_median = oracle_median(k);
+        let mut want_trimmed = oracle_trimmed(k, trim);
+        prop_assert_eq!(median.predict(), None);
+        prop_assert_eq!(trimmed.predict(), None);
+        for (i, &v) in vals.iter().enumerate() {
+            median.update(v);
+            trimmed.update(v);
+            want_median.update(v);
+            want_trimmed.update(v);
+            prop_assert_eq!(
+                bits(median.predict()),
+                bits(want_median.predict()),
+                "median k={} step {}", k, i
+            );
+            prop_assert_eq!(
+                bits(trimmed.predict()),
+                bits(want_trimmed.predict()),
+                "trimmed k={} trim={} step {}", k, trim, i
+            );
+        }
+    }
+
+    /// The cached winner is the naive argmin over `scores()` order (ties
+    /// to the earlier entry, unscored predictors at infinite MAE), with
+    /// each candidate's forecast taken from the sort-on-predict oracle
+    /// battery; an ensemble over the oracle battery agrees bitwise.
+    #[test]
+    fn ensemble_cache_matches_naive_argmin(
+        vals in proptest::collection::vec(alphabet(), 1..160),
+    ) {
+        let mut e = Ensemble::standard();
+        let mut mirror = Ensemble::new(oracle_battery());
+        let mut oracles = oracle_battery();
+        for (i, &v) in vals.iter().enumerate() {
+            e.update(v);
+            mirror.update(v);
+            for p in &mut oracles {
+                p.update(v);
+            }
+            let mut best: Option<(f64, usize, f64)> = None;
+            for (j, ((_, mae, _), p)) in e.scores().into_iter().zip(&oracles).enumerate() {
+                let Some(pred) = p.predict() else { continue };
+                let mae = if mae.is_nan() { f64::INFINITY } else { mae };
+                if best.is_none_or(|(bmae, _, _)| mae < bmae) {
+                    best = Some((mae, j, pred));
+                }
+            }
+            let (mae, j, value) = best.expect("a measured ensemble forecasts");
+            let f = e.forecast().expect("a measured ensemble forecasts");
+            prop_assert_eq!(f.value.to_bits(), value.to_bits(), "value, step {}", i);
+            prop_assert_eq!(bits(e.forecast_value()), Some(value.to_bits()), "step {}", i);
+            let mae = if mae.is_finite() { mae } else { 0.0 };
+            prop_assert_eq!(f.mae.to_bits(), mae.to_bits(), "mae, step {}", i);
+            prop_assert_eq!(&f.predictor, &oracles[j].name(), "step {}", i);
+            prop_assert_eq!(Some(f), mirror.forecast(), "oracle ensemble, step {}", i);
         }
     }
 }
