@@ -392,10 +392,6 @@ pub struct QrExperimentConfig {
     /// and incarnation bridges for wait-state / critical-path analysis
     /// (same determinism contract as `obs`).
     pub recorder: Recorder,
-    /// Kernel substrate tuning (process transport + event queue). The
-    /// default (direct handoff, indexed queue) is the fast path; every
-    /// combination is bit-identical (see `tests/substrate_determinism.rs`).
-    pub tune: EngineTune,
     /// Scheduler decision-path tuning (snapshot + incremental scoring vs
     /// the seed reference loop). The default is the fast path; both are
     /// bit-identical end to end (see `tests/sched_path_determinism.rs`).
@@ -430,7 +426,6 @@ impl QrExperimentConfig {
             t_max: 100_000.0,
             obs: Obs::disabled(),
             recorder: Recorder::disabled(),
-            tune: EngineTune::default(),
             sched: SchedTune::default(),
         }
     }
@@ -473,9 +468,9 @@ pub fn run_qr_experiment(grid: Grid, ecfg: QrExperimentConfig) -> QrExperimentRe
     run_qr_experiment_with(grid, ecfg, |_| {})
 }
 
-/// [`run_qr_experiment`] with `prepare` applied to the tuned engine before
-/// anything spawns — the way end-to-end identity tests reach kernel test
-/// oracles that no [`EngineTune`] exposes.
+/// [`run_qr_experiment`] with `prepare` applied to the engine before
+/// anything spawns — the way end-to-end identity tests reach the kernel
+/// mode and the kernel's test oracles.
 #[doc(hidden)]
 pub fn run_qr_experiment_with(
     grid: Grid,
@@ -483,7 +478,6 @@ pub fn run_qr_experiment_with(
     prepare: impl FnOnce(&mut Engine),
 ) -> QrExperimentResult {
     let mut eng = Engine::new(grid.clone());
-    eng.apply_tune(ecfg.tune);
     prepare(&mut eng);
     eng.set_obs(ecfg.obs.clone());
     eng.set_recorder(ecfg.recorder.clone());

@@ -3,26 +3,16 @@
 //! exchanges over a WAN mesh, with a compute phase per round so both the
 //! CPU-sharing and the max-min-fair paths are exercised.
 //!
-//! Compares the three rate-recomputation modes:
+//! The applied-event count is invariant across kernel modes and test
+//! oracles (stale pops are not counted), so `events/sec = events_processed
+//! / wall` is an apples-to-apples throughput number. Every row runs on the
+//! production kernel: dirty-set scoped rate solves, coalesced to one per
+//! virtual instant.
 //!
-//! * `Legacy` — the pre-change kernel: global re-solve over all links,
-//!   unconditional re-stamping of every action and flow, route `Vec`s
-//!   cloned on every recompute;
-//! * `Full` — scope-everything on the new per-component solver;
-//! * `Incremental` — dirty-set scoped recomputation (the default).
-//!
-//! The applied-event count is mode-invariant (stale pops are not counted),
-//! so `events/sec = events_processed / wall` is an apples-to-apples
-//! throughput number. The run asserts that all modes agree on the
-//! simulation outcome before printing the table. Every mode row and the
-//! worker sweep run on the kernel's production timing (one coalesced rate
-//! solve per virtual instant).
-//!
-//! Two further axes ride on the Incremental mode: a windowed-kernel worker
-//! sweep, and a coalesced-vs-eager recompute-*timing* A/B against the
-//! eager test oracle (one solve per churn event) — each asserted
-//! bit-identical to the serial reference before its throughput is
-//! recorded.
+//! Two axes ride on the serial reference: a windowed-kernel worker sweep,
+//! and a coalesced-vs-eager recompute-*timing* A/B against the eager test
+//! oracle (one solve per churn event) — each asserted bit-identical to the
+//! serial reference before its throughput is recorded.
 //!
 //! Usage: `cargo run --release -p grads-bench --bin kernel_scale [rounds]`
 
@@ -65,45 +55,8 @@ fn build_grid() -> (Grid, Vec<HostId>) {
     (b.build().expect("valid grid"), hosts)
 }
 
-/// Substrate under test: the default fast path (direct handoff + indexed
-/// queue), or a reverted substrate via `GRADS_KERNEL_TUNE` — `seed`
-/// (channel pair + stale-mark heap, plus eager recompute timing: see
-/// [`seed_timing`]), `stale` (queue only), `channel` (transport only) — so
-/// before/after numbers for the substrate swap, and one-axis isolation
-/// runs, all come from the same binary.
-fn tune_from_env() -> EngineTune {
-    match std::env::var("GRADS_KERNEL_TUNE").as_deref() {
-        Ok("seed") => EngineTune {
-            handoff: HandoffMode::Channel,
-            queue: EventQueueMode::StaleMark,
-            ..Default::default()
-        },
-        Ok("stale") => EngineTune {
-            queue: EventQueueMode::StaleMark,
-            ..Default::default()
-        },
-        Ok("channel") => EngineTune {
-            handoff: HandoffMode::Channel,
-            ..Default::default()
-        },
-        _ => EngineTune::default(),
-    }
-}
-
-/// Whether the substrate under test times rate solves eagerly: only the
-/// `seed` substrate does (through the engine's eager test oracle), so
-/// "seed" keeps meaning the seed kernel; every other run uses the
-/// production coalesced timing.
-fn seed_timing() -> bool {
-    std::env::var("GRADS_KERNEL_TUNE").as_deref() == Ok("seed")
-}
-
-fn run_once(mode: RecomputeMode, rounds: usize) -> (RunReport, f64) {
-    run_kernel(mode, rounds, KernelMode::Serial)
-}
-
-fn run_kernel(mode: RecomputeMode, rounds: usize, kernel: KernelMode) -> (RunReport, f64) {
-    run_tuned(mode, rounds, kernel, seed_timing(), false, None)
+fn run_kernel(rounds: usize, kernel: KernelMode) -> (RunReport, f64) {
+    run_tuned(rounds, kernel, false, false, None)
 }
 
 /// `uniform` selects the payload schedule: `false` keeps the historical
@@ -114,7 +67,6 @@ fn run_kernel(mode: RecomputeMode, rounds: usize, kernel: KernelMode) -> (RunRep
 /// bitwise-identical completion waves, the regime the coalesced flush
 /// collapses to one solve per instant.
 fn run_tuned(
-    mode: RecomputeMode,
     rounds: usize,
     kernel: KernelMode,
     eager_oracle: bool,
@@ -123,11 +75,7 @@ fn run_tuned(
 ) -> (RunReport, f64) {
     let (grid, hosts) = build_grid();
     let mut eng = Engine::new(grid);
-    eng.set_recompute_mode(mode);
-    eng.apply_tune(EngineTune {
-        kernel,
-        ..tune_from_env()
-    });
+    eng.set_kernel_mode(kernel);
     eng.set_eager_recompute_oracle(eager_oracle);
     if let Some(o) = obs {
         eng.set_obs(o);
@@ -168,11 +116,7 @@ fn run_tuned(
     let wall = Instant::now();
     let report = eng.run();
     let secs = wall.elapsed().as_secs_f64();
-    assert_eq!(
-        report.completed.len(),
-        NPROC,
-        "{mode:?}: all processes must complete"
-    );
+    assert_eq!(report.completed.len(), NPROC, "all processes must complete");
     (report, secs)
 }
 
@@ -186,97 +130,53 @@ fn main() {
          {rounds} round(s)\n"
     );
 
-    let modes = [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ];
     // Warm-up run (allocator, thread spawning) before timing; keep the
-    // faster of two timed runs per mode to damp scheduler noise.
-    let _ = run_once(RecomputeMode::Incremental, 1);
+    // faster of two timed runs to damp scheduler noise.
+    let _ = run_kernel(1, KernelMode::Serial);
 
-    let mut rows = Vec::new();
-    for &mode in &modes {
-        let (r1, t1) = run_once(mode, rounds);
-        let (r2, t2) = run_once(mode, rounds);
-        assert_eq!(
-            r1.events_processed, r2.events_processed,
-            "{mode:?}: applied-event count must be deterministic"
-        );
-        rows.push((mode, r1, t1.min(t2)));
-    }
-
-    // All modes must simulate the same execution.
-    let (ref_end, ref_ev) = (rows[0].1.end_time, rows[0].1.events_processed);
-    for (mode, r, _) in &rows {
-        assert_eq!(
-            r.events_processed, ref_ev,
-            "{mode:?}: applied events diverge from legacy"
-        );
-        assert!(
-            (r.end_time - ref_end).abs() <= 1e-6 * ref_end,
-            "{mode:?}: end_time {} vs legacy {}",
-            r.end_time,
-            ref_end
-        );
-    }
-
-    let legacy_rate = rows[0].1.events_processed as f64 / rows[0].2;
-    println!(
-        "{:>12} {:>12} {:>10} {:>14} {:>10}",
-        "mode", "events", "wall(s)", "events/sec", "speedup"
+    let (serial_ref, t1) = run_kernel(rounds, KernelMode::Serial);
+    let (r2, t2) = run_kernel(rounds, KernelMode::Serial);
+    assert_eq!(
+        serial_ref, r2,
+        "the serial kernel must be run-to-run deterministic"
     );
-    for (mode, r, secs) in &rows {
-        let rate = r.events_processed as f64 / secs;
-        println!(
-            "{:>12} {:>12} {:>10.3} {:>14.0} {:>9.2}x",
-            format!("{mode:?}"),
-            r.events_processed,
-            secs,
-            rate,
-            rate / legacy_rate
-        );
-    }
+    let (ref_end, ref_ev) = (serial_ref.end_time, serial_ref.events_processed);
+    let serial_rate = ref_ev as f64 / t1.min(t2);
     println!(
-        "\nvirtual end_time {:.3} s; all modes applied the same {} events.",
-        ref_end, ref_ev
+        "{:>12} {:>12} {:>10} {:>14}",
+        "kernel", "events", "wall(s)", "events/sec"
     );
-    println!("shape to check: Incremental >= 2x Legacy events/sec — the dirty-set path");
-    println!("skips the global re-stamp, re-solves only affected sharing components,");
-    println!("and never clones route vectors.");
+    println!(
+        "{:>12} {:>12} {:>10.3} {:>14.0}",
+        "serial",
+        ref_ev,
+        t1.min(t2),
+        serial_rate
+    );
+    println!("\nvirtual end_time {ref_end:.3} s.");
 
     // ---- Windowed-kernel worker sweep -----------------------------------
     //
     // Same workload under the conservative parallel kernel at each worker
     // count (GRADS_KERNEL_WORKERS, default "1,2,4,8"). Each windowed run is
-    // asserted bit-identical to the serial Incremental reference before its
+    // asserted bit-identical to the serial reference before its
     // throughput is recorded — the sweep measures speed, never divergence.
     let workers_axis: Vec<u32> = std::env::var("GRADS_KERNEL_WORKERS")
         .ok()
         .map(|s| s.split(',').filter_map(|w| w.trim().parse().ok()).collect())
         .filter(|v: &Vec<u32>| !v.is_empty())
         .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let serial_ref = &rows[2].1; // Incremental, serial kernel
-    let serial_rate = serial_ref.events_processed as f64 / rows[2].2;
-    println!("\nwindowed kernel (Incremental recompute), worker sweep:");
+    println!("\nwindowed kernel, worker sweep:");
     println!(
         "{:>12} {:>12} {:>10} {:>14} {:>12}",
         "workers", "events", "wall(s)", "events/sec", "vs serial"
     );
     let mut worker_rows = Vec::new();
     for &w in &workers_axis {
-        let (r1, t1) = run_kernel(
-            RecomputeMode::Incremental,
-            rounds,
-            KernelMode::Windowed { workers: w },
-        );
-        let (r2, t2) = run_kernel(
-            RecomputeMode::Incremental,
-            rounds,
-            KernelMode::Windowed { workers: w },
-        );
+        let (r1, t1) = run_kernel(rounds, KernelMode::Windowed { workers: w });
+        let (r2, t2) = run_kernel(rounds, KernelMode::Windowed { workers: w });
         assert_eq!(
-            serial_ref, &r1,
+            serial_ref, r1,
             "windowed({w}) must be bit-identical to the serial kernel"
         );
         assert_eq!(&r1, &r2, "windowed({w}) must be run-to-run deterministic");
@@ -297,7 +197,7 @@ fn main() {
     // ---- Coalesced-recompute A/B ----------------------------------------
     //
     // Uniform-payload all-to-all (a synchronized `MPI_Alltoall` round),
-    // Incremental scope, eager oracle vs coalesced production *timing*:
+    // eager oracle vs coalesced production *timing*:
     // churn events only mark dirty sets and the rate solve runs once per
     // virtual instant, so each round's 4032-flow send burst costs one
     // solve instead of 4032, and each bitwise-synchronized completion
@@ -313,14 +213,7 @@ fn main() {
     // aspirational), and a separate obs-enabled run reports how much churn
     // the deferral absorbed.
     let coal = |eager_oracle: bool, uniform: bool, obs| {
-        run_tuned(
-            RecomputeMode::Incremental,
-            rounds,
-            KernelMode::Serial,
-            eager_oracle,
-            uniform,
-            obs,
-        )
+        run_tuned(rounds, KernelMode::Serial, eager_oracle, uniform, obs)
     };
     let (e1, et1) = coal(true, true, None);
     let (e2, et2) = coal(true, true, None);
@@ -337,7 +230,7 @@ fn main() {
     let coalesced_secs = ct1.min(ct2);
     let coalesced_rate = c1.events_processed as f64 / coalesced_secs;
     let coalesce_speedup = coalesced_rate / eager_rate;
-    println!("\ncoalesced recompute timing (Incremental scope, serial kernel, uniform payloads):");
+    println!("\ncoalesced recompute timing (serial kernel, uniform payloads):");
     println!(
         "{:>12} {:>12} {:>10} {:>14} {:>10}",
         "timing", "events", "wall(s)", "events/sec", "speedup"
@@ -361,8 +254,8 @@ fn main() {
         "skewed coalesced run must be bit-identical to the eager oracle"
     );
     assert_eq!(
-        serial_ref, &sc1,
-        "skewed coalesced run must be bit-identical to the mode rows"
+        serial_ref, sc1,
+        "skewed coalesced run must be bit-identical to the serial row"
     );
     assert_eq!(&se1, &se2, "skewed eager run must be deterministic");
     assert_eq!(&sc1, &sc2, "skewed coalesced run must be deterministic");
@@ -410,87 +303,67 @@ fn main() {
         );
     }
 
-    // Stamp the machine and the substrate under test so checked-in
-    // snapshots are self-describing (throughput numbers are meaningless
-    // without the core count and the engine tuning they were taken on).
+    println!("\nshape to check: every windowed row equals the serial report bit for bit,");
+    println!("and coalesced timing runs >= 2x eager events/sec on uniform payloads.");
+
+    // Stamp the machine so checked-in snapshots are self-describing
+    // (throughput numbers are meaningless without the core count they
+    // were taken on).
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let substrate = match std::env::var("GRADS_KERNEL_TUNE").as_deref() {
-        Ok("seed") => "channel_handoff+stale_mark_queue+eager_recompute",
-        Ok("stale") => "direct_handoff+stale_mark_queue+coalesced_recompute",
-        Ok("channel") => "channel_handoff+indexed_queue+coalesced_recompute",
-        _ => "direct_handoff+indexed_queue+coalesced_recompute",
-    };
-    let mut fields: Vec<(&str, String)> = vec![
+    merge_bench_section(
+        "kernel_scale",
+        &json_obj(&[
+            ("cores_detected", cores.to_string()),
+            ("rounds", rounds.to_string()),
+            ("processes", NPROC.to_string()),
+            ("events_applied", ref_ev.to_string()),
+            ("virtual_end_time_s", json_num(ref_end)),
+            ("events_per_s", json_num(serial_rate)),
+        ]),
+    );
+    println!("\nwrote kernel_scale section of BENCH_sim.json");
+
+    // The worker sweep gets its own section: its numbers are
+    // core-count-bound (on a single-core box the pool gates off and every
+    // count measures the window/merge overhead, not parallel speedup —
+    // cores_detected says which regime a snapshot was taken in).
+    let mut wfields: Vec<(&str, String)> = vec![
         ("cores_detected", cores.to_string()),
-        ("substrate", format!("\"{substrate}\"")),
         ("rounds", rounds.to_string()),
         ("processes", NPROC.to_string()),
-        ("events_applied", ref_ev.to_string()),
-        ("virtual_end_time_s", json_num(ref_end)),
+        ("clusters", CLUSTERS.to_string()),
+        ("serial_events_per_s", json_num(serial_rate)),
     ];
-    for (mode, r, secs) in &rows {
-        let key: &str = match mode {
-            RecomputeMode::Legacy => "legacy_events_per_s",
-            RecomputeMode::Full => "full_events_per_s",
-            RecomputeMode::Incremental => "incremental_events_per_s",
-        };
-        fields.push((key, json_num(r.events_processed as f64 / secs)));
+    let keyed: Vec<(String, String)> = worker_rows
+        .iter()
+        .map(|(w, rate)| (format!("workers_{w}_events_per_s"), json_num(*rate)))
+        .collect();
+    for (k, v) in &keyed {
+        wfields.push((k.as_str(), v.clone()));
     }
-    // Tuned (non-default) substrates write their own section so an A/B
-    // run never clobbers the default-substrate snapshot.
-    let section = match std::env::var("GRADS_KERNEL_TUNE").as_deref() {
-        Ok("seed") => "kernel_scale_seed_substrate",
-        Ok("stale") => "kernel_scale_stale_queue",
-        Ok("channel") => "kernel_scale_channel_handoff",
-        _ => "kernel_scale",
-    };
-    merge_bench_section(section, &json_obj(&fields));
-    println!("\nwrote {section} section of BENCH_sim.json");
+    merge_bench_section("kernel_scale_workers", &json_obj(&wfields));
+    println!("wrote kernel_scale_workers section of BENCH_sim.json");
 
-    // The worker sweep gets its own section: it only makes sense against
-    // the default substrate, and its numbers are core-count-bound (on a
-    // single-core box the pool gates off and every count measures the
-    // window/merge overhead, not parallel speedup — cores_detected says
-    // which regime a snapshot was taken in).
-    if std::env::var("GRADS_KERNEL_TUNE").is_err() {
-        let mut wfields: Vec<(&str, String)> = vec![
-            ("cores_detected", cores.to_string()),
-            ("rounds", rounds.to_string()),
-            ("processes", NPROC.to_string()),
-            ("clusters", CLUSTERS.to_string()),
-            ("serial_events_per_s", json_num(serial_rate)),
-        ];
-        let keyed: Vec<(String, String)> = worker_rows
-            .iter()
-            .map(|(w, rate)| (format!("workers_{w}_events_per_s"), json_num(*rate)))
-            .collect();
-        for (k, v) in &keyed {
-            wfields.push((k.as_str(), v.clone()));
-        }
-        merge_bench_section("kernel_scale_workers", &json_obj(&wfields));
-        println!("wrote kernel_scale_workers section of BENCH_sim.json");
-
-        // Coalesce A/B snapshot. `identity_ok` is written only after the
-        // in-binary bit-identity asserts above have passed.
-        let cfields: Vec<(&str, String)> = vec![
-            ("cores_detected", cores.to_string()),
-            ("rounds", rounds.to_string()),
-            ("processes", NPROC.to_string()),
-            ("events_applied", e1.events_processed.to_string()),
-            ("eager_events_per_s", json_num(eager_rate)),
-            ("coalesced_events_per_s", json_num(coalesced_rate)),
-            ("speedup_x", json_num(coalesce_speedup)),
-            ("skewed_speedup_x", json_num(skewed_speedup)),
-            ("recompute_churn", churn.to_string()),
-            ("recompute_solves", solves.to_string()),
-            ("coalesced_absorbed", absorbed.to_string()),
-            ("burst_mean", json_num(burst_mean)),
-            ("burst_max", json_num(burst_max)),
-            ("identity_ok", "1".to_string()),
-        ];
-        merge_bench_section("kernel_scale_coalesce", &json_obj(&cfields));
-        println!("wrote kernel_scale_coalesce section of BENCH_sim.json");
-    }
+    // Coalesce A/B snapshot. `identity_ok` is written only after the
+    // in-binary bit-identity asserts above have passed.
+    let cfields: Vec<(&str, String)> = vec![
+        ("cores_detected", cores.to_string()),
+        ("rounds", rounds.to_string()),
+        ("processes", NPROC.to_string()),
+        ("events_applied", e1.events_processed.to_string()),
+        ("eager_events_per_s", json_num(eager_rate)),
+        ("coalesced_events_per_s", json_num(coalesced_rate)),
+        ("speedup_x", json_num(coalesce_speedup)),
+        ("skewed_speedup_x", json_num(skewed_speedup)),
+        ("recompute_churn", churn.to_string()),
+        ("recompute_solves", solves.to_string()),
+        ("coalesced_absorbed", absorbed.to_string()),
+        ("burst_mean", json_num(burst_mean)),
+        ("burst_max", json_num(burst_max)),
+        ("identity_ok", "1".to_string()),
+    ];
+    merge_bench_section("kernel_scale_coalesce", &json_obj(&cfields));
+    println!("wrote kernel_scale_coalesce section of BENCH_sim.json");
 }

@@ -5,23 +5,20 @@
 //! * **handoff ping-pong** — one process polling an empty mailbox with
 //!   `ctx.try_recv`: one request/grant pair per op and near-zero
 //!   event-kernel work, so this measures the process↔kernel transport and
-//!   nothing else. (`ctx.now()` would not do: on the direct transport it
-//!   reads the clock stamped on the last grant and never reaches the
-//!   kernel.) Run under both transports; the direct single-slot
-//!   rendezvous must beat the seed mpsc-channel pair by ≥2× (asserted).
+//!   nothing else. (`ctx.now()` would not do: it reads the clock stamped
+//!   on the last grant and never reaches the kernel.) The run counts the
+//!   kernel's blocking round trips (`sim.req.roundtrips`) and asserts one
+//!   per poll, so the row provably times real round trips.
 //! * **message ping-pong** — two processes bouncing a message back and
 //!   forth on a LAN. Every round trip is four kernel handoffs plus the
-//!   flow machinery (activate/done events, rate solve, mailbox), so the
-//!   transport win is diluted by DES work the transports share; direct
-//!   must still be ≥1.5× (asserted).
+//!   flow machinery (activate/done events, rate solve, mailbox).
 //! * **spawn storm** — thousands of short-lived processes; measures the
 //!   spawn/start/exit bookkeeping (thread creation dominates, but name
 //!   interning and mailbox reclamation show up here too).
 //! * **cancel storm** — compute actions on a loaded host whose external
 //!   load toggles at dense cadence, re-stamping every action each time.
-//!   Each re-stamp cancels a pending completion event: the stale-mark
-//!   queue buries them for pop-time discarding, the indexed queue removes
-//!   them in O(log n). Reports events applied/sec for both queues.
+//!   Each re-stamp replaces a pending completion event in the indexed
+//!   queue. Reports events applied/sec.
 //!
 //! Writes the `sim_hotpath` section of `BENCH_sim.json` at the repo root.
 //!
@@ -42,11 +39,15 @@ fn lan_pair() -> (Grid, Vec<HostId>) {
 
 /// Raw handoff ping-pong: one process polling an empty mailbox `n` times,
 /// each poll a single request/grant round trip with no event-kernel work
-/// behind it. Returns handoffs/sec wall-clock.
-fn handoff_pong(tune: EngineTune, n: usize) -> f64 {
+/// behind it. Returns (handoffs/sec wall-clock, the kernel's count of the
+/// polls' blocking round trips).
+fn handoff_pong(n: usize) -> (f64, u64) {
     let (grid, hosts) = lan_pair();
     let mut eng = Engine::new(grid);
-    eng.apply_tune(tune);
+    // Counters are plain integers the kernel keeps anyway; the sink only
+    // receives them when the run ends, so it costs the loop nothing.
+    let obs = Obs::enabled();
+    eng.set_obs(obs.clone());
     let key = mail_key(&[0]);
     eng.spawn("poll", hosts[0], move |ctx| {
         for _ in 0..n {
@@ -58,15 +59,28 @@ fn handoff_pong(tune: EngineTune, n: usize) -> f64 {
     let report = eng.run();
     let wall = t0.elapsed().as_secs_f64();
     assert_eq!(report.completed.len(), 1);
-    n as f64 / wall
+    // The process's exit is one more round trip after the polls.
+    let roundtrips = obs.snapshot().counter("sim.req.roundtrips").unwrap_or(0) - 1;
+    (n as f64 / wall, roundtrips)
+}
+
+/// Best handoffs/sec of two runs, asserting every poll was a round trip.
+fn best_handoff(n: usize) -> (f64, u64) {
+    let (a, rt) = handoff_pong(n);
+    let (b, rt2) = handoff_pong(n);
+    assert_eq!(rt, rt2, "round-trip count must be deterministic");
+    assert_eq!(
+        rt, n as u64,
+        "the handoff row must time one kernel round trip per poll"
+    );
+    (a.max(b), rt)
 }
 
 /// One ping-pong run: `rounds` round trips, `4 * rounds` kernel handoffs.
-/// Returns (ops/sec wall-clock, virtual end time as a determinism check).
-fn ping_pong(tune: EngineTune, rounds: usize) -> (f64, f64) {
+/// Returns ops/sec wall-clock.
+fn ping_pong(rounds: usize) -> f64 {
     let (grid, hosts) = lan_pair();
     let mut eng = Engine::new(grid);
-    eng.apply_tune(tune);
     let (h0, h1) = (hosts[0], hosts[1]);
     let k_ping = mail_key(&[1]);
     let k_pong = mail_key(&[2]);
@@ -86,14 +100,13 @@ fn ping_pong(tune: EngineTune, rounds: usize) -> (f64, f64) {
     let report = eng.run();
     let wall = t0.elapsed().as_secs_f64();
     assert_eq!(report.completed.len(), 2);
-    ((4 * rounds) as f64 / wall, report.end_time)
+    (4 * rounds) as f64 / wall
 }
 
 /// Spawn storm: `n` short-lived processes. Returns spawns/sec.
-fn spawn_storm(tune: EngineTune, n: usize) -> f64 {
+fn spawn_storm(n: usize) -> f64 {
     let (grid, hosts) = lan_pair();
     let mut eng = Engine::new(grid);
-    eng.apply_tune(tune);
     for i in 0..n {
         eng.spawn("w", hosts[i % 2], |ctx| {
             ctx.compute(1e3);
@@ -108,15 +121,14 @@ fn spawn_storm(tune: EngineTune, n: usize) -> f64 {
 
 /// Cancel storm: `procs` long computes on one host, with external load
 /// toggling `toggles` times — every toggle re-stamps every action and
-/// cancels its pending completion event. Returns (applied events/sec,
-/// events applied, virtual end time).
-fn cancel_storm(tune: EngineTune, procs: usize, toggles: usize) -> (f64, u64, f64) {
+/// replaces its pending completion event. Returns (applied events/sec,
+/// events applied).
+fn cancel_storm(procs: usize, toggles: usize) -> (f64, u64) {
     let mut b = GridBuilder::new();
     let c = b.cluster("LAN");
     b.local_link(c, 1.0e9, 1.0e-4);
     let hosts = b.add_hosts(c, 1, &HostSpec::with_speed(1e9));
     let mut eng = Engine::new(b.build().unwrap());
-    eng.apply_tune(tune);
     let h = hosts[0];
     for t in 0..toggles {
         let at = 0.5 + t as f64 * 0.01;
@@ -134,7 +146,6 @@ fn cancel_storm(tune: EngineTune, procs: usize, toggles: usize) -> (f64, u64, f6
     (
         report.events_processed as f64 / wall,
         report.events_processed,
-        report.end_time,
     )
 }
 
@@ -144,72 +155,39 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(30_000);
 
-    let direct = EngineTune::default();
-    let channel = EngineTune {
-        handoff: HandoffMode::Channel,
-        ..Default::default()
-    };
-    let indexed = EngineTune::default();
-    let stale = EngineTune {
-        queue: EventQueueMode::StaleMark,
-        ..Default::default()
-    };
-
     println!("sim_hotpath — substrate wall-clock microbenchmarks\n");
 
     // Warm-up pass so thread-pool and allocator effects don't skew run 1;
     // best-of-2 to damp scheduler noise on small machines.
-    let _ = ping_pong(direct, rounds / 10);
-    let best = |tune: EngineTune| {
-        let (a, end) = ping_pong(tune, rounds);
-        let (b, _) = ping_pong(tune, rounds);
-        (a.max(b), end)
-    };
+    let _ = ping_pong(rounds / 10);
 
     let n_handoff = rounds * 2;
-    let ho_direct = handoff_pong(direct, n_handoff).max(handoff_pong(direct, n_handoff));
-    let ho_channel = handoff_pong(channel, n_handoff).max(handoff_pong(channel, n_handoff));
-    let ho_speedup = ho_direct / ho_channel;
+    let (ho_direct, ho_roundtrips) = best_handoff(n_handoff);
     println!("handoff ping-pong ({n_handoff} request/grant round trips):");
-    println!("  channel (seed mpsc pair)   {ho_channel:>12.0} handoffs/s");
-    println!("  direct (rendezvous slot)   {ho_direct:>12.0} handoffs/s   ({ho_speedup:.2}x)");
-    assert!(
-        ho_speedup >= 2.0,
-        "direct handoff must be >= 2x channel on raw handoffs (got {ho_speedup:.2}x)"
+    println!(
+        "  rendezvous slot            {ho_direct:>12.0} handoffs/s   ({ho_roundtrips} counted)"
     );
 
-    let (ops_direct, end_d) = best(direct);
-    let (ops_channel, end_c) = best(channel);
-    assert_eq!(
-        end_d.to_bits(),
-        end_c.to_bits(),
-        "transports must agree on virtual time"
-    );
-    let speedup = ops_direct / ops_channel;
+    let ops = ping_pong(rounds).max(ping_pong(rounds));
     println!("\nmessage ping-pong ({rounds} round trips, 4 handoffs each):");
-    println!("  channel (seed mpsc pair)   {ops_channel:>12.0} ops/s");
-    println!("  direct (rendezvous slot)   {ops_direct:>12.0} ops/s   ({speedup:.2}x)");
-    assert!(
-        speedup >= 1.5,
-        "direct handoff must be >= 1.5x channel on message ping-pong (got {speedup:.2}x)"
-    );
+    println!("  rendezvous slot            {ops:>12.0} ops/s");
 
-    // Spin vs yield on the direct transport's wait loop. The auto policy
-    // picks spin on multicore boxes and yield on single-core ones; pinning
-    // each explicitly measures what that heuristic is choosing between.
-    // Wait strategy cannot perturb virtual time (it only decides how a
-    // blocked thread burns the wait), so no determinism assert is needed —
-    // but the end-time check comes free from handoff_pong's asserts.
+    // Spin vs yield on the handoff's wait loop. The auto policy picks spin
+    // on multicore boxes and yield on single-core ones; pinning each
+    // explicitly measures what that heuristic is choosing between. Wait
+    // strategy cannot perturb virtual time (it only decides how a blocked
+    // thread burns the wait), so no determinism assert is needed — but the
+    // round-trip and end-time checks come free from handoff_pong.
     let ho_spin = {
         set_wait_policy(WaitPolicy::Spin);
-        handoff_pong(direct, n_handoff).max(handoff_pong(direct, n_handoff))
+        best_handoff(n_handoff).0
     };
     let ho_yield = {
         set_wait_policy(WaitPolicy::Yield);
-        handoff_pong(direct, n_handoff).max(handoff_pong(direct, n_handoff))
+        best_handoff(n_handoff).0
     };
     set_wait_policy(WaitPolicy::Auto);
-    println!("\nhandoff wait policy (direct transport, {n_handoff} round trips):");
+    println!("\nhandoff wait policy ({n_handoff} round trips):");
     println!("  spin (384 iters first)     {ho_spin:>12.0} handoffs/s");
     println!("  yield (sched-friendly)     {ho_yield:>12.0} handoffs/s");
     println!(
@@ -219,28 +197,18 @@ fn main() {
     );
 
     let n_spawn = (rounds / 10).max(1000);
-    let sp_direct = spawn_storm(direct, n_spawn);
-    let sp_channel = spawn_storm(channel, n_spawn);
+    let sp = spawn_storm(n_spawn);
     println!("\nspawn storm ({n_spawn} processes):");
-    println!("  channel                    {sp_channel:>12.0} spawns/s");
-    println!("  direct                     {sp_direct:>12.0} spawns/s");
+    println!("  rendezvous slot            {sp:>12.0} spawns/s");
 
     let (procs, toggles) = (100, 2000);
-    let (ev_indexed, n_ev_i, end_i) = cancel_storm(indexed, procs, toggles);
-    let (ev_stale, n_ev_s, end_s) = cancel_storm(stale, procs, toggles);
-    assert_eq!(
-        end_i.to_bits(),
-        end_s.to_bits(),
-        "queues must agree on virtual time"
-    );
-    assert_eq!(n_ev_i, n_ev_s, "queues must apply identical event counts");
-    println!("\ncancel storm ({procs} computes x {toggles} load toggles, {n_ev_i} events):");
-    println!("  stale-mark (seed)          {ev_stale:>12.0} events/s");
-    println!("  indexed (O(log n) remove)  {ev_indexed:>12.0} events/s");
+    let (ev, n_ev) = cancel_storm(procs, toggles);
+    println!("\ncancel storm ({procs} computes x {toggles} load toggles, {n_ev} events):");
+    println!("  indexed (in-place replace) {ev:>12.0} events/s");
 
-    // Machine/substrate stamps so a checked-in snapshot says where its
-    // numbers came from (a 2-core CI runner and a 32-core workstation
-    // produce very different ops/s for the same code).
+    // Machine stamp so a checked-in snapshot says where its numbers came
+    // from (a 2-core CI runner and a 32-core workstation produce very
+    // different ops/s for the same code).
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -248,26 +216,17 @@ fn main() {
         "sim_hotpath",
         &json_obj(&[
             ("cores_detected", cores.to_string()),
-            (
-                "substrate",
-                "\"direct_handoff+indexed_queue (A/B vs seed in-section)\"".to_string(),
-            ),
             ("handoff_rounds", n_handoff.to_string()),
-            ("handoff_channel_per_s", json_num(ho_channel)),
+            ("handoff_roundtrips", ho_roundtrips.to_string()),
             ("handoff_direct_per_s", json_num(ho_direct)),
-            ("handoff_speedup", json_num(ho_speedup)),
             ("handoff_spin_per_s", json_num(ho_spin)),
             ("handoff_yield_per_s", json_num(ho_yield)),
             ("ping_pong_rounds", rounds.to_string()),
-            ("ping_pong_channel_ops_per_s", json_num(ops_channel)),
-            ("ping_pong_direct_ops_per_s", json_num(ops_direct)),
-            ("ping_pong_speedup", json_num(speedup)),
+            ("ping_pong_direct_ops_per_s", json_num(ops)),
             ("spawn_storm_procs", n_spawn.to_string()),
-            ("spawn_channel_per_s", json_num(sp_channel)),
-            ("spawn_direct_per_s", json_num(sp_direct)),
-            ("cancel_storm_events", n_ev_i.to_string()),
-            ("cancel_stale_events_per_s", json_num(ev_stale)),
-            ("cancel_indexed_events_per_s", json_num(ev_indexed)),
+            ("spawn_direct_per_s", json_num(sp)),
+            ("cancel_storm_events", n_ev.to_string()),
+            ("cancel_indexed_events_per_s", json_num(ev)),
         ]),
     );
     println!("\nwrote sim_hotpath section of BENCH_sim.json");

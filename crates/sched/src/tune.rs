@@ -1,12 +1,11 @@
-//! Decision-path tuning knobs, mirroring the kernel's `EngineTune`.
+//! Decision-path tuning knobs.
 //!
 //! The scheduler has two implementations of MPI resource selection that
 //! are proven bit-identical (unit, property, and end-to-end levels — see
 //! `tests/prop_candidates.rs` and the root `sched_path_determinism`
 //! suite): the seed reference path and the snapshot/incremental/parallel
-//! fast path. [`SchedTune`] selects between them the same way
-//! `EngineTune` selects kernel substrates, so experiments can A/B the
-//! decision path without touching application code.
+//! fast path. [`SchedTune`] selects between them, so experiments can A/B
+//! the decision path without touching application code.
 
 /// Which resource-selection implementation the scheduler uses.
 ///
@@ -26,8 +25,8 @@ pub enum DecisionPath {
     Fast,
 }
 
-/// Decision-path tuning bundled for experiment drivers, the analog of
-/// `EngineTune` for the scheduler/rescheduler half of the decision loop.
+/// Decision-path tuning bundled for experiment drivers: the
+/// scheduler/rescheduler half of the decision loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedTune {
     /// Which selection implementation to run.

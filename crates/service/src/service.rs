@@ -83,8 +83,6 @@ pub struct ServiceConfig {
     pub high_water_in_flight: usize,
     /// Decision-path tune for the per-job mapper.
     pub sched: SchedTune,
-    /// Kernel substrate tune.
-    pub tune: EngineTune,
     /// Metrics sink (counters/gauges published at end of run).
     pub obs: Obs,
     /// Per-job lifecycle span stream (disabled by default). Every span
@@ -109,7 +107,6 @@ impl Default for ServiceConfig {
             reserve_price: 0.25,
             high_water_in_flight: 2000,
             sched: SchedTune::default(),
-            tune: EngineTune::default(),
             obs: Obs::disabled(),
             spans: SpanLog::disabled(),
             t_max: 1.0e7,
@@ -276,7 +273,6 @@ fn map_job(
 pub fn run_service_experiment(cfg: ServiceConfig) -> ServiceResult {
     let grid = service_grid(cfg.hosts, cfg.clusters, cfg.cores_per_host);
     let mut eng = Engine::new(grid.clone());
-    eng.apply_tune(cfg.tune);
     eng.set_obs(cfg.obs.clone());
 
     let out: Arc<Mutex<Option<ServiceResult>>> = Arc::new(Mutex::new(None));

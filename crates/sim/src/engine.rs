@@ -5,96 +5,44 @@
 //! processes run strictly one at a time: the kernel resumes a process,
 //! takes its next request, and only then considers the next runnable
 //! process or event. Runs are therefore deterministic. A thread process
-//! is resumed with a grant and answered by a handoff; an inline
+//! is resumed with a grant over its single-slot handoff; an inline
 //! [`Daemon`] is stepped on the kernel thread itself.
 //!
 //! Resource completion times are maintained lazily: whenever the demand set
 //! churns (an action or flow starts or ends, load changes), rates are
-//! re-derived from the sharing model and fresh completion events (tagged
-//! with a per-action generation counter) are pushed; stale events are
-//! ignored on pop and periodically compacted out of the heap.
+//! re-derived from the sharing model and each changed action or flow gets
+//! a fresh generation and a re-stamped completion event. The indexed event
+//! queue overwrites or removes the superseded event through its handle, so
+//! the heap holds only live events.
 //!
-//! Rate recomputation is *scoped*: every churn marks the hosts and links it
-//! touched dirty, and only churned hosts' CPU shares and the network
-//! sharing components reachable from dirty links are re-solved
-//! ([`RecomputeMode::Incremental`], the default). Flows and actions whose
-//! rate did not change keep their generation and their already-scheduled
-//! completion event. [`RecomputeMode::Full`] runs the same solver over
-//! everything on each churn (the reference for the determinism gate), and
-//! [`RecomputeMode::Legacy`] preserves the pre-change kernel — global
-//! re-solve, unconditional re-stamping — as a benchmark baseline.
+//! Rate recomputation is *scoped* and *coalesced*: every churn marks the
+//! hosts and links it touched dirty, and once per virtual instant only the
+//! churned hosts' CPU shares and the network sharing components reachable
+//! from dirty links are re-solved. Flows and actions whose rate did not
+//! change keep their generation and their already-scheduled completion
+//! event.
+//!
+//! [`KernelMode`] is the one run-loop choice. Three hidden test oracles
+//! reproduce the reference behaviours the identity suites compare the
+//! production path against: a full recompute (every host and component on
+//! each solve), an eager recompute (one solve per churn) and an unbatched
+//! transport (one blocking round trip per `Ctx` call).
 
 use crate::daemon::{Daemon, Step};
 use crate::equeue::{class_key, Event, EventKind, IndexedHeap, ShardedHeap, MAX_SHARDS, NO_HANDLE};
 use crate::handoff::{multicore, HandoffSlot, KernelThread};
 use crate::maildir::{MailDir, QueuedSend};
 use crate::process::{
-    Ctx, Endpoint, Grant, KillToken, MailKey, Payload, ProcBody, ProcFn, ProcId, Request, SendMode,
+    Ctx, Grant, KillToken, MailKey, Payload, ProcBody, ProcFn, ProcId, Request, SendMode,
 };
 use crate::sharing::{cpu_share, FairScratch};
 use crate::topology::{Grid, HostId, LinkId};
 use crate::trace::{Trace, TraceKind, TraceRecord};
 use crate::window::{Job, WindowPolicy, WorkerPool};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once, OnceLock};
 use std::thread::JoinHandle;
-
-/// How the kernel re-derives rates when the demand set churns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecomputeMode {
-    /// The pre-change kernel: re-derive every CPU and flow rate globally on
-    /// each churn, re-stamp every generation and re-push every completion
-    /// event. Kept as the baseline for the scalability benchmark.
-    Legacy,
-    /// Scope-everything variant of the incremental path: identical
-    /// per-component solver and skip-unchanged stamping, but every host and
-    /// every sharing component is revisited on each churn. Reference side
-    /// of the determinism gate.
-    Full,
-    /// Dirty-set scoped recomputation (the default): only churned hosts and
-    /// the sharing components reachable from churned links are re-solved.
-    #[default]
-    Incremental,
-}
-
-/// Which process ↔ kernel transport newly spawned processes use.
-///
-/// Both transports carry the same messages in the same order — the kernel
-/// and exactly one running process alternate — so results are bit-identical
-/// across modes; `tests/determinism.rs` holds the kernel to that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HandoffMode {
-    /// The seed transport: one shared request mpsc into the kernel plus a
-    /// per-process grant mpsc back. Two heap-allocated channel nodes and
-    /// two OS wakeups per primitive. Kept as the benchmark baseline.
-    Channel,
-    /// Per-process single-slot rendezvous (`sim::handoff`): one atomic
-    /// state word, in-place message cells, spin-then-park waiting. The
-    /// default.
-    #[default]
-    Direct,
-}
-
-/// Which event-queue implementation the kernel uses.
-///
-/// Both queues pop in the same strict total order on `(t, class, key, seq)`
-/// and both receive exactly the same live events, so results are
-/// bit-identical across modes (`tests/prop_equeue.rs`,
-/// `tests/determinism.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventQueueMode {
-    /// The seed queue: plain binary heap; cancelled completions stay in the
-    /// heap as stale events, discarded on pop and shed by
-    /// [`CompactionPolicy`] rebuilds. Kept as the benchmark baseline.
-    StaleMark,
-    /// Position-tracked heap (`equeue::IndexedHeap`):
-    /// cancellations remove their event in O(log n), the heap holds only
-    /// live events and compaction never runs. The default.
-    #[default]
-    Indexed,
-}
 
 /// How the kernel's run loop organises event execution.
 ///
@@ -107,10 +55,10 @@ pub enum EventQueueMode {
 /// under the kernel's strict `(t, class, key, seq)` total order — so the
 /// applied-event sequence, and with it every result bit, is identical to
 /// the serial kernel at any worker count. Pre-drained completions that a
-/// mid-window re-stamp invalidates are caught by the same generation
-/// check that already guards stale-marked events. DESIGN.md ("Parallel
-/// kernel") documents the protocol; `tests/prop_windowed.rs` and
-/// `tests/substrate_determinism.rs` pin the bit-identity.
+/// mid-window re-stamp invalidates fail the generation check on pop.
+/// DESIGN.md ("Parallel kernel") documents the protocol;
+/// `tests/prop_windowed.rs` and `tests/substrate_determinism.rs` pin the
+/// bit-identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// One event at a time off one queue — the reference and the default.
@@ -123,71 +71,6 @@ pub enum KernelMode {
         /// Total concurrent executors, kernel thread included.
         workers: u32,
     },
-}
-
-/// Substrate tuning knobs bundled for experiment drivers. Apply with
-/// [`Engine::apply_tune`] before spawning processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineTune {
-    /// Transport for subsequently spawned processes.
-    pub handoff: HandoffMode,
-    /// Event-queue implementation.
-    pub queue: EventQueueMode,
-    /// Run-loop organisation. [`KernelMode::Windowed`] implies (and
-    /// forces) the indexed queue, sharded by cluster.
-    pub kernel: KernelMode,
-}
-
-/// When the kernel rebuilds the event heap to shed stale completion
-/// events (completions whose generation no longer matches a live
-/// action/flow).
-///
-/// Compaction runs only when **both** thresholds are exceeded: more than
-/// `min_stale` stale events are pending *and* they make up more than
-/// `min_stale_fraction` of the heap. The default (64 / 0.5) matches the
-/// previously hard-coded policy bit-for-bit. Compaction is purely a heap
-/// rebuild — pop order is a strict total order on `(t, class, key, seq)`,
-/// so no policy choice can reorder live events or perturb results; the
-/// `compaction_policy_does_not_perturb_results` regression holds the
-/// kernel to that.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionPolicy {
-    /// Compact only when more than this many stale events are pending.
-    /// `usize::MAX` disables compaction entirely.
-    pub min_stale: usize,
-    /// Compact only when stale events exceed this fraction of the heap
-    /// (`0.5` = more than half the heap is dead weight).
-    pub min_stale_fraction: f64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            min_stale: 64,
-            min_stale_fraction: 0.5,
-        }
-    }
-}
-
-impl CompactionPolicy {
-    /// Never compact (keeps every stale event until it is popped and
-    /// discarded individually).
-    pub fn never() -> Self {
-        CompactionPolicy {
-            min_stale: usize::MAX,
-            min_stale_fraction: 1.0,
-        }
-    }
-
-    /// Whether a heap with `stale` stale events out of `len` total should
-    /// be compacted now.
-    #[inline]
-    pub fn should_compact(&self, stale: usize, len: usize) -> bool {
-        // `stale as f64` is exact for any realistic heap (< 2^53 events),
-        // so with the default 0.5 fraction this is bit-identical to the
-        // old `stale * 2 <= len` integer test.
-        stale > self.min_stale && (stale as f64) > self.min_stale_fraction * (len as f64)
-    }
 }
 
 /// Outcome of a simulation run.
@@ -212,8 +95,9 @@ pub struct RunReport {
     /// Bytes carried per link over the run (indexable by `LinkId.0`).
     pub link_bytes: Vec<f64>,
     /// Kernel events applied over the run (stale completions excluded).
-    /// Identical across recompute modes for the same scenario, which makes
-    /// it the numerator of the benchmark's events/sec metric.
+    /// Identical across kernel modes and test oracles for the same
+    /// scenario, which makes it the numerator of the benchmark's
+    /// events/sec metric.
     pub events_processed: u64,
     /// Full trace of the run.
     pub trace: Trace,
@@ -263,8 +147,8 @@ struct CpuAction {
     remaining: f64,
     rate: f64,
     gen: u64,
-    /// Pending `CpuDone` handle in the indexed queue ([`NO_HANDLE`] when no
-    /// completion is scheduled or the queue is in stale-mark mode).
+    /// Pending `CpuDone` handle in the event queue ([`NO_HANDLE`] when no
+    /// completion is scheduled).
     ev: u32,
     /// Virtual time of the pending completion event (`INFINITY` when none
     /// is scheduled). A solve never re-stamps an action whose completion
@@ -297,8 +181,8 @@ struct Flow {
     active: bool,
     /// Position in `Engine::active_flows`, or `u32::MAX` when not listed.
     act_idx: u32,
-    /// Pending `FlowDone` handle in the indexed queue ([`NO_HANDLE`] when no
-    /// completion is scheduled or the queue is in stale-mark mode).
+    /// Pending `FlowDone` handle in the event queue ([`NO_HANDLE`] when no
+    /// completion is scheduled).
     ev: u32,
     /// Virtual time of the pending completion event (`INFINITY` when none
     /// is scheduled); same due-now re-stamp guard as [`CpuAction::due`].
@@ -330,23 +214,19 @@ enum PState {
 
 /// Kernel-side end of one process's transport.
 enum ProcPort {
-    Channel(Sender<Grant>),
-    Direct(Arc<HandoffSlot>),
+    /// A thread process, resumed through its handoff slot.
+    Thread(Arc<HandoffSlot>),
     /// An inline daemon: no thread, stepped by `pump_processes`.
     Inline(Box<dyn Daemon>),
 }
 
 impl ProcPort {
-    /// Grant `g` at kernel time `now` (the direct slot stamps its clock
-    /// with it; the channel's `Now` requests ask instead). An inline
-    /// daemon has no thread to resume, so a grant to it (only ever the
-    /// final `Kill`) is a no-op.
+    /// Grant `g` at kernel time `now`, which the slot stamps as the
+    /// process's clock. An inline daemon has no thread to resume, so a
+    /// grant to it (only ever the final `Kill`) is a no-op.
     fn send_grant(&self, g: Grant, now: f64) {
         match self {
-            ProcPort::Channel(tx) => {
-                let _ = tx.send(g);
-            }
-            ProcPort::Direct(slot) => slot.send_grant(g, now),
+            ProcPort::Thread(slot) => slot.send_grant(g, now),
             ProcPort::Inline(_) => {}
         }
     }
@@ -370,7 +250,7 @@ const REQ_COUNTERS: [&str; 10] = [
 impl Request {
     /// Index of this request's tally in [`REQ_COUNTERS`]. `TryRecv`
     /// counts as a receive and `Panic` as an exit; `Now`, which reaches
-    /// the kernel only on the channel transport, has no tally.
+    /// the kernel only under the unbatched test oracle, has no tally.
     fn counter(&self) -> Option<usize> {
         Some(match self {
             Request::Now => return None,
@@ -446,7 +326,6 @@ struct RateScratch {
     offsets: Vec<(u32, u32)>,
     links_flat: Vec<u32>,
     caps_local: Vec<f64>,
-    rates: Vec<f64>,
     fair: FairScratch,
     flow_mark: EpochMap,
     comp_link_mark: EpochMap,
@@ -462,11 +341,10 @@ struct RateScratch {
     route_class: EpochMap,
 }
 
-/// The kernel's pending-event queue, in one of the [`EventQueueMode`]
-/// implementations (plus the cluster-sharded indexed variant the windowed
-/// kernel uses). All pop the identical `(t, class, key, seq)` order.
+/// The kernel's pending-event queue: one indexed heap, or the
+/// cluster-sharded variant the windowed kernel uses. Both pop the
+/// identical `(t, class, key, seq)` order.
 enum EventQueue {
-    Stale(BinaryHeap<Event>),
     Indexed(IndexedHeap),
     /// Indexed heaps sharded by cluster partition ([`KernelMode::Windowed`]).
     Sharded(ShardedHeap),
@@ -475,7 +353,6 @@ enum EventQueue {
 impl EventQueue {
     fn len(&self) -> usize {
         match self {
-            EventQueue::Stale(h) => h.len(),
             EventQueue::Indexed(h) => h.len(),
             EventQueue::Sharded(h) => h.len(),
         }
@@ -483,7 +360,6 @@ impl EventQueue {
 
     fn peek(&self) -> Option<&Event> {
         match self {
-            EventQueue::Stale(h) => h.peek(),
             EventQueue::Indexed(h) => h.peek(),
             EventQueue::Sharded(h) => h.peek(),
         }
@@ -491,9 +367,33 @@ impl EventQueue {
 
     fn pop(&mut self) -> Option<Event> {
         match self {
-            EventQueue::Stale(h) => h.pop(),
             EventQueue::Indexed(h) => h.pop(),
             EventQueue::Sharded(h) => h.pop(),
+        }
+    }
+
+    /// Push into partition `shard` (ignored by the single heap).
+    fn push(&mut self, shard: u32, ev: Event) -> u32 {
+        match self {
+            EventQueue::Indexed(h) => h.push(ev),
+            EventQueue::Sharded(h) => h.push(shard, ev),
+        }
+    }
+
+    /// Remove the event behind `handle`; a no-op for [`NO_HANDLE`].
+    fn remove(&mut self, handle: u32) {
+        match self {
+            EventQueue::Indexed(h) => h.remove(handle),
+            EventQueue::Sharded(h) => h.remove(handle),
+        };
+    }
+
+    /// Overwrite the event behind `handle` in place (a fresh push when
+    /// the handle is [`NO_HANDLE`]). Returns the event's handle.
+    fn replace(&mut self, handle: u32, shard: u32, ev: Event) -> u32 {
+        match self {
+            EventQueue::Indexed(h) => h.replace(handle, ev),
+            EventQueue::Sharded(h) => h.replace(handle, shard, ev),
         }
     }
 }
@@ -562,11 +462,11 @@ pub struct Engine {
     gen_counter: u64,
     runnable: VecDeque<(ProcId, Grant)>,
     running: Option<ProcId>,
-    req_tx: Sender<(ProcId, Request)>,
-    req_rx: Receiver<(ProcId, Request)>,
-    handoff: HandoffMode,
-    /// The OS thread the run loop executes on; direct-handoff processes
-    /// unpark it when publishing a request. Set when `run_until` starts
+    /// Test oracle only: processes spawned while set make every `Ctx`
+    /// call a blocking round trip (see [`Engine::set_unbatched_oracle`]).
+    unbatched_oracle: bool,
+    /// The OS thread the run loop executes on; thread processes unpark it
+    /// when publishing a request. Set when `run_until` starts
     /// (the engine may be built on a different thread than it runs on).
     kernel_thread: KernelThread,
     trace: Trace,
@@ -574,7 +474,9 @@ pub struct Engine {
     /// report's `String`s once at `finish` instead of allocating per exit.
     completed: Vec<Arc<str>>,
     failed: Vec<(String, String)>,
-    mode: RecomputeMode,
+    /// Test oracle only: re-solve every host and sharing component on each
+    /// solve (see [`Engine::set_full_recompute_oracle`]).
+    full_oracle: bool,
     /// Test oracle only: solve inline on every churn instead of once per
     /// virtual instant (see [`Engine::set_eager_recompute_oracle`]).
     eager_oracle: bool,
@@ -595,8 +497,7 @@ pub struct Engine {
     /// the per-route-class aggregated solve collapse all-to-all traffic
     /// from O(P²) flows to O(clusters²) solver classes.
     route_contents: HashMap<(Box<[u32]>, u64), u32>,
-    /// Per-link capacity, hoisted out of the solve loops (the legacy
-    /// reference used to rebuild this vector on every recompute).
+    /// Per-link capacity, hoisted out of the solve loops.
     link_caps: Vec<f64>,
     /// Live CPU action ids per host; the length doubles as the action count
     /// the CPU sharing model needs.
@@ -615,9 +516,6 @@ pub struct Engine {
     dirty_links: Vec<u32>,
     dirty_host_mark: EpochMap,
     dirty_link_mark: EpochMap,
-    /// Completion events in the heap whose generation no longer matches a
-    /// live action/flow. When the heap is mostly stale it is rebuilt.
-    stale_events: usize,
     events_processed: u64,
     /// Requests handled, by kind ([`REQ_COUNTERS`]).
     req_counts: [u64; REQ_COUNTERS.len()],
@@ -627,10 +525,9 @@ pub struct Engine {
     req_inline: u64,
     /// Blocking handoffs: requests the kernel waited on a thread for.
     req_roundtrips: u64,
+    /// Staged window copies discarded by their generation check.
     stale_discarded: u64,
-    compactions: u64,
     recomputes: u64,
-    compaction: CompactionPolicy,
     /// Run-loop organisation ([`KernelMode`]); `Windowed` keeps `events`
     /// in the [`EventQueue::Sharded`] variant.
     kernel: KernelMode,
@@ -690,7 +587,6 @@ impl Engine {
     /// Create an engine over a built topology.
     pub fn new(grid: Grid) -> Self {
         install_quiet_kill_hook();
-        let (req_tx, req_rx) = unbounded();
         let nhosts = grid.hosts().len();
         let nlinks = grid.links().len();
         let mut dirty_host_mark = EpochMap::default();
@@ -723,14 +619,12 @@ impl Engine {
             gen_counter: 1,
             runnable: VecDeque::new(),
             running: None,
-            req_tx,
-            req_rx,
-            handoff: HandoffMode::default(),
+            unbatched_oracle: false,
             kernel_thread: Arc::new(OnceLock::new()),
             trace: Trace::default(),
             completed: Vec::new(),
             failed: Vec::new(),
-            mode: RecomputeMode::default(),
+            full_oracle: false,
             eager_oracle: false,
             pending_churn: 0,
             solves: 0,
@@ -748,16 +642,13 @@ impl Engine {
             dirty_links: Vec::new(),
             dirty_host_mark,
             dirty_link_mark,
-            stale_events: 0,
             events_processed: 0,
             req_counts: [0; REQ_COUNTERS.len()],
             req_outboxed: 0,
             req_inline: 0,
             req_roundtrips: 0,
             stale_discarded: 0,
-            compactions: 0,
             recomputes: 0,
-            compaction: CompactionPolicy::default(),
             kernel: KernelMode::default(),
             part_of_host,
             nparts,
@@ -781,15 +672,17 @@ impl Engine {
         &self.grid
     }
 
-    /// Select the rate recomputation strategy (default:
-    /// [`RecomputeMode::Incremental`]).
-    pub fn set_recompute_mode(&mut self, mode: RecomputeMode) {
-        self.mode = mode;
-    }
-
-    /// The active rate recomputation strategy.
-    pub fn recompute_mode(&self) -> RecomputeMode {
-        self.mode
+    /// Test oracle: with `on`, every solve revisits every host with
+    /// actions and every active sharing component instead of only the
+    /// dirty ones — the reference for dirty-set scoping. Both scopes run
+    /// the same per-component solver over flows sorted by id and skip
+    /// re-stamping entities whose rate is bitwise unchanged, so they
+    /// produce bit-identical [`RunReport`]s; the identity suites compare
+    /// against this oracle. Not a tuning knob: the full scope only ever
+    /// costs more work. Switch between runs.
+    #[doc(hidden)]
+    pub fn set_full_recompute_oracle(&mut self, on: bool) {
+        self.full_oracle = on;
     }
 
     /// Test oracle: with `on`, every churn event is solved inline instead
@@ -797,10 +690,10 @@ impl Engine {
     /// production timing — see [`Self::must_flush_before`]). Rates are
     /// only observable through the work they accrue, and work accrues only
     /// while virtual time advances, so both timings produce bit-identical
-    /// [`RunReport`]s in every [`RecomputeMode`] × [`KernelMode`]
-    /// combination; the coalescing identity suites compare against this
-    /// oracle, and DESIGN.md ("Coalesced recomputation") carries the
-    /// soundness argument. Not a tuning knob: the eager timing only ever
+    /// [`RunReport`]s under every recompute scope and [`KernelMode`]; the
+    /// coalescing identity suites compare against this oracle, and
+    /// DESIGN.md ("Coalesced recomputation") carries the soundness
+    /// argument. Not a tuning knob: the eager timing only ever
     /// costs more solves. Switch between runs, not mid-burst.
     #[doc(hidden)]
     pub fn set_eager_recompute_oracle(&mut self, on: bool) {
@@ -811,55 +704,18 @@ impl Engine {
         self.eager_oracle = on;
     }
 
-    /// Select the process ↔ kernel transport for *subsequently spawned*
-    /// processes (default: [`HandoffMode::Direct`]). Call before spawning;
-    /// already-spawned processes keep their transport (mixing modes in one
-    /// run is fine — each process's port is dispatched independently).
-    pub fn set_handoff_mode(&mut self, m: HandoffMode) {
-        self.handoff = m;
-    }
-
-    /// The transport newly spawned processes will use.
-    pub fn handoff_mode(&self) -> HandoffMode {
-        self.handoff
-    }
-
-    /// Select the event-queue implementation (default:
-    /// [`EventQueueMode::Indexed`]). Call before `run`: already-scheduled
-    /// start/load/failure events migrate, but completion events (which only
-    /// exist once the run is underway) would lose their cancellation
-    /// handles. A no-op while the windowed kernel holds the queue sharded;
-    /// switch back to [`KernelMode::Serial`] first.
-    pub fn set_event_queue_mode(&mut self, m: EventQueueMode) {
-        match (&mut self.events, m) {
-            (EventQueue::Stale(h), EventQueueMode::Indexed) => {
-                let mut ih = IndexedHeap::default();
-                // Insertion order is irrelevant: pop order is a strict
-                // total order on (t, class, key, seq).
-                for ev in std::mem::take(h).into_vec() {
-                    ih.push(ev);
-                }
-                self.events = EventQueue::Indexed(ih);
-            }
-            (EventQueue::Indexed(ih), EventQueueMode::StaleMark) => {
-                let mut v = Vec::with_capacity(ih.len());
-                while let Some(ev) = ih.pop() {
-                    v.push(ev);
-                }
-                self.events = EventQueue::Stale(BinaryHeap::from(v));
-            }
-            _ => {}
-        }
-    }
-
-    /// The active event-queue implementation. The windowed kernel's
-    /// sharded queue *is* the indexed heap, partitioned, and reports as
-    /// [`EventQueueMode::Indexed`].
-    pub fn event_queue_mode(&self) -> EventQueueMode {
-        match self.events {
-            EventQueue::Stale(_) => EventQueueMode::StaleMark,
-            EventQueue::Indexed(_) | EventQueue::Sharded(_) => EventQueueMode::Indexed,
-        }
+    /// Test oracle: with `on`, processes spawned afterwards make every
+    /// `Ctx` call a blocking round trip on their handoff slot — `now()`
+    /// asks the kernel instead of reading the grant-stamped clock,
+    /// zero-length `compute`/`sleep` go to the kernel, and fire-and-forget
+    /// calls skip the outbox. The kernel answers each exactly as the
+    /// batched path assumes, so both produce bit-identical [`RunReport`]s;
+    /// the identity suites compare against this oracle. Not a tuning
+    /// knob: unbatched calls only ever cost more handoffs. Call before
+    /// spawning.
+    #[doc(hidden)]
+    pub fn set_unbatched_oracle(&mut self, on: bool) {
+        self.unbatched_oracle = on;
     }
 
     /// Select the run-loop organisation (default: [`KernelMode::Serial`]).
@@ -934,13 +790,6 @@ impl Engine {
         self.wpolicy
     }
 
-    /// Apply a bundle of substrate tuning knobs. Call before spawning.
-    pub fn apply_tune(&mut self, t: EngineTune) {
-        self.set_handoff_mode(t.handoff);
-        self.set_event_queue_mode(t.queue);
-        self.set_kernel_mode(t.kernel);
-    }
-
     /// The event partition an event belongs to: the cluster of the host
     /// whose state it mutates (flows are keyed by their *source* host's
     /// cluster for their whole lifetime).
@@ -952,9 +801,9 @@ impl Engine {
             EventKind::HostFail { host }
             | EventKind::LoadOn { host, .. }
             | EventKind::LoadOff { host, .. } => self.part_of_host[host.0 as usize],
-            // Completions whose owner died are stale: any shard works (they
-            // are discarded on pop, and the global pop order is a total
-            // order independent of shard placement), so default to 0.
+            // A queued completion's owner is live (cancels remove the
+            // event); the fallback only keeps this total. Any shard would
+            // do: the global pop order is independent of shard placement.
             EventKind::CpuDone { id, .. } => self.cpu[*id]
                 .as_ref()
                 .map_or(0, |a| self.part_of_host[a.host]),
@@ -997,9 +846,9 @@ impl Engine {
         }
     }
 
-    /// Attach an observability sink. Kernel counters (events applied,
-    /// stale discards, heap compactions, recompute count) and per-recompute
-    /// dirty-set-size histograms are flushed into it when the run finishes.
+    /// Attach an observability sink. Kernel counters (events applied, stale
+    /// discards, recompute count) and per-recompute dirty-set-size
+    /// histograms are flushed into it when the run finishes.
     /// Recording never reads or perturbs virtual time; with the default
     /// disabled handle the kernel only maintains plain integer counters it
     /// tracks anyway.
@@ -1028,84 +877,47 @@ impl Engine {
         &self.rec
     }
 
-    /// Tune when the event heap sheds stale completion events. The
-    /// default matches the historical hard-coded policy (more than 64
-    /// stale *and* more than half the heap). Any policy yields identical
-    /// simulation results; the knob trades rebuild cost against heap
-    /// bloat on churn-heavy workloads.
-    pub fn set_compaction_policy(&mut self, p: CompactionPolicy) {
-        self.compaction = p;
-    }
-
-    /// The active heap-compaction policy.
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.compaction
-    }
-
-    /// Push an event, returning its indexed-queue handle ([`NO_HANDLE`] in
-    /// stale-mark mode). Static over disjoint fields so recompute loops can
-    /// push while iterating `self.cpu` / `self.flows`. `shard` is the
-    /// event's partition, used (and validated) only by the sharded queue.
-    fn push_ev(events: &mut EventQueue, seq: &mut u64, shard: u32, t: f64, kind: EventKind) -> u32 {
+    /// Build an event with the next sequence number. Static over disjoint
+    /// fields so recompute loops can stamp while iterating `self.cpu` /
+    /// `self.flows`.
+    fn stamp(seq: &mut u64, t: f64, kind: EventKind) -> Event {
         let (class, key) = class_key(&kind);
         let s = *seq;
         *seq += 1;
-        let ev = Event {
+        Event {
             t,
             class,
             key,
             seq: s,
             kind,
-        };
-        match events {
-            EventQueue::Stale(h) => {
-                h.push(ev);
-                NO_HANDLE
-            }
-            EventQueue::Indexed(h) => h.push(ev),
-            EventQueue::Sharded(h) => h.push(shard, ev),
         }
     }
 
+    /// Push an event into its partition's shard, returning its handle.
     fn push_event(&mut self, t: f64, kind: EventKind) -> u32 {
         let shard = self.shard_for(&kind);
-        Self::push_ev(&mut self.events, &mut self.seq, shard, t, kind)
+        let ev = Self::stamp(&mut self.seq, t, kind);
+        self.events.push(shard, ev)
     }
 
-    /// Cancel a pending completion event: stale-mark mode counts it for
-    /// the compaction policy and lets the pop loop discard it; indexed mode
-    /// removes it from the heap outright. `handle` is reset to
-    /// [`NO_HANDLE`] either way. In windowed mode a completion already
-    /// pre-drained into a staged window carries [`NO_HANDLE`] — nothing to
-    /// remove; the staged copy fails its generation check on pop.
-    fn cancel_ev(events: &mut EventQueue, stale_events: &mut usize, handle: &mut u32) {
-        match events {
-            EventQueue::Stale(_) => *stale_events += 1,
-            EventQueue::Indexed(h) => {
-                // NO_HANDLE happens when the completion was never scheduled
-                // (infinite rate); nothing to remove then.
-                if *handle != NO_HANDLE {
-                    h.remove(*handle);
-                }
-            }
-            EventQueue::Sharded(h) => {
-                h.remove(*handle);
-            }
-        }
+    /// Cancel a pending completion event: the queue removes it outright
+    /// and `handle` is reset to [`NO_HANDLE`]. In windowed mode a
+    /// completion already pre-drained into a staged window carries
+    /// [`NO_HANDLE`] — nothing to remove; the staged copy fails its
+    /// generation check on pop.
+    fn cancel_ev(events: &mut EventQueue, handle: &mut u32) {
+        events.remove(*handle);
         *handle = NO_HANDLE;
     }
 
     /// Cancel an entity's pending completion event (if `had_pending`) and
-    /// schedule its successor in one step. Stale-mark mode does exactly
-    /// what [`Self::cancel_ev`] + [`Self::push_ev`] would (counter bump,
-    /// then a fresh push); indexed mode overwrites the event in place via
-    /// [`IndexedHeap::replace`] — one short sift instead of a removal plus
-    /// a push, which is what keeps the indexed queue competitive on the
-    /// legacy recompute path's re-stamp-everything storm.
-    #[allow(clippy::too_many_arguments)] // static over disjoint `self` fields by design
+    /// schedule its successor in one step: the queue overwrites the event
+    /// in place via [`IndexedHeap::replace`] — one short sift instead of a
+    /// removal plus a push. A pre-drained (staged) completion left
+    /// [`NO_HANDLE`] behind; the replace degrades to a fresh push then,
+    /// and the staged copy dies by generation mismatch on pop.
     fn restamp_ev(
         events: &mut EventQueue,
-        stale_events: &mut usize,
         seq: &mut u64,
         shard: u32,
         handle: &mut u32,
@@ -1113,42 +925,12 @@ impl Engine {
         t: f64,
         kind: EventKind,
     ) {
-        let (class, key) = class_key(&kind);
-        let s = *seq;
-        *seq += 1;
-        let ev = Event {
-            t,
-            class,
-            key,
-            seq: s,
-            kind,
+        let ev = Self::stamp(seq, t, kind);
+        *handle = if had_pending {
+            events.replace(*handle, shard, ev)
+        } else {
+            events.push(shard, ev)
         };
-        match events {
-            EventQueue::Stale(h) => {
-                if had_pending {
-                    *stale_events += 1;
-                }
-                h.push(ev);
-                *handle = NO_HANDLE;
-            }
-            EventQueue::Indexed(h) => {
-                *handle = if had_pending {
-                    h.replace(*handle, ev)
-                } else {
-                    h.push(ev)
-                };
-            }
-            EventQueue::Sharded(h) => {
-                // A pre-drained (staged) completion left NO_HANDLE behind;
-                // `replace` degrades to a fresh push then, and the staged
-                // copy dies by generation mismatch on pop.
-                *handle = if had_pending {
-                    h.replace(*handle, shard, ev)
-                } else {
-                    h.push(shard, ev)
-                };
-            }
-        }
     }
 
     fn mark_host_dirty(&mut self, h: usize) {
@@ -1192,23 +974,8 @@ impl Engine {
     fn spawn_at(&mut self, t: f64, name: &str, host: HostId, f: ProcFn) -> ProcId {
         let pid = ProcId(self.procs.len() as u32);
         let name: Arc<str> = Arc::from(name);
-        let (port, ep) = match self.handoff {
-            HandoffMode::Channel => {
-                let (grant_tx, grant_rx) = unbounded();
-                (
-                    ProcPort::Channel(grant_tx),
-                    Endpoint::Channel {
-                        req_tx: self.req_tx.clone(),
-                        grant_rx,
-                    },
-                )
-            }
-            HandoffMode::Direct => {
-                let slot = Arc::new(HandoffSlot::new(self.kernel_thread.clone()));
-                (ProcPort::Direct(slot.clone()), Endpoint::Direct(slot))
-            }
-        };
-        let mut ctx = Ctx::new(pid, host, ep);
+        let slot = Arc::new(HandoffSlot::new(self.kernel_thread.clone()));
+        let mut ctx = Ctx::new(pid, host, slot.clone(), self.unbatched_oracle);
         let join = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || {
@@ -1228,12 +995,10 @@ impl Engine {
                 }
             })
             .expect("spawn simulated process thread");
-        if let ProcPort::Direct(slot) = &port {
-            // Recorded by the kernel from the join handle (not by the
-            // process thread itself) so grants never race the store.
-            slot.set_proc_thread(join.thread().clone());
-        }
-        self.add_proc(t, name, host, port, Some(join))
+        // Recorded by the kernel from the join handle (not by the process
+        // thread itself) so grants never race the store.
+        slot.set_proc_thread(join.thread().clone());
+        self.add_proc(t, name, host, ProcPort::Thread(slot), Some(join))
     }
 
     /// Enter a process in the table and schedule its start at `t`; on a
@@ -1298,11 +1063,9 @@ impl Engine {
     }
 
     /// Drive process handoff until no process is running or runnable.
-    /// Returns `false` when the request channel disconnected (every process
-    /// gone) and the run loop should stop.
     ///
-    /// On the direct transport a request may arrive with deferred
-    /// fire-and-forget requests queued before it (see [`crate::handoff`]).
+    /// A request may arrive with deferred fire-and-forget requests queued
+    /// before it (see [`crate::handoff`]).
     /// They are applied first, in order, each exactly as its own round
     /// trip would have been: its reply is a front-of-queue `Unit` for the
     /// same process, which this loop would have granted straight back
@@ -1312,30 +1075,20 @@ impl Engine {
     /// An inline daemon is never `running`: where a thread would get its
     /// grant and be waited on, the daemon's next request is computed by
     /// [`Self::step_daemon`] on this thread and handled at once.
-    fn pump_processes(&mut self) -> bool {
+    fn pump_processes(&mut self) {
         loop {
             if let Some(pid) = self.running.take() {
                 self.req_roundtrips += 1;
-                let (req, mut deferred) = match &self.procs[pid.0 as usize].port {
-                    ProcPort::Channel(_) => {
-                        let (rpid, req) = match self.req_rx.recv() {
-                            Ok(x) => x,
-                            Err(_) => return false,
-                        };
-                        debug_assert_eq!(rpid, pid, "request from non-running process");
-                        (req, Vec::new())
-                    }
-                    ProcPort::Direct(slot) => {
-                        let req = slot.wait_request();
-                        debug_assert_eq!(
-                            slot.clock().to_bits(),
-                            self.now.to_bits(),
-                            "process clock diverged from the kernel's"
-                        );
-                        (req, slot.take_outbox())
-                    }
-                    ProcPort::Inline(_) => unreachable!("an inline daemon never runs"),
+                let ProcPort::Thread(slot) = &self.procs[pid.0 as usize].port else {
+                    unreachable!("an inline daemon never runs");
                 };
+                let req = slot.wait_request();
+                debug_assert_eq!(
+                    slot.clock().to_bits(),
+                    self.now.to_bits(),
+                    "process clock diverged from the kernel's"
+                );
+                let mut deferred = slot.take_outbox();
                 if !deferred.is_empty() {
                     self.req_outboxed += deferred.len() as u64;
                     for d in deferred.drain(..) {
@@ -1346,7 +1099,7 @@ impl Engine {
                             "a deferred request must be answered by an immediate Unit"
                         );
                     }
-                    if let ProcPort::Direct(slot) = &self.procs[pid.0 as usize].port {
+                    if let ProcPort::Thread(slot) = &self.procs[pid.0 as usize].port {
                         slot.restore_outbox(deferred);
                     }
                 }
@@ -1366,7 +1119,7 @@ impl Engine {
                 }
                 continue;
             }
-            return true;
+            return;
         }
     }
 
@@ -1393,6 +1146,11 @@ impl Engine {
     /// exact — no rate changes at a stale pop, and accrual is linear in
     /// time. Shared verbatim by the serial and windowed loops so the
     /// decision cannot drift between them.
+    ///
+    /// Every cancel and re-stamp goes through the owner's queue handle,
+    /// so the serial kernel never pops a stale event: only the windowed
+    /// kernel's pre-drained copies, whose handles were cleared when they
+    /// were staged, can fail the check (debug builds assert this).
     fn discard_if_stale(&mut self, kind: &EventKind) -> bool {
         let stale = match *kind {
             EventKind::CpuDone { id, gen } => {
@@ -1404,7 +1162,10 @@ impl Engine {
             _ => false,
         };
         if stale {
-            self.stale_events = self.stale_events.saturating_sub(1);
+            debug_assert!(
+                matches!(self.events, EventQueue::Sharded(_)),
+                "serial kernel popped a stale completion: a cancel handle was lost"
+            );
             self.stale_discarded += 1;
         }
         stale
@@ -1413,10 +1174,7 @@ impl Engine {
     /// The reference run loop: one event at a time off one queue.
     fn run_serial(&mut self, tmax: f64) {
         loop {
-            if !self.pump_processes() {
-                break;
-            }
-            self.maybe_compact();
+            self.pump_processes();
             // Deferred-recompute flush: solve the pending burst before its
             // rates become observable. The solve may push the event the
             // next peek selects, so it runs before the peek.
@@ -1451,13 +1209,11 @@ impl Engine {
     /// serial applied-event sequence: events pushed mid-window land in the
     /// live shards and win the comparison whenever the serial kernel would
     /// have popped them first, and staged completions invalidated by a
-    /// mid-window re-stamp fail the same generation check stale-marked
-    /// events already fail. Worker count therefore cannot perturb results.
+    /// mid-window re-stamp fail the generation check on pop. Worker count
+    /// therefore cannot perturb results.
     fn run_windowed(&mut self, tmax: f64) {
         loop {
-            if !self.pump_processes() {
-                break;
-            }
+            self.pump_processes();
             if self.staged_total == 0 {
                 self.plan_window();
             }
@@ -1492,7 +1248,7 @@ impl Engine {
     /// kernel thread clears the drained completions' owner handles
     /// (serially: flow/action slots are recycled, so only the kernel may
     /// touch them) which routes later cancels/re-stamps of those owners
-    /// onto the stale-generation path the merge already re-validates.
+    /// onto the generation check the merge already re-validates.
     fn plan_window(&mut self) {
         let EventQueue::Sharded(sh) = &mut self.events else {
             return;
@@ -1658,8 +1414,6 @@ impl Engine {
                 .counter_add("sim.events_applied", self.events_processed);
             self.obs
                 .counter_add("sim.events_stale_discarded", self.stale_discarded);
-            self.obs
-                .counter_add("sim.heap_compactions", self.compactions);
             self.obs.counter_add("sim.recomputes", self.recomputes);
             // Timing split: `recomputes` counts churn notifications (a
             // timing-invariant property of the scenario), `solves` the rate
@@ -1817,42 +1571,6 @@ impl Engine {
         true
     }
 
-    /// Rebuild the event heap without stale completion events once they
-    /// dominate it. Stale-mark mode only — the indexed queue removes
-    /// cancelled events eagerly and never accumulates dead weight. Pop
-    /// order is a strict total order on `(t, class, key, seq)`, so
-    /// rebuilding cannot reorder live events.
-    fn maybe_compact(&mut self) {
-        let EventQueue::Stale(heap) = &mut self.events else {
-            return;
-        };
-        if !self
-            .compaction
-            .should_compact(self.stale_events, heap.len())
-        {
-            return;
-        }
-        let drained = std::mem::take(heap).into_vec();
-        let mut kept = Vec::with_capacity(drained.len() - self.stale_events);
-        for ev in drained {
-            let keep = match ev.kind {
-                EventKind::CpuDone { id, gen } => {
-                    self.cpu[id].as_ref().map(|a| a.gen == gen) == Some(true)
-                }
-                EventKind::FlowDone { id, gen } => {
-                    self.flows[id].as_ref().map(|f| f.active && f.gen == gen) == Some(true)
-                }
-                _ => true,
-            };
-            if keep {
-                kept.push(ev);
-            }
-        }
-        *heap = BinaryHeap::from(kept);
-        self.stale_events = 0;
-        self.compactions += 1;
-    }
-
     /// Note a churn (the site already marked its dirty hosts/links). The
     /// churn joins the pending same-instant burst and the run loop flushes
     /// it once, before the rates become observable (see
@@ -1911,8 +1629,8 @@ impl Engine {
         debug_assert!(self.pending_churn > 0, "flush without pending churn");
         self.solves += 1;
         self.coalesced_absorbed += (self.pending_churn - 1) as u64;
-        // Dirty marking happens in every mode, so the dirty-set sizes are
-        // meaningful (if unused) under Legacy/Full too. Gated: building the
+        // Dirty marking happens under the full oracle too, so the dirty-set
+        // sizes are meaningful (if unused) there. Gated: building the
         // histogram observations per solve is the only non-counter cost.
         if self.obs.is_enabled() {
             self.obs
@@ -1927,121 +1645,7 @@ impl Engine {
             );
         }
         self.pending_churn = 0;
-        match self.mode {
-            RecomputeMode::Legacy => self.recompute_legacy(),
-            RecomputeMode::Full => self.recompute_scoped(true),
-            RecomputeMode::Incremental => self.recompute_scoped(false),
-        }
-    }
-
-    /// The pre-change recompute: every rate re-derived globally, every
-    /// generation re-stamped, every completion event re-pushed, routes
-    /// cloned per solve.
-    fn recompute_legacy(&mut self) {
-        let now = self.now;
-        let nhosts = self.grid.hosts().len();
-        let mut counts = vec![0usize; nhosts];
-        for a in self.cpu.iter().flatten() {
-            counts[a.host] += 1;
-        }
-        let mut cpu_events = Vec::new();
-        for (id, slot) in self.cpu.iter_mut().enumerate() {
-            if let Some(a) = slot {
-                let h = &self.grid.hosts()[a.host];
-                let had_pending = a.gen != 0 && a.rate > 0.0;
-                let rate = cpu_share(h.speed, h.cores, counts[a.host], self.host_load[a.host]);
-                if had_pending && a.due == now {
-                    // Due-now guard (see `CpuAction::due`): the event fires
-                    // this instant under any rate; keep its stamp.
-                    a.rate = rate;
-                    continue;
-                }
-                a.rate = rate;
-                a.gen = self.gen_counter;
-                self.gen_counter += 1;
-                if a.rate > 0.0 {
-                    // Defer the cancel into the re-push so the indexed
-                    // queue can overwrite the old event in place.
-                    cpu_events.push((due_at(now, a.remaining, a.rate), id, a.gen, had_pending));
-                } else if had_pending {
-                    Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut a.ev);
-                    a.due = f64::INFINITY;
-                }
-            }
-        }
-        for (t, id, gen, had_pending) in cpu_events {
-            let a = self.cpu[id].as_mut().expect("live action");
-            let shard = self.part_of_host[a.host];
-            a.due = t;
-            Self::restamp_ev(
-                &mut self.events,
-                &mut self.stale_events,
-                &mut self.seq,
-                shard,
-                &mut a.ev,
-                had_pending,
-                t,
-                EventKind::CpuDone { id, gen },
-            );
-        }
-        // Flat-array global solve: capacities are hoisted into engine state
-        // (`link_caps`) and routes referenced in place, so the reference path
-        // allocates nothing on the steady path either — legacy stays slow by
-        // *scope* (global, every solve), not by incidental allocation.
-        let s = &mut self.scratch;
-        s.comp_flows.clear();
-        s.offsets.clear();
-        s.links_flat.clear();
-        for (id, slot) in self.flows.iter().enumerate() {
-            if let Some(f) = slot {
-                if f.active {
-                    s.comp_flows.push(id as u32);
-                    let links = &self.routes_tbl[f.route as usize].links;
-                    s.offsets
-                        .push((s.links_flat.len() as u32, links.len() as u32));
-                    s.links_flat.extend_from_slice(links);
-                }
-            }
-        }
-        s.fair
-            .solve(&s.offsets, &s.links_flat, &self.link_caps, &mut s.rates);
-        let mut flow_events = Vec::new();
-        for (k, &fid) in self.scratch.comp_flows.iter().enumerate() {
-            let id = fid as usize;
-            let f = self.flows[id].as_mut().expect("active flow");
-            let had_pending = f.gen != 0 && f.rate > 0.0;
-            let rate = self.scratch.rates[k];
-            if had_pending && f.due == now {
-                // Due-now guard (see `CpuAction::due`).
-                f.rate = rate;
-                continue;
-            }
-            f.rate = rate;
-            f.gen = self.gen_counter;
-            self.gen_counter += 1;
-            if f.rate > 0.0 && f.rate.is_finite() {
-                flow_events.push((due_at(now, f.remaining, f.rate), id, f.gen, had_pending));
-            } else if had_pending {
-                Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut f.ev);
-                f.due = f64::INFINITY;
-            }
-        }
-        for (t, id, gen, had_pending) in flow_events {
-            let f = self.flows[id].as_mut().expect("active flow");
-            let shard = f.part;
-            f.due = t;
-            Self::restamp_ev(
-                &mut self.events,
-                &mut self.stale_events,
-                &mut self.seq,
-                shard,
-                &mut f.ev,
-                had_pending,
-                t,
-                EventKind::FlowDone { id, gen },
-            );
-        }
-        self.clear_dirty();
+        self.recompute_scoped(self.full_oracle);
     }
 
     /// Scoped recompute. With `full` set, every host with actions and every
@@ -2094,7 +1698,6 @@ impl Engine {
                     a.due = due_at(now, a.remaining, rate);
                     Self::restamp_ev(
                         &mut self.events,
-                        &mut self.stale_events,
                         &mut self.seq,
                         shard,
                         &mut a.ev,
@@ -2103,7 +1706,7 @@ impl Engine {
                         EventKind::CpuDone { id, gen: a.gen },
                     );
                 } else if had_pending {
-                    Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut a.ev);
+                    Self::cancel_ev(&mut self.events, &mut a.ev);
                     a.due = f64::INFINITY;
                 }
             }
@@ -2267,7 +1870,6 @@ impl Engine {
                 f.due = due_at(now, f.remaining, rate);
                 Self::restamp_ev(
                     &mut self.events,
-                    &mut self.stale_events,
                     &mut self.seq,
                     f.part,
                     &mut f.ev,
@@ -2276,7 +1878,7 @@ impl Engine {
                     EventKind::FlowDone { id, gen: f.gen },
                 );
             } else if had_pending {
-                Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut f.ev);
+                Self::cancel_ev(&mut self.events, &mut f.ev);
                 f.due = f64::INFINITY;
             }
         }
@@ -2690,7 +2292,7 @@ impl Engine {
                         .expect("action live on failed host");
                     if a.gen != 0 && a.rate > 0.0 {
                         let mut ev = a.ev;
-                        Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut ev);
+                        Self::cancel_ev(&mut self.events, &mut ev);
                     }
                     self.free_cpu.push(idu);
                 }
@@ -3051,15 +2653,16 @@ mod tests {
     }
 
     /// Run `f` on host `a` of [`two_host_grid`] next to a receiver on
-    /// host `b` that takes `msgs` eager messages, under one transport.
+    /// host `b` that takes `msgs` eager messages, batched or on the
+    /// unbatched oracle.
     fn queued_then_ends(
-        mode: HandoffMode,
+        unbatched: bool,
         msgs: u64,
         f: impl FnOnce(&mut Ctx, HostId) + Send + 'static,
     ) -> RunReport {
         let (g, a, b) = two_host_grid();
         let mut eng = Engine::new(g);
-        eng.set_handoff_mode(mode);
+        eng.set_unbatched_oracle(unbatched);
         eng.panic_on_failure = false;
         eng.spawn("src", a, move |ctx| f(ctx, b));
         eng.spawn("dst", b, move |ctx| {
@@ -3096,9 +2699,9 @@ mod tests {
             ctx.trace("y", 2.0);
             panic!("boom");
         };
-        let direct = queued_then_ends(HandoffMode::Direct, 2, script);
-        let channel = queued_then_ends(HandoffMode::Channel, 2, script);
-        assert_eq!(direct, channel, "batched and unbatched runs differ");
+        let direct = queued_then_ends(false, 2, script);
+        let unbatched = queued_then_ends(true, 2, script);
+        assert_eq!(direct, unbatched, "batched and unbatched runs differ");
         assert_eq!(direct.failed.len(), 1);
         assert_eq!(direct.completed, vec!["dst".to_string()]);
         assert_eq!(direct.trace.series("got").len(), 2, "both flows delivered");
@@ -3127,9 +2730,9 @@ mod tests {
                 ctx.trace("sent", i as f64);
             }
         };
-        let direct = queued_then_ends(HandoffMode::Direct, n, script);
-        let channel = queued_then_ends(HandoffMode::Channel, n, script);
-        assert_eq!(direct, channel, "batched and unbatched runs differ");
+        let direct = queued_then_ends(false, n, script);
+        let unbatched = queued_then_ends(true, n, script);
+        assert_eq!(direct, unbatched, "batched and unbatched runs differ");
         assert_eq!(direct.completed.len(), 2);
         assert_eq!(direct.trace.series("sent").len(), n as usize);
         assert_eq!(direct.trace.series("got").len(), n as usize);
@@ -3303,11 +2906,12 @@ mod tests {
         }
     }
 
-    /// Run a small mixed compute/communication scenario under one mode.
-    fn mode_scenario(mode: RecomputeMode) -> RunReport {
+    /// Run a small mixed compute/communication scenario, scoped or on the
+    /// full-recompute oracle.
+    fn mode_scenario(full: bool) -> RunReport {
         let (g, a, bhost) = two_host_grid();
         let mut eng = Engine::new(g);
-        eng.set_recompute_mode(mode);
+        eng.set_full_recompute_oracle(full);
         eng.add_load_window(a, 0.3, Some(1.1), 1.0);
         for i in 0..3u64 {
             let key = mail_key(&[40 + i]);
@@ -3327,29 +2931,9 @@ mod tests {
 
     #[test]
     fn incremental_matches_full_bitwise() {
-        let inc = mode_scenario(RecomputeMode::Incremental);
-        let full = mode_scenario(RecomputeMode::Full);
+        let inc = mode_scenario(false);
+        let full = mode_scenario(true);
         assert_eq!(inc, full);
-    }
-
-    #[test]
-    fn incremental_matches_legacy_timing() {
-        // Legacy re-stamps everything, so stale-pop timing chunks floating
-        // point accrual differently; results agree to tolerance, not bits.
-        let inc = mode_scenario(RecomputeMode::Incremental);
-        let leg = mode_scenario(RecomputeMode::Legacy);
-        assert_eq!(inc.completed, leg.completed);
-        assert_eq!(inc.events_processed, leg.events_processed);
-        let si = inc.trace.series("done");
-        let sl = leg.trace.series("done");
-        assert_eq!(si.len(), sl.len());
-        for ((ti, vi), (tl, vl)) in si.iter().zip(&sl) {
-            assert!((ti - tl).abs() < 1e-6, "times differ: {ti} vs {tl}");
-            assert!((vi - vl).abs() < 1e-6);
-        }
-        for (x, y) in inc.host_flops.iter().zip(&leg.host_flops) {
-            assert!((x - y).abs() <= 1e-6 * x.abs().max(1.0));
-        }
     }
 
     /// Three clusters over WAN links, cross-cluster message rings, local
@@ -3493,10 +3077,7 @@ mod tests {
         let run = |kernel: KernelMode| {
             let (g, h0, h1) = two_host_grid();
             let mut eng = Engine::new(g);
-            eng.apply_tune(EngineTune {
-                kernel,
-                ..Default::default()
-            });
+            eng.set_kernel_mode(kernel);
             let key = mail_key(&[9]);
             eng.spawn("a", h0, move |ctx| {
                 ctx.compute(120.0);

@@ -1,20 +1,15 @@
 //! Kernel event queue: shared event/order definitions plus the indexed
 //! (position-tracked) heap that makes cancellations O(log n) removals.
 //!
-//! The seed kernel kept completion events in a plain `BinaryHeap` and
-//! *stale-marked* cancellations: a re-stamped action or flow bumped its
-//! generation, the obsolete completion event stayed in the heap, and pops
-//! discarded it when the generation no longer matched — with a
-//! [`CompactionPolicy`](crate::engine::CompactionPolicy)-driven rebuild
-//! once stale events dominated. [`IndexedHeap`] tracks every event's heap
-//! position through a stable handle, so a cancellation removes the event
-//! immediately and the heap never carries dead weight.
-//!
-//! Both queues pop in the same strict total order on
-//! `(t, class, key, seq)`, and both modes push exactly the same live
-//! events with the same sequence numbers, so their applied-event
-//! sequences are identical — the randomized push/cancel property test
-//! below and the determinism gate hold them to that bit for bit.
+//! [`IndexedHeap`] tracks every event's heap position through a stable
+//! handle, so a cancellation removes the event immediately and a re-stamp
+//! overwrites it in place: the heap never carries dead weight, and the
+//! serial kernel never pops a stale completion. It pops in the same strict
+//! total order on `(t, class, key, seq)` as a plain binary heap that
+//! leaves cancelled events in place and discards them at pop time — the
+//! randomized push/cancel property test below holds it to that model bit
+//! for bit. [`ShardedHeap`] partitions the same queue by cluster for the
+//! windowed kernel.
 
 use crate::process::ProcId;
 use crate::topology::HostId;
@@ -443,9 +438,8 @@ mod tests {
     }
 
     /// Randomized push/cancel scripts: the indexed heap's pop sequence is
-    /// identical to the seed strategy (plain `BinaryHeap` + stale-marking
-    /// cancelled events and discarding them at pop time). This is the
-    /// property the engine's `EventQueueMode` bit-identity rests on.
+    /// identical to a plain `BinaryHeap` that stale-marks cancelled events
+    /// and discards them at pop time — the queue oracle.
     #[test]
     fn matches_stale_mark_model_on_random_scripts() {
         let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;

@@ -32,7 +32,7 @@
 //! exactly one writer and one reader separated by the Release/Acquire
 //! edge on `state`. Determinism is preserved by construction — the
 //! transport carries the same messages in the same order as the channel
-//! pair, it just carries them faster.
+//! pair it replaced, it just carries them faster.
 //!
 //! # Calls that skip the round trip
 //!
@@ -55,6 +55,9 @@
 //! Both cells follow the request cell's ownership: the process touches
 //! them between consuming a grant and publishing its next request, the
 //! kernel between consuming that request and publishing the next grant.
+//! The engine's unbatched test oracle leaves both cells unused by the
+//! process, so every call is a round trip; it is the reference the
+//! batched path is pinned to.
 
 use crate::process::{Grant, Request};
 use std::cell::UnsafeCell;

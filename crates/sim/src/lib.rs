@@ -23,6 +23,13 @@
 //! results stay bit-identical to the serial kernel at any worker count
 //! (DESIGN.md, "Parallel kernel").
 //!
+//! There is one production substrate: every thread process talks to the
+//! kernel over a single-slot handoff, the event queue is a position-tracked
+//! heap, and rate solves are dirty-set scoped and coalesced to one per
+//! virtual instant. The settable kernel values are
+//! [`KernelMode`], [`WindowPolicy`] and the handoff [`WaitPolicy`]; none
+//! of them can change a result bit.
+//!
 //! ```
 //! use grads_sim::prelude::*;
 //!
@@ -66,10 +73,7 @@ pub use window::WindowPolicy;
 /// Convenient re-exports of the commonly used types.
 pub mod prelude {
     pub use crate::daemon::{Daemon, Step};
-    pub use crate::engine::{
-        CompactionPolicy, Engine, EngineTune, EventQueueMode, HandoffMode, KernelMode,
-        RecomputeMode, RunReport,
-    };
+    pub use crate::engine::{Engine, KernelMode, RunReport};
     pub use crate::handoff::{set_wait_policy, WaitPolicy};
     pub use crate::process::{mail_key, Ctx, MailKey, Payload, ProcId, SendMode};
     pub use crate::topology::{

@@ -10,18 +10,17 @@
 //! advances virtual time and resumes the process when the operation
 //! completes.
 //!
-//! On the direct transport, calls the kernel would answer at once without
-//! moving its clock skip the round trip: `now` reads the clock stamped on
-//! the last grant, zero-length `compute`/`sleep` return at once, and the
-//! fire-and-forget calls (`isend`, `trace`, `inject_load`, `remove_load`)
-//! queue in the slot's outbox and ride with the next real request (see
-//! the `handoff` module). The channel transport keeps one round trip per
-//! call, as the unbatched reference.
+//! Calls the kernel would answer at once without moving its clock skip
+//! the round trip: `now` reads the clock stamped on the last grant,
+//! zero-length `compute`/`sleep` return at once, and the fire-and-forget
+//! calls (`isend`, `trace`, `inject_load`, `remove_load`) queue in the
+//! slot's outbox and ride with the next real request (see the `handoff`
+//! module). The engine's unbatched test oracle turns all three shortcuts
+//! off, making every call one round trip, as the reference.
 
 use crate::daemon::Daemon;
 use crate::handoff::HandoffSlot;
 use crate::topology::HostId;
-use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -127,22 +126,15 @@ pub(crate) enum Grant {
 /// wrapper; never observed by user code.
 pub(crate) struct KillToken;
 
-/// Transport between one simulated process and the kernel.
-pub(crate) enum Endpoint {
-    /// Seed transport: shared request mpsc + per-process grant mpsc.
-    Channel {
-        req_tx: Sender<(ProcId, Request)>,
-        grant_rx: Receiver<Grant>,
-    },
-    /// Per-process single-slot rendezvous (see [`crate::handoff`]).
-    Direct(Arc<HandoffSlot>),
-}
-
 /// Handle through which a simulated process interacts with the grid.
 pub struct Ctx {
     pub(crate) pid: ProcId,
     pub(crate) host: HostId,
-    pub(crate) ep: Endpoint,
+    /// Single-slot rendezvous with the kernel (see [`crate::handoff`]).
+    slot: Arc<HandoffSlot>,
+    /// Test oracle: every call is a blocking round trip — no grant-stamped
+    /// clock read, no zero-length shortcut, no outbox.
+    unbatched: bool,
     /// Process-local intern cache for trace labels, so repeated `trace`
     /// calls with the same label reuse one allocation. Processes trace a
     /// handful of distinct labels, so a linear scan beats a hash map.
@@ -150,47 +142,35 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: ProcId, host: HostId, ep: Endpoint) -> Self {
+    pub(crate) fn new(pid: ProcId, host: HostId, slot: Arc<HandoffSlot>, unbatched: bool) -> Self {
         Ctx {
             pid,
             host,
-            ep,
+            slot,
+            unbatched,
             labels: Vec::new(),
         }
     }
 
     fn call(&mut self, req: Request) -> Grant {
-        match &self.ep {
-            Endpoint::Channel { req_tx, grant_rx } => {
-                if req_tx.send((self.pid, req)).is_err() {
-                    // Kernel is gone: the simulation ended.
-                    std::panic::panic_any(KillToken);
-                }
-                match grant_rx.recv() {
-                    Ok(Grant::Kill) | Err(_) => std::panic::panic_any(KillToken),
-                    Ok(g) => g,
-                }
-            }
-            Endpoint::Direct(slot) => {
-                slot.send_request(req);
-                match slot.wait_grant() {
-                    Grant::Kill => std::panic::panic_any(KillToken),
-                    g => g,
-                }
-            }
+        self.slot.send_request(req);
+        match self.slot.wait_grant() {
+            Grant::Kill => std::panic::panic_any(KillToken),
+            g => g,
         }
     }
 
-    /// Issue a request whose only reply is `Grant::Unit`. On the direct
-    /// transport it is queued in the outbox; only a full outbox makes it a
-    /// round trip (which carries the queued ones with it).
+    /// Issue a request whose only reply is `Grant::Unit`. It is queued in
+    /// the outbox; only a full outbox (or the unbatched oracle) makes it a
+    /// round trip, which carries the queued ones with it.
     fn post(&mut self, req: Request) {
-        let req = match &self.ep {
-            Endpoint::Direct(slot) => match slot.defer(req) {
+        let req = if self.unbatched {
+            req
+        } else {
+            match self.slot.defer(req) {
                 Ok(()) => return,
                 Err(req) => req,
-            },
-            Endpoint::Channel { .. } => req,
+            }
         };
         match self.call(req) {
             Grant::Unit => {}
@@ -198,33 +178,17 @@ impl Ctx {
         }
     }
 
-    /// `true` on the direct transport, where calls the kernel answers with
-    /// a bare `Unit` and no state change may return without asking it.
-    fn direct(&self) -> bool {
-        matches!(self.ep, Endpoint::Direct(_))
-    }
-
     /// Block until the kernel issues this process's start grant. Returns
     /// `false` if the kernel instead killed the process (simulation over
     /// before it ever ran). Used only by the engine's thread wrapper.
     pub(crate) fn wait_start(&mut self) -> bool {
-        match &self.ep {
-            Endpoint::Channel { grant_rx, .. } => {
-                matches!(grant_rx.recv(), Ok(Grant::Unit))
-            }
-            Endpoint::Direct(slot) => matches!(slot.wait_grant(), Grant::Unit),
-        }
+        matches!(self.slot.wait_grant(), Grant::Unit)
     }
 
     /// Fire-and-forget notification to the kernel (Exit/Panic from the
     /// thread wrapper — requests that never receive a grant).
     pub(crate) fn notify(&mut self, req: Request) {
-        match &self.ep {
-            Endpoint::Channel { req_tx, .. } => {
-                let _ = req_tx.send((self.pid, req));
-            }
-            Endpoint::Direct(slot) => slot.send_request(req),
-        }
+        self.slot.send_request(req);
     }
 
     fn intern_label(&mut self, label: &str) -> Arc<str> {
@@ -249,8 +213,8 @@ impl Ctx {
 
     /// Current virtual time in seconds.
     pub fn now(&mut self) -> f64 {
-        if let Endpoint::Direct(slot) = &self.ep {
-            return slot.clock();
+        if !self.unbatched {
+            return self.slot.clock();
         }
         match self.call(Request::Now) {
             Grant::Time(t) => t,
@@ -262,7 +226,7 @@ impl Ctx {
     /// `flops / rate` virtual seconds, where the rate reflects CPU sharing
     /// with other actions and injected load on this host.
     pub fn compute(&mut self, flops: f64) {
-        if flops <= 0.0 && self.direct() {
+        if flops <= 0.0 && !self.unbatched {
             return;
         }
         match self.call(Request::Compute { flops }) {
@@ -273,7 +237,7 @@ impl Ctx {
 
     /// Sleep for `dt` virtual seconds.
     pub fn sleep(&mut self, dt: f64) {
-        if dt <= 0.0 && self.direct() {
+        if dt <= 0.0 && !self.unbatched {
             return;
         }
         match self.call(Request::Sleep { dt }) {

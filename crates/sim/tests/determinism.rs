@@ -1,46 +1,42 @@
-//! Kernel determinism gate for the incremental rate-recomputation path.
+//! Kernel determinism gate for the production substrate.
 //!
 //! The scenario deliberately mixes everything the kernel models: multi-host
 //! compute on heterogeneous clusters, cross-cluster sends over shared WAN
 //! links, injected external load windows, and one mid-run host failure that
 //! kills processes while their flows are in flight. Two independent runs
-//! must agree bit for bit, and the scoped/dirty-set modes must reproduce
-//! the scope-everything reference exactly.
+//! must agree bit for bit, and the production path must reproduce each
+//! hidden reference oracle exactly: the full recompute (every host and
+//! sharing component on each solve), the unbatched transport (one blocking
+//! round trip per `Ctx` call) and the eager recompute (one rate solve per
+//! churn instead of one per virtual instant).
 
 use grads_sim::prelude::*;
 
-/// Build and run the mixed fault scenario under the given recompute mode.
-fn scenario(mode: RecomputeMode) -> RunReport {
-    scenario_full(
-        mode,
-        CompactionPolicy::default(),
-        EngineTune::default(),
-        false,
-    )
+/// Which hidden reference oracles a run switches on.
+#[derive(Debug, Clone, Copy)]
+struct Oracles {
+    full: bool,
+    unbatched: bool,
+    eager: bool,
 }
 
-/// Same scenario, with an explicit heap-compaction policy.
-fn scenario_with(mode: RecomputeMode, policy: CompactionPolicy) -> RunReport {
-    scenario_full(mode, policy, EngineTune::default(), false)
+const PRODUCTION: Oracles = Oracles {
+    full: false,
+    unbatched: false,
+    eager: false,
+};
+
+/// Every combination of the three oracles.
+fn all_oracle_sets() -> impl Iterator<Item = Oracles> {
+    (0..8u8).map(|m| Oracles {
+        full: m & 1 != 0,
+        unbatched: m & 2 != 0,
+        eager: m & 4 != 0,
+    })
 }
 
-/// Same scenario, with explicit substrate tuning (transport + event queue).
-fn scenario_tuned(mode: RecomputeMode, tune: EngineTune) -> RunReport {
-    scenario_full(mode, CompactionPolicy::default(), tune, false)
-}
-
-/// Same scenario on the eager-recompute test oracle (one rate solve per
-/// churn event instead of one per virtual instant).
-fn scenario_eager(mode: RecomputeMode, tune: EngineTune) -> RunReport {
-    scenario_full(mode, CompactionPolicy::default(), tune, true)
-}
-
-fn scenario_full(
-    mode: RecomputeMode,
-    policy: CompactionPolicy,
-    tune: EngineTune,
-    eager_oracle: bool,
-) -> RunReport {
+/// Build and run the mixed fault scenario with the given oracles.
+fn scenario(o: Oracles) -> RunReport {
     let mut b = GridBuilder::new();
     let mut clusters = Vec::new();
     let mut hosts = Vec::new();
@@ -60,10 +56,9 @@ fn scenario_full(
     b.connect(clusters[0], clusters[2], 1.5e5, 60e-3);
 
     let mut eng = Engine::new(b.build().unwrap());
-    eng.set_recompute_mode(mode);
-    eng.set_compaction_policy(policy);
-    eng.apply_tune(tune);
-    eng.set_eager_recompute_oracle(eager_oracle);
+    eng.set_full_recompute_oracle(o.full);
+    eng.set_unbatched_oracle(o.unbatched);
+    eng.set_eager_recompute_oracle(o.eager);
     eng.panic_on_failure = false;
     // External load competing with the workers' compute actions.
     eng.add_load_window(hosts[0], 0.5, Some(3.0), 1.5);
@@ -98,200 +93,71 @@ fn scenario_full(
 
 /// Two runs of the same scenario are bit-identical: same `end_time`, same
 /// trace (f64 timestamps compared bitwise), same per-host flops and
-/// per-link bytes.
+/// per-link bytes — on the production path and on all oracles at once.
 #[test]
 fn two_runs_are_bit_identical() {
-    for mode in [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ] {
-        let a = scenario(mode);
-        let b = scenario(mode);
-        assert_eq!(a.end_time, b.end_time, "{mode:?}: end_time");
-        assert_eq!(a.trace, b.trace, "{mode:?}: trace");
-        assert_eq!(a.host_flops, b.host_flops, "{mode:?}: host_flops");
-        assert_eq!(a.link_bytes, b.link_bytes, "{mode:?}: link_bytes");
-        assert_eq!(a, b, "{mode:?}: full report");
+    let all = Oracles {
+        full: true,
+        unbatched: true,
+        eager: true,
+    };
+    for o in [PRODUCTION, all] {
+        let a = scenario(o);
+        let b = scenario(o);
+        assert_eq!(a.end_time, b.end_time, "{o:?}: end_time");
+        assert_eq!(a.trace, b.trace, "{o:?}: trace");
+        assert_eq!(a.host_flops, b.host_flops, "{o:?}: host_flops");
+        assert_eq!(a.link_bytes, b.link_bytes, "{o:?}: link_bytes");
+        assert_eq!(a, b, "{o:?}: full report");
     }
 }
 
-/// The dirty-set incremental path reproduces the scope-everything reference
+/// The dirty-set incremental path reproduces the scope-everything oracle
 /// exactly, including under load injection and a mid-run host failure.
 #[test]
 fn incremental_matches_full_bitwise_under_faults() {
-    let inc = scenario(RecomputeMode::Incremental);
-    let full = scenario(RecomputeMode::Full);
+    let inc = scenario(PRODUCTION);
+    let full = scenario(Oracles {
+        full: true,
+        ..PRODUCTION
+    });
     assert_eq!(inc, full);
 }
 
-/// Against the pre-change global recompute the results agree to tolerance:
-/// the legacy path re-stamps every action on every event, which only
-/// changes *when* floating-point accrual is chunked, never the totals.
+/// The batched handoff (grant-stamped clock reads, zero-length shortcuts,
+/// the outbox) reproduces the unbatched oracle, which makes every `Ctx`
+/// call a blocking round trip.
 #[test]
-fn incremental_matches_legacy_to_tolerance() {
-    let inc = scenario(RecomputeMode::Incremental);
-    let leg = scenario(RecomputeMode::Legacy);
-    assert_eq!(inc.completed, leg.completed);
-    assert_eq!(inc.died, leg.died);
-    assert_eq!(inc.unfinished, leg.unfinished);
-    assert_eq!(inc.events_processed, leg.events_processed);
-    assert!(
-        (inc.end_time - leg.end_time).abs() <= 1e-6 * leg.end_time.max(1.0),
-        "end_time: inc {} leg {}",
-        inc.end_time,
-        leg.end_time
-    );
-    for (x, y) in inc.host_flops.iter().zip(&leg.host_flops) {
-        assert!((x - y).abs() <= 1e-6 * x.abs().max(1.0));
-    }
-    for (x, y) in inc.link_bytes.iter().zip(&leg.link_bytes) {
-        assert!((x - y).abs() <= 1e-6 * x.abs().max(1.0));
-    }
-}
-
-/// Heap compaction is a pure heap rebuild: any policy — the default, never
-/// compacting, or compacting at every opportunity — must produce
-/// bit-identical results (end time, trace, totals, events processed). Only
-/// the stale-discard bookkeeping may differ, and in the expected
-/// direction: never-compact pops every stale event individually.
-#[test]
-fn compaction_policy_does_not_perturb_results() {
-    let mode = RecomputeMode::Incremental;
-    let baseline = scenario_with(mode, CompactionPolicy::default());
-    let never = scenario_with(mode, CompactionPolicy::never());
-    let eager = scenario_with(
-        mode,
-        CompactionPolicy {
-            min_stale: 0,
-            min_stale_fraction: 0.0,
-        },
-    );
-    for (label, r) in [("never", &never), ("eager", &eager)] {
-        assert_eq!(baseline.end_time, r.end_time, "{label}: end_time");
-        assert_eq!(baseline.trace, r.trace, "{label}: trace");
-        assert_eq!(baseline.host_flops, r.host_flops, "{label}: host_flops");
-        assert_eq!(baseline.link_bytes, r.link_bytes, "{label}: link_bytes");
-        assert_eq!(
-            baseline.events_processed, r.events_processed,
-            "{label}: events_processed"
-        );
-        assert_eq!(baseline.completed, r.completed, "{label}: completed");
-        assert_eq!(baseline.died, r.died, "{label}: died");
-    }
-}
-
-/// The direct (single-slot rendezvous) handoff and the seed channel
-/// transport carry the same messages in the same order, so every recompute
-/// mode must produce bit-identical reports across transports.
-#[test]
-fn direct_handoff_matches_channel_bitwise() {
-    for mode in [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ] {
-        let direct = scenario_tuned(
-            mode,
-            EngineTune {
-                handoff: HandoffMode::Direct,
-                ..Default::default()
-            },
-        );
-        let channel = scenario_tuned(
-            mode,
-            EngineTune {
-                handoff: HandoffMode::Channel,
-                ..Default::default()
-            },
-        );
-        assert_eq!(direct, channel, "{mode:?}: direct vs channel transport");
-    }
-}
-
-/// The indexed (position-tracked) event queue and the seed heap+stale-mark
-/// queue pop identical live-event sequences, so reports must be
-/// bit-identical across queue modes too.
-#[test]
-fn indexed_queue_matches_stale_mark_bitwise() {
-    for mode in [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ] {
-        let indexed = scenario_tuned(
-            mode,
-            EngineTune {
-                queue: EventQueueMode::Indexed,
-                ..Default::default()
-            },
-        );
-        let stale = scenario_tuned(
-            mode,
-            EngineTune {
-                queue: EventQueueMode::StaleMark,
-                ..Default::default()
-            },
-        );
-        assert_eq!(indexed, stale, "{mode:?}: indexed vs stale-mark queue");
-    }
-}
-
-/// Full 2×2 substrate matrix (transport × queue) agrees bitwise — the seed
-/// configuration (channel + stale-mark) and the new default (direct +
-/// indexed) included.
-#[test]
-fn substrate_matrix_is_bit_identical() {
-    let baseline = scenario_tuned(RecomputeMode::Incremental, EngineTune::default());
-    for handoff in [HandoffMode::Channel, HandoffMode::Direct] {
-        for queue in [EventQueueMode::StaleMark, EventQueueMode::Indexed] {
-            let r = scenario_tuned(
-                RecomputeMode::Incremental,
-                EngineTune {
-                    handoff,
-                    queue,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(baseline, r, "{handoff:?} + {queue:?}");
-        }
-    }
+fn direct_handoff_matches_unbatched_oracle_bitwise() {
+    let direct = scenario(PRODUCTION);
+    let unbatched = scenario(Oracles {
+        unbatched: true,
+        ..PRODUCTION
+    });
+    assert_eq!(direct, unbatched);
 }
 
 /// Coalesced recomputation — deferring the rate solve to the end of each
-/// virtual instant, the production timing — must be unobservable: for
-/// every recompute mode the full report matches the eager oracle bit for
+/// virtual instant, the production timing — must be unobservable: under
+/// both recompute scopes the full report matches the eager oracle bit for
 /// bit, under load injection and the mid-run host failure.
 #[test]
 fn coalesced_matches_eager_bitwise_across_modes() {
-    for mode in [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ] {
-        let eager = scenario_eager(mode, EngineTune::default());
-        let coalesced = scenario_tuned(mode, EngineTune::default());
-        assert_eq!(eager, coalesced, "{mode:?}: eager vs coalesced timing");
+    for full in [false, true] {
+        let o = Oracles { full, ..PRODUCTION };
+        let eager = scenario(Oracles { eager: true, ..o });
+        let coalesced = scenario(o);
+        assert_eq!(eager, coalesced, "full={full}: eager vs coalesced timing");
     }
 }
 
-/// Coalesced timing composed with the rest of the substrate matrix
-/// (transport × queue) still reproduces the eager-oracle reference.
+/// Every combination of the three oracles — each alone, in pairs, and all
+/// at once — agrees bitwise with the production path.
 #[test]
-fn coalesced_substrate_matrix_is_bit_identical() {
-    let baseline = scenario_eager(RecomputeMode::Incremental, EngineTune::default());
-    for handoff in [HandoffMode::Channel, HandoffMode::Direct] {
-        for queue in [EventQueueMode::StaleMark, EventQueueMode::Indexed] {
-            let r = scenario_tuned(
-                RecomputeMode::Incremental,
-                EngineTune {
-                    handoff,
-                    queue,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(baseline, r, "coalesced + {handoff:?} + {queue:?}");
-        }
+fn substrate_matrix_is_bit_identical() {
+    let baseline = scenario(PRODUCTION);
+    for o in all_oracle_sets() {
+        assert_eq!(baseline, scenario(o), "{o:?}");
     }
 }
 
@@ -299,7 +165,7 @@ fn coalesced_substrate_matrix_is_bit_identical() {
 /// a killed worker, and survivors that finish.
 #[test]
 fn scenario_is_nontrivial() {
-    let r = scenario(RecomputeMode::Incremental);
+    let r = scenario(PRODUCTION);
     assert!(r.died.contains(&"w7".to_string()), "died: {:?}", r.died);
     assert!(r.died.contains(&"r7".to_string()), "died: {:?}", r.died);
     assert!(r.completed.len() >= 8, "completed: {:?}", r.completed);

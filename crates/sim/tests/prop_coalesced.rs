@@ -3,8 +3,9 @@
 //! send bursts, load inject/remove pairs, compute storms — deferring the
 //! rate solve to the end of each virtual instant
 //! (the kernel's production timing) must reproduce the eager oracle
-//! ([`Engine::set_eager_recompute_oracle`]) bit for bit across all three
-//! recompute modes and both kernel modes. This is
+//! ([`Engine::set_eager_recompute_oracle`]) bit for bit under both
+//! recompute scopes (dirty-set and the full-recompute oracle) and both
+//! kernel modes. This is
 //! the property level of the three-level pin (unit: `engine::tests`,
 //! end-to-end: `tests/substrate_determinism.rs`); the route-class solver
 //! equivalence has its own pin in `prop_sharing.rs`.
@@ -76,7 +77,7 @@ fn sanitize(n: u8, scripts: &[Vec<Op>]) -> Vec<Vec<Op>> {
 fn run_workload(
     nclusters: u8,
     scripts: &[Vec<Op>],
-    mode: RecomputeMode,
+    full_oracle: bool,
     kernel: KernelMode,
     eager_oracle: bool,
 ) -> RunReport {
@@ -94,7 +95,7 @@ fn run_workload(
         b.connect(cids[c], cids[next], 5e6, 0.01 + 0.005 * c as f64);
     }
     let mut eng = Engine::new(b.build().unwrap());
-    eng.set_recompute_mode(mode);
+    eng.set_full_recompute_oracle(full_oracle);
     eng.set_kernel_mode(kernel);
     eng.set_eager_recompute_oracle(eager_oracle);
     for (p, script) in scripts.iter().enumerate() {
@@ -145,29 +146,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Eager vs coalesced timing is bit-identical — trace, flops, bytes and
-    /// end time — for every recompute mode under both kernels.
+    /// end time — under both recompute scopes and both kernels.
     #[test]
     fn coalesced_timing_is_unobservable(
         (nclusters, nprocs, scripts) in workload()
     ) {
         let scripts = sanitize(nprocs, &scripts);
-        for mode in [
-            RecomputeMode::Legacy,
-            RecomputeMode::Full,
-            RecomputeMode::Incremental,
-        ] {
+        for full in [false, true] {
             for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-                let eager = run_workload(nclusters, &scripts, mode, kernel, true);
-                let coalesced = run_workload(nclusters, &scripts, mode, kernel, false);
+                let eager = run_workload(nclusters, &scripts, full, kernel, true);
+                let coalesced = run_workload(nclusters, &scripts, full, kernel, false);
                 prop_assert_eq!(&eager.end_time, &coalesced.end_time,
-                    "{:?}/{:?}: end_time", mode, kernel);
+                    "full={}/{:?}: end_time", full, kernel);
                 prop_assert_eq!(&eager.trace, &coalesced.trace,
-                    "{:?}/{:?}: trace", mode, kernel);
+                    "full={}/{:?}: trace", full, kernel);
                 prop_assert_eq!(&eager.host_flops, &coalesced.host_flops,
-                    "{:?}/{:?}: host_flops", mode, kernel);
+                    "full={}/{:?}: host_flops", full, kernel);
                 prop_assert_eq!(&eager.link_bytes, &coalesced.link_bytes,
-                    "{:?}/{:?}: link_bytes", mode, kernel);
-                prop_assert_eq!(&eager, &coalesced, "{:?}/{:?}: full report", mode, kernel);
+                    "full={}/{:?}: link_bytes", full, kernel);
+                prop_assert_eq!(&eager, &coalesced, "full={}/{:?}: full report", full, kernel);
             }
         }
     }

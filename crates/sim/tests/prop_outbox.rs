@@ -1,13 +1,13 @@
-//! Property-based pin for the direct transport's short-cut calls: the
+//! Property-based pin for the handoff's short-cut calls: the
 //! grant-stamped clock behind `ctx.now()`, zero-length `compute`/`sleep`
 //! answered in the process, and the bounded outbox that batches
 //! fire-and-forget requests (`isend`, `trace`, `inject_load`,
-//! `remove_load`) onto the next real round trip. The channel transport
-//! still makes one round trip per call, so it is the unbatched oracle:
+//! `remove_load`) onto the next real round trip. The engine's unbatched
+//! oracle (`Engine::set_unbatched_oracle`) makes one round trip per call:
 //! under random per-process scripts — with bursts of at least 40 queued
-//! requests in a row, so the outbox cap is crossed — both transports must
-//! produce bit-identical run reports and traces, and every process must
-//! observe the same `now()` sequence.
+//! requests in a row, so the outbox cap is crossed — batched and unbatched
+//! runs must produce bit-identical run reports and traces, and every
+//! process must observe the same `now()` sequence.
 
 use grads_sim::prelude::*;
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ enum Op {
 }
 
 /// Calls that never block: clock reads, zero-length work, and the
-/// requests the direct transport queues.
+/// requests the batched transport queues.
 fn nonblocking(nprocs: u8) -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Now),
@@ -159,12 +159,12 @@ impl Run<'_> {
     }
 }
 
-/// Run the scripts on one transport; returns the report and each
-/// process's observed `now()` bits, in call order.
+/// Run the scripts batched or on the unbatched oracle; returns the report
+/// and each process's observed `now()` bits, in call order.
 fn run_workload(
     nclusters: u8,
     scripts: &[Vec<Op>],
-    handoff: HandoffMode,
+    unbatched: bool,
     kernel: KernelMode,
 ) -> (RunReport, Vec<Vec<u64>>) {
     let mut b = GridBuilder::new();
@@ -183,7 +183,7 @@ fn run_workload(
         }
     }
     let mut eng = Engine::new(b.build().unwrap());
-    eng.set_handoff_mode(handoff);
+    eng.set_unbatched_oracle(unbatched);
     eng.set_kernel_mode(kernel);
     let hostv: Arc<Vec<HostId>> =
         Arc::new((0..scripts.len()).map(|q| hosts[q % hosts.len()]).collect());
@@ -221,21 +221,21 @@ fn run_workload(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The batched direct transport is bit-identical to the one-call,
-    /// one-round-trip channel transport under both kernels.
+    /// The batched transport is bit-identical to the one-call,
+    /// one-round-trip unbatched oracle under both kernels.
     #[test]
     fn outbox_batching_is_unobservable(
         (nclusters, nprocs, scripts) in workload()
     ) {
         let scripts = sanitize(nprocs, &scripts);
         for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-            let (chan, chan_now) = run_workload(nclusters, &scripts, HandoffMode::Channel, kernel);
-            let (direct, direct_now) = run_workload(nclusters, &scripts, HandoffMode::Direct, kernel);
-            prop_assert_eq!(chan.completed.len(), nprocs as usize,
+            let (oracle, oracle_now) = run_workload(nclusters, &scripts, true, kernel);
+            let (direct, direct_now) = run_workload(nclusters, &scripts, false, kernel);
+            prop_assert_eq!(oracle.completed.len(), nprocs as usize,
                 "{:?}: sanitized scripts must not deadlock", kernel);
-            prop_assert_eq!(&chan.trace, &direct.trace, "{:?}: trace", kernel);
-            prop_assert_eq!(&chan_now, &direct_now, "{:?}: observed now()", kernel);
-            prop_assert_eq!(&chan, &direct, "{:?}: full report", kernel);
+            prop_assert_eq!(&oracle.trace, &direct.trace, "{:?}: trace", kernel);
+            prop_assert_eq!(&oracle_now, &direct_now, "{:?}: observed now()", kernel);
+            prop_assert_eq!(&oracle, &direct, "{:?}: full report", kernel);
         }
     }
 }

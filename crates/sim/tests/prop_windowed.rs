@@ -101,10 +101,7 @@ fn run_workload(
         b.connect(cids[0], cids[2], 2e6, 0.04);
     }
     let mut eng = Engine::new(b.build().unwrap());
-    eng.apply_tune(EngineTune {
-        kernel,
-        ..Default::default()
-    });
+    eng.set_kernel_mode(kernel);
     eng.set_window_policy(policy);
     let obs = grads_obs::Obs::enabled();
     eng.set_obs(obs.clone());

@@ -1,28 +1,22 @@
-//! Determinism regression for the kernel substrate fast paths.
+//! Determinism regression for the kernel substrate on the full fig3
+//! QR-migration scenario — middleware, contract monitor, rescheduler,
+//! migration and all.
 //!
-//! The substrate contract (see DESIGN.md) is that the direct
-//! process-handoff transport and the indexed event queue are pure
-//! performance substitutions: on the full fig3 QR-migration scenario —
-//! middleware, contract monitor, rescheduler, migration and all — every
-//! transport × queue combination must produce a bit-identical run report
-//! (end time, trace with bitwise `f64` timestamps, per-host flops,
-//! per-link bytes).
+//! The substrate contract (see DESIGN.md) is that the kernel's production
+//! shortcuts — dirty-set scoped rate solves, coalesced to one per virtual
+//! instant, and the batched process handoff — are pure performance
+//! substitutions: the hidden reference oracles that switch all three off
+//! must reproduce the production run report bit for bit (end time, trace
+//! with bitwise `f64` timestamps, per-host flops, per-link bytes), and so
+//! must the windowed kernel at any worker count.
 
 use grads_core::apps::qr_driver::run_qr_experiment_with;
 use grads_core::prelude::*;
 use grads_core::sim::topology::macrogrid_qr;
 
-/// Run fig3 on the eager-recompute test oracle (one rate solve per churn
-/// event, the pre-coalescing kernel timing).
-fn run_fig3_eager(cfg: QrExperimentConfig) -> QrExperimentResult {
-    run_qr_experiment_with(macrogrid_qr(), cfg, |eng| {
-        eng.set_eager_recompute_oracle(true)
-    })
-}
-
-/// The fig3 QR-migration scenario at harness scale with an explicit
-/// substrate tune — same shape as `tests/obs_determinism.rs`.
-fn fig3_cfg(tune: EngineTune) -> QrExperimentConfig {
+/// The fig3 QR-migration scenario at harness scale — same shape as
+/// `tests/obs_determinism.rs`.
+fn fig3_cfg() -> QrExperimentConfig {
     let mut cfg = QrExperimentConfig::paper(20000);
     cfg.qr.n_real = 48;
     cfg.qr.block = 4;
@@ -30,104 +24,36 @@ fn fig3_cfg(tune: EngineTune) -> QrExperimentConfig {
     cfg.load_at = 60.0;
     cfg.monitor_period = 10.0;
     cfg.t_max = 50_000.0;
-    cfg.tune = tune;
     cfg
 }
 
-#[test]
-fn direct_handoff_matches_channel_on_fig3() {
-    let direct = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            handoff: HandoffMode::Direct,
-            ..Default::default()
-        }),
-    );
-    let channel = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            handoff: HandoffMode::Channel,
-            ..Default::default()
-        }),
-    );
-    assert!(direct.migrated && channel.migrated, "scenario must migrate");
-    assert_eq!(
-        direct.report.end_time.to_bits(),
-        channel.report.end_time.to_bits(),
-        "end_time must be bit-identical across transports: {} vs {}",
-        direct.report.end_time,
-        channel.report.end_time
-    );
-    assert_eq!(direct.report.trace, channel.report.trace, "trace");
-    assert_eq!(direct.report, channel.report, "full run report");
-    assert_eq!(direct.incarnations, channel.incarnations);
-    assert_eq!(direct.final_hosts, channel.final_hosts);
-}
-
-#[test]
-fn indexed_queue_matches_stale_mark_on_fig3() {
-    let indexed = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            queue: EventQueueMode::Indexed,
-            ..Default::default()
-        }),
-    );
-    let stale = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            queue: EventQueueMode::StaleMark,
-            ..Default::default()
-        }),
-    );
-    assert!(indexed.migrated && stale.migrated, "scenario must migrate");
-    assert_eq!(
-        indexed.report.end_time.to_bits(),
-        stale.report.end_time.to_bits(),
-        "end_time must be bit-identical across event queues"
-    );
-    assert_eq!(indexed.report, stale.report, "full run report");
-}
-
-/// The seed configuration (channel transport + stale-mark queue + eager
-/// recompute) agrees bitwise with the production default (direct +
-/// indexed + coalesced) — the strongest statement: every substrate layer
-/// swapped at once changes nothing.
+/// The reference substrate — every kernel test oracle at once: a full
+/// recompute on each solve, one solve per churn, and one blocking round
+/// trip per `Ctx` call — agrees bitwise with the production path. The
+/// strongest statement: every production shortcut dropped at once changes
+/// nothing. One oracle per property is pinned on a smaller scenario in
+/// `crates/sim/tests/determinism.rs`.
 #[test]
 fn seed_substrate_matches_fast_substrate_on_fig3() {
-    let fast = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
-    let seed = run_fig3_eager(fig3_cfg(EngineTune {
-        handoff: HandoffMode::Channel,
-        queue: EventQueueMode::StaleMark,
-        ..Default::default()
-    }));
+    let fast = run_qr_experiment(macrogrid_qr(), fig3_cfg());
+    let seed = run_qr_experiment_with(macrogrid_qr(), fig3_cfg(), |eng| {
+        eng.set_full_recompute_oracle(true);
+        eng.set_eager_recompute_oracle(true);
+        eng.set_unbatched_oracle(true);
+    });
     assert!(fast.migrated && seed.migrated, "scenario must migrate");
+    assert_eq!(
+        fast.report.end_time.to_bits(),
+        seed.report.end_time.to_bits(),
+        "end_time must be bit-identical to the oracles: {} vs {}",
+        fast.report.end_time,
+        seed.report.end_time
+    );
+    assert_eq!(fast.report.trace, seed.report.trace, "trace");
     assert_eq!(fast.report, seed.report, "full run report");
     assert_eq!(fast.breakdown, seed.breakdown, "phase breakdown");
-}
-
-/// Coalesced rate recomputation on the full fig3 QR-migration scenario:
-/// deferring the solve to the end of each virtual instant must be
-/// unobservable end to end — middleware, contract monitor, rescheduler and
-/// migration included. This is the end-to-end level of the coalescing
-/// determinism pin (unit: `engine::tests`, property:
-/// `crates/sim/tests/prop_coalesced.rs`).
-#[test]
-fn coalesced_recompute_matches_eager_on_fig3() {
-    let eager = run_fig3_eager(fig3_cfg(EngineTune::default()));
-    let coalesced = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
-    assert!(
-        eager.migrated && coalesced.migrated,
-        "scenario must migrate"
-    );
-    assert_eq!(
-        eager.report.end_time.to_bits(),
-        coalesced.report.end_time.to_bits(),
-        "end_time must be bit-identical across recompute timing"
-    );
-    assert_eq!(eager.report, coalesced.report, "full run report");
-    assert_eq!(eager.incarnations, coalesced.incarnations);
-    assert_eq!(eager.final_hosts, coalesced.final_hosts);
+    assert_eq!(fast.incarnations, seed.incarnations);
+    assert_eq!(fast.final_hosts, seed.final_hosts);
 }
 
 /// The windowed (conservative parallel) kernel on the full fig3
@@ -138,16 +64,12 @@ fn coalesced_recompute_matches_eager_on_fig3() {
 /// `crates/sim/tests/prop_windowed.rs`).
 #[test]
 fn windowed_kernel_matches_serial_on_fig3() {
-    let serial = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
+    let serial = run_qr_experiment(macrogrid_qr(), fig3_cfg());
     assert!(serial.migrated, "scenario must migrate");
     for workers in [1, 4] {
-        let windowed = run_qr_experiment(
-            macrogrid_qr(),
-            fig3_cfg(EngineTune {
-                kernel: KernelMode::Windowed { workers },
-                ..Default::default()
-            }),
-        );
+        let windowed = run_qr_experiment_with(macrogrid_qr(), fig3_cfg(), |eng| {
+            eng.set_kernel_mode(KernelMode::Windowed { workers })
+        });
         assert!(windowed.migrated, "windowed run must migrate too");
         assert_eq!(
             serial.report.end_time.to_bits(),
