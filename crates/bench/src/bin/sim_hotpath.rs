@@ -4,8 +4,8 @@
 //!
 //! * **handoff ping-pong** — one process polling an empty mailbox with
 //!   `ctx.try_recv`: one request/grant pair per op and near-zero
-//!   event-kernel work, so this measures the process↔kernel transport and
-//!   nothing else. (`ctx.now()` would not do: it reads the clock stamped
+//!   event-kernel work, so this measures the process↔kernel transport (two
+//!   coroutine context switches) and nothing else. (`ctx.now()` would not do: it reads the clock stamped
 //!   on the last grant and never reaches the kernel.) The run counts the
 //!   kernel's blocking round trips (`sim.req.roundtrips`) and asserts one
 //!   per poll, so the row provably times real round trips.
@@ -13,8 +13,8 @@
 //!   forth on a LAN. Every round trip is four kernel handoffs plus the
 //!   flow machinery (activate/done events, rate solve, mailbox).
 //! * **spawn storm** — thousands of short-lived processes; measures the
-//!   spawn/start/exit bookkeeping (thread creation dominates, but name
-//!   interning and mailbox reclamation show up here too).
+//!   spawn/start/exit bookkeeping (mapping and unmapping each coroutine
+//!   stack dominates, but name interning shows up here too).
 //! * **cancel storm** — compute actions on a loaded host whose external
 //!   load toggles at dense cadence, re-stamping every action each time.
 //!   Each re-stamp replaces a pending completion event in the indexed
@@ -157,49 +157,25 @@ fn main() {
 
     println!("sim_hotpath — substrate wall-clock microbenchmarks\n");
 
-    // Warm-up pass so thread-pool and allocator effects don't skew run 1;
-    // best-of-2 to damp scheduler noise on small machines.
+    // Warm-up pass so allocator effects don't skew run 1; best-of-2 to
+    // damp scheduler noise on small machines.
     let _ = ping_pong(rounds / 10);
 
     let n_handoff = rounds * 2;
     let (ho_direct, ho_roundtrips) = best_handoff(n_handoff);
     println!("handoff ping-pong ({n_handoff} request/grant round trips):");
     println!(
-        "  rendezvous slot            {ho_direct:>12.0} handoffs/s   ({ho_roundtrips} counted)"
+        "  coroutine switch           {ho_direct:>12.0} handoffs/s   ({ho_roundtrips} counted)"
     );
 
     let ops = ping_pong(rounds).max(ping_pong(rounds));
     println!("\nmessage ping-pong ({rounds} round trips, 4 handoffs each):");
-    println!("  rendezvous slot            {ops:>12.0} ops/s");
-
-    // Spin vs yield on the handoff's wait loop. The auto policy picks spin
-    // on multicore boxes and yield on single-core ones; pinning each
-    // explicitly measures what that heuristic is choosing between. Wait
-    // strategy cannot perturb virtual time (it only decides how a blocked
-    // thread burns the wait), so no determinism assert is needed — but the
-    // round-trip and end-time checks come free from handoff_pong.
-    let ho_spin = {
-        set_wait_policy(WaitPolicy::Spin);
-        best_handoff(n_handoff).0
-    };
-    let ho_yield = {
-        set_wait_policy(WaitPolicy::Yield);
-        best_handoff(n_handoff).0
-    };
-    set_wait_policy(WaitPolicy::Auto);
-    println!("\nhandoff wait policy ({n_handoff} round trips):");
-    println!("  spin (384 iters first)     {ho_spin:>12.0} handoffs/s");
-    println!("  yield (sched-friendly)     {ho_yield:>12.0} handoffs/s");
-    println!(
-        "  faster here: {} ({:.2}x) — auto picks spin iff multicore",
-        if ho_spin >= ho_yield { "spin" } else { "yield" },
-        (ho_spin / ho_yield).max(ho_yield / ho_spin)
-    );
+    println!("  coroutine switch           {ops:>12.0} ops/s");
 
     let n_spawn = (rounds / 10).max(1000);
     let sp = spawn_storm(n_spawn);
     println!("\nspawn storm ({n_spawn} processes):");
-    println!("  rendezvous slot            {sp:>12.0} spawns/s");
+    println!("  coroutine stack            {sp:>12.0} spawns/s");
 
     let (procs, toggles) = (100, 2000);
     let (ev, n_ev) = cancel_storm(procs, toggles);
@@ -219,8 +195,6 @@ fn main() {
             ("handoff_rounds", n_handoff.to_string()),
             ("handoff_roundtrips", ho_roundtrips.to_string()),
             ("handoff_direct_per_s", json_num(ho_direct)),
-            ("handoff_spin_per_s", json_num(ho_spin)),
-            ("handoff_yield_per_s", json_num(ho_yield)),
             ("ping_pong_rounds", rounds.to_string()),
             ("ping_pong_direct_ops_per_s", json_num(ops)),
             ("spawn_storm_procs", n_spawn.to_string()),

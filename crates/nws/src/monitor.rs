@@ -351,7 +351,7 @@ pub fn app_availability_from_probe(cores: u32, probe_avail: f64) -> f64 {
 /// and a heartbeat into the shared weather service, sleep `period`.
 ///
 /// It is a [`Daemon`]: spawn it with `Engine::spawn_daemon` and the kernel
-/// steps it inline, with no OS thread and no handoff.
+/// steps it inline, with no stack and no context switch.
 pub struct CpuSensor {
     nws: Arc<Mutex<NwsService>>,
     host: HostId,

@@ -1,6 +1,6 @@
 //! Property-based pin for inline sensor daemons: a [`CpuSensor`] stepped
 //! by the kernel (`Engine::spawn_daemon`) must be indistinguishable from
-//! the same sensor driven from an ordinary thread process through
+//! the same sensor driven from an ordinary coroutine process through
 //! `run_daemon`, which issues one `Ctx` call per step. Under random sensor
 //! periods, probe sizes (zero included) and stop times, load windows, an
 //! application process computing on a sensed host and a mid-run host

@@ -1,24 +1,24 @@
-//! Inline daemons: simulated processes that run on the kernel thread.
+//! Inline daemons: simulated processes the kernel steps directly.
 //!
 //! A [`Daemon`] is a simulated process written as a state machine instead
 //! of straight-line code. The kernel calls [`Daemon::step`] wherever it
-//! would have resumed a thread process, and the returned [`Step`] is the
-//! request that process would have made next. A daemon therefore costs no
-//! OS thread and no handoff: it is spawned with
+//! would have resumed a coroutine process, and the returned [`Step`] is
+//! the request that process would have made next. A daemon therefore
+//! costs no stack and no context switch: it is spawned with
 //! [`Engine::spawn_daemon`](crate::engine::Engine::spawn_daemon) and runs
 //! inside the kernel's process pump.
 //!
 //! This is exact for the same reason the outbox is (see the `handoff`
-//! module): while a thread process runs, the kernel is parked and its
-//! clock cannot move, so `step(now)` is exactly the process code between
-//! one grant and the next request, and the kernel sees the same request
-//! sequence either way. [`run_daemon`] drives the same state machine from
-//! an ordinary thread process; it is the oracle the identity tests compare
-//! the inline path against.
+//! module): while a coroutine process runs, the kernel is suspended and
+//! its clock cannot move, so `step(now)` is exactly the process code
+//! between one grant and the next request, and the kernel sees the same
+//! request sequence either way. [`run_daemon`] drives the same state
+//! machine from an ordinary coroutine process; it is the oracle the
+//! identity tests compare the inline path against.
 //!
-//! A daemon must never block on a lock that a parked thread process may
-//! hold: it runs on the kernel thread, so the holder could never be
-//! resumed to release it.
+//! Like every process, a daemon must never block on a lock that a
+//! suspended process may hold: the holder can only be resumed by the
+//! thread that would be blocked.
 
 use crate::process::Ctx;
 
@@ -41,7 +41,7 @@ pub trait Daemon: Send + 'static {
     fn step(&mut self, now: f64) -> Step;
 }
 
-/// Drive a daemon from an ordinary thread process, one `Ctx` call per
+/// Drive a daemon from an ordinary coroutine process, one `Ctx` call per
 /// step. This is the reference the inline path is tested against.
 #[doc(hidden)]
 pub fn run_daemon(ctx: &mut Ctx, d: &mut impl Daemon) {

@@ -4,9 +4,9 @@
 //! actions, network flows, injected load) and the process table. Simulated
 //! processes run strictly one at a time: the kernel resumes a process,
 //! takes its next request, and only then considers the next runnable
-//! process or event. Runs are therefore deterministic. A thread process
-//! is resumed with a grant over its single-slot handoff; an inline
-//! [`Daemon`] is stepped on the kernel thread itself.
+//! process or event. Runs are therefore deterministic. A process is a
+//! coroutine the kernel resumes on its own thread with a grant over its
+//! handoff slot; an inline [`Daemon`] is stepped by the kernel directly.
 //!
 //! Resource completion times are maintained lazily: whenever the demand set
 //! churns (an action or flow starts or ends, load changes), rates are
@@ -30,7 +30,7 @@
 
 use crate::daemon::{Daemon, Step};
 use crate::equeue::{class_key, Event, EventKind, IndexedHeap, ShardedHeap, MAX_SHARDS, NO_HANDLE};
-use crate::handoff::{multicore, HandoffSlot, KernelThread};
+use crate::handoff::{self, panic_message, HandoffSlot, Process};
 use crate::maildir::{MailDir, QueuedSend};
 use crate::process::{
     Ctx, Grant, KillToken, MailKey, Payload, ProcBody, ProcFn, ProcId, Request, SendMode,
@@ -38,11 +38,10 @@ use crate::process::{
 use crate::sharing::{cpu_share, FairScratch};
 use crate::topology::{Grid, HostId, LinkId};
 use crate::trace::{Trace, TraceKind, TraceRecord};
-use crate::window::{Job, WindowPolicy, WorkerPool};
+use crate::window::{multicore, Job, WindowPolicy, WorkerPool};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Once, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Once};
 
 /// How the kernel's run loop organises event execution.
 ///
@@ -214,23 +213,22 @@ enum PState {
 
 /// Kernel-side end of one process's transport.
 enum ProcPort {
-    /// A thread process, resumed through its handoff slot.
-    Thread(Arc<HandoffSlot>),
-    /// An inline daemon: no thread, stepped by `pump_processes`.
+    /// A coroutine process, resumed through its handoff slot.
+    Coroutine(Process),
+    /// An inline daemon: no stack, stepped by `pump_processes`.
     Inline(Box<dyn Daemon>),
 }
 
-impl ProcPort {
-    /// Grant `g` at kernel time `now`, which the slot stamps as the
-    /// process's clock. An inline daemon has no thread to resume, so a
-    /// grant to it (only ever the final `Kill`) is a no-op.
-    fn send_grant(&self, g: Grant, now: f64) {
-        match self {
-            ProcPort::Thread(slot) => slot.send_grant(g, now),
-            ProcPort::Inline(_) => {}
-        }
-    }
-}
+// SAFETY: `Inline` holds a `Box<dyn Daemon>`, and `Daemon: Send`. A
+// `Coroutine` is not `Send` because, once started, its stack holds frames
+// tied to the thread that runs it. But the engine starts coroutines only
+// inside `run_until`, which owns the engine and resumes every coroutine
+// on its own thread; `finish` unwinds every started one there, and one
+// that blocks while unwinding is leaked, never resumed. So whenever an
+// engine can move between threads, each coroutine is unstarted: its
+// fields are its `Send` body, its slot (cells of `Send` requests and
+// grants, a clock and an outbox), no stack and two null stack pointers.
+unsafe impl Send for ProcPort {}
 
 /// Obs counter names of the per-kind request tallies, indexed by
 /// [`Request::counter`].
@@ -278,7 +276,6 @@ struct ProcSlot {
     name: Arc<str>,
     host: HostId,
     port: ProcPort,
-    join: Option<JoinHandle<()>>,
     state: PState,
 }
 
@@ -461,14 +458,9 @@ pub struct Engine {
     /// at zero lets a stale completion event fire on a *new* occupant.
     gen_counter: u64,
     runnable: VecDeque<(ProcId, Grant)>,
-    running: Option<ProcId>,
     /// Test oracle only: processes spawned while set make every `Ctx`
     /// call a blocking round trip (see [`Engine::set_unbatched_oracle`]).
     unbatched_oracle: bool,
-    /// The OS thread the run loop executes on; thread processes unpark it
-    /// when publishing a request. Set when `run_until` starts
-    /// (the engine may be built on a different thread than it runs on).
-    kernel_thread: KernelThread,
     trace: Trace,
     /// Interned names of completed processes; materialized into the
     /// report's `String`s once at `finish` instead of allocating per exit.
@@ -523,7 +515,7 @@ pub struct Engine {
     req_outboxed: u64,
     /// Requests issued by inline daemons.
     req_inline: u64,
-    /// Blocking handoffs: requests the kernel waited on a thread for.
+    /// Blocking handoffs: resumes of a coroutine process.
     req_roundtrips: u64,
     /// Staged window copies discarded by their generation check.
     stale_discarded: u64,
@@ -573,16 +565,6 @@ fn install_quiet_kill_hook() {
     });
 }
 
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 impl Engine {
     /// Create an engine over a built topology.
     pub fn new(grid: Grid) -> Self {
@@ -618,9 +600,7 @@ impl Engine {
             link_bytes: vec![0.0; nlinks],
             gen_counter: 1,
             runnable: VecDeque::new(),
-            running: None,
             unbatched_oracle: false,
-            kernel_thread: Arc::new(OnceLock::new()),
             trace: Trace::default(),
             completed: Vec::new(),
             failed: Vec::new(),
@@ -956,68 +936,34 @@ impl Engine {
         self.spawn_at(t, name, host, Box::new(f))
     }
 
-    /// Spawn an inline daemon starting at virtual time 0. It runs on the
-    /// kernel thread: the kernel calls [`Daemon::step`] wherever it would
-    /// resume a thread process, so it costs no OS thread and no handoff
-    /// (see [`crate::daemon`]). It appears in the report like any other
+    /// Spawn an inline daemon starting at virtual time 0. The kernel
+    /// calls [`Daemon::step`] wherever it would resume a coroutine
+    /// process, so it costs no stack and no context switch (see
+    /// [`crate::daemon`]). It appears in the report like any other
     /// process.
     pub fn spawn_daemon(&mut self, name: &str, host: HostId, d: impl Daemon) -> ProcId {
-        self.add_proc(
-            0.0,
-            Arc::from(name),
-            host,
-            ProcPort::Inline(Box::new(d)),
-            None,
-        )
+        self.add_proc(0.0, Arc::from(name), host, ProcPort::Inline(Box::new(d)))
     }
 
     fn spawn_at(&mut self, t: f64, name: &str, host: HostId, f: ProcFn) -> ProcId {
         let pid = ProcId(self.procs.len() as u32);
-        let name: Arc<str> = Arc::from(name);
-        let slot = Arc::new(HandoffSlot::new(self.kernel_thread.clone()));
-        let mut ctx = Ctx::new(pid, host, slot.clone(), self.unbatched_oracle);
-        let join = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                // Gate on the start grant so the process does not run before
-                // its scheduled start time.
-                if !ctx.wait_start() {
-                    return;
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                match result {
-                    Ok(()) => ctx.notify(Request::Exit),
-                    Err(e) => {
-                        if e.downcast_ref::<KillToken>().is_none() {
-                            ctx.notify(Request::Panic(panic_message(&*e)));
-                        }
-                    }
-                }
-            })
-            .expect("spawn simulated process thread");
-        // Recorded by the kernel from the join handle (not by the process
-        // thread itself) so grants never race the store.
-        slot.set_proc_thread(join.thread().clone());
-        self.add_proc(t, name, host, ProcPort::Thread(slot), Some(join))
+        let unbatched = self.unbatched_oracle;
+        let body = Box::new(move |link: &handoff::ProcLink| {
+            f(&mut Ctx::start(pid, host, link, unbatched))
+        });
+        let port = ProcPort::Coroutine(Process::new(HandoffSlot::default(), body));
+        self.add_proc(t, Arc::from(name), host, port)
     }
 
     /// Enter a process in the table and schedule its start at `t`; on a
     /// dead host it dies at once instead.
-    fn add_proc(
-        &mut self,
-        t: f64,
-        name: Arc<str>,
-        host: HostId,
-        port: ProcPort,
-        join: Option<JoinHandle<()>>,
-    ) -> ProcId {
+    fn add_proc(&mut self, t: f64, name: Arc<str>, host: HostId, port: ProcPort) -> ProcId {
         let pid = ProcId(self.procs.len() as u32);
         let alive = self.host_alive[host.0 as usize];
         self.procs.push(ProcSlot {
             name,
             host,
             port,
-            join,
             state: if alive { PState::Alive } else { PState::Died },
         });
         if alive {
@@ -1051,9 +997,9 @@ impl Engine {
 
     /// Run until virtual time `tmax`, no events remain, or every process is
     /// blocked — whichever comes first. All surviving processes are killed
-    /// and their threads joined before returning.
+    /// (unwound) before returning. Every process runs on the calling
+    /// thread.
     pub fn run_until(mut self, tmax: f64) -> RunReport {
-        let _ = self.kernel_thread.set(std::thread::current());
         if matches!(self.events, EventQueue::Sharded(_)) {
             self.run_windowed(tmax);
         } else {
@@ -1062,76 +1008,60 @@ impl Engine {
         self.finish()
     }
 
-    /// Drive process handoff until no process is running or runnable.
+    /// Resume runnable processes until none is left.
     ///
-    /// A request may arrive with deferred fire-and-forget requests queued
-    /// before it (see [`crate::handoff`]).
-    /// They are applied first, in order, each exactly as its own round
-    /// trip would have been: its reply is a front-of-queue `Unit` for the
-    /// same process, which this loop would have granted straight back
-    /// before touching anything else — so popping that reply instead of
-    /// granting it changes no kernel state transition.
+    /// Resuming a coroutine process runs it on this thread until its next
+    /// request. That request may arrive with deferred fire-and-forget
+    /// requests queued before it (see [`crate::handoff`]). They are
+    /// applied first, in order, each exactly as its own round trip would
+    /// have been: its reply is a front-of-queue `Unit` for the same
+    /// process, which this loop would have granted straight back before
+    /// touching anything else — so popping that reply instead of granting
+    /// it changes no kernel state transition.
     ///
-    /// An inline daemon is never `running`: where a thread would get its
-    /// grant and be waited on, the daemon's next request is computed by
-    /// [`Self::step_daemon`] on this thread and handled at once.
+    /// An inline daemon's next request is computed by
+    /// [`Self::step_daemon`] instead.
     fn pump_processes(&mut self) {
-        loop {
-            if let Some(pid) = self.running.take() {
-                self.req_roundtrips += 1;
-                let ProcPort::Thread(slot) = &self.procs[pid.0 as usize].port else {
-                    unreachable!("an inline daemon never runs");
-                };
-                let req = slot.wait_request();
-                debug_assert_eq!(
-                    slot.clock().to_bits(),
-                    self.now.to_bits(),
-                    "process clock diverged from the kernel's"
-                );
-                let mut deferred = slot.take_outbox();
-                if !deferred.is_empty() {
-                    self.req_outboxed += deferred.len() as u64;
-                    for d in deferred.drain(..) {
-                        self.handle_request(pid, d);
-                        let reply = self.runnable.pop_front();
-                        debug_assert!(
-                            matches!(reply, Some((p, Grant::Unit)) if p == pid),
-                            "a deferred request must be answered by an immediate Unit"
-                        );
-                    }
-                    if let ProcPort::Thread(slot) = &self.procs[pid.0 as usize].port {
-                        slot.restore_outbox(deferred);
-                    }
-                }
-                self.handle_request(pid, req);
+        while let Some((pid, grant)) = self.runnable.pop_front() {
+            let now = self.now;
+            let p = &mut self.procs[pid.0 as usize];
+            if p.state != PState::Alive {
                 continue;
             }
-            if let Some((pid, grant)) = self.runnable.pop_front() {
-                let p = &self.procs[pid.0 as usize];
-                if p.state == PState::Alive {
-                    if matches!(p.port, ProcPort::Inline(_)) {
-                        let req = self.step_daemon(pid);
-                        self.handle_request(pid, req);
-                    } else {
-                        p.port.send_grant(grant, self.now);
-                        self.running = Some(pid);
-                    }
+            let req = match &mut p.port {
+                ProcPort::Inline(d) => {
+                    self.req_inline += 1;
+                    Self::step_daemon(d.as_mut(), now)
                 }
-                continue;
-            }
-            return;
+                ProcPort::Coroutine(co) => {
+                    self.req_roundtrips += 1;
+                    let req = handoff::resume(co, grant, now);
+                    let mut deferred = handoff::take_outbox(co);
+                    if !deferred.is_empty() {
+                        self.req_outboxed += deferred.len() as u64;
+                        for d in deferred.drain(..) {
+                            self.handle_request(pid, d);
+                            let reply = self.runnable.pop_front();
+                            debug_assert!(
+                                matches!(reply, Some((p, Grant::Unit)) if p == pid),
+                                "a deferred request must be answered by an immediate Unit"
+                            );
+                        }
+                        if let ProcPort::Coroutine(co) = &self.procs[pid.0 as usize].port {
+                            handoff::restore_outbox(co, deferred);
+                        }
+                    }
+                    req
+                }
+            };
+            self.handle_request(pid, req);
         }
     }
 
-    /// Step an inline daemon at the current instant and translate its
-    /// [`Step`] into the request a thread process would have sent. A
-    /// panicking step becomes `Request::Panic`, as a thread's would.
-    fn step_daemon(&mut self, pid: ProcId) -> Request {
-        self.req_inline += 1;
-        let now = self.now;
-        let ProcPort::Inline(d) = &mut self.procs[pid.0 as usize].port else {
-            unreachable!("stepped a thread process");
-        };
+    /// Step an inline daemon at `now` and translate its [`Step`] into the
+    /// request a coroutine process would have made. A panicking step
+    /// becomes `Request::Panic`, as a coroutine's would.
+    fn step_daemon(d: &mut dyn Daemon, now: f64) -> Request {
         match catch_unwind(AssertUnwindSafe(|| d.step(now))) {
             Ok(Step::Compute(flops)) => Request::Compute { flops },
             Ok(Step::Sleep(dt)) => Request::Sleep { dt },
@@ -1370,24 +1300,19 @@ impl Engine {
     fn finish(mut self) -> RunReport {
         // Join the window workers first; nothing below fans out.
         self.pool = None;
+        // Unwind every started process that has not exited, in pid order.
+        // One that blocks again while unwinding is never resumed; it stays
+        // listed, and dropping it leaks its stack.
         let mut unfinished = Vec::new();
         let mut died = Vec::new();
-        for p in &self.procs {
-            match p.state {
-                PState::Alive => {
-                    unfinished.push(p.name.to_string());
-                    p.port.send_grant(Grant::Kill, self.now);
-                }
-                PState::Died => {
-                    died.push(p.name.to_string());
-                    p.port.send_grant(Grant::Kill, self.now);
-                }
-                _ => {}
-            }
-        }
         for p in &mut self.procs {
-            if let Some(j) = p.join.take() {
-                let _ = j.join();
+            match p.state {
+                PState::Alive => unfinished.push(p.name.to_string()),
+                PState::Died => died.push(p.name.to_string()),
+                PState::Done | PState::Failed => continue,
+            }
+            if let ProcPort::Coroutine(co) = &mut p.port {
+                handoff::kill(co, self.now);
             }
         }
         if self.panic_on_failure && !self.failed.is_empty() {
@@ -1958,9 +1883,9 @@ impl Engine {
             }
             Request::Spawn { name, host, body } => {
                 let child = match body {
-                    ProcBody::Thread(f) => self.spawn_at(self.now, &name, host, f),
+                    ProcBody::Coroutine(f) => self.spawn_at(self.now, &name, host, f),
                     ProcBody::Daemon(d) => {
-                        self.add_proc(self.now, Arc::from(name), host, ProcPort::Inline(d), None)
+                        self.add_proc(self.now, Arc::from(name), host, ProcPort::Inline(d))
                     }
                 };
                 self.resume_first(pid, Grant::Proc(child));
@@ -3290,8 +3215,8 @@ mod tests {
         let mut eng = Engine::new(g);
         let (t, n) = Ticker::new(2.0);
         eng.spawn_daemon("tick", h, t);
-        // The final `Kill` is a no-op for an inline daemon: no thread to
-        // join, so `finish` returns instead of hanging.
+        // The final `Kill` is a no-op for an inline daemon: it has no
+        // stack to unwind.
         let r = eng.run_until(5.0);
         assert_eq!(steps(&n), 3);
         assert_eq!(r.unfinished, vec!["tick".to_string()]);

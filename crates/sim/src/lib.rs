@@ -15,20 +15,22 @@
 //!
 //! Runs are fully deterministic: exactly one simulated process executes at
 //! a time and all event ties are broken by insertion order. A process is
-//! either a thread running ordinary blocking code or an inline
-//! [`Daemon`], a state machine the kernel steps on its own thread
-//! ([`daemon`]). The kernel can execute in a conservative-parallel
-//! windowed mode (`KernelMode::Windowed`) that shards the event queue by
-//! cluster and pre-drains per-cluster event windows on a worker pool —
-//! results stay bit-identical to the serial kernel at any worker count
-//! (DESIGN.md, "Parallel kernel").
+//! either ordinary blocking code run as a coroutine on the kernel's thread
+//! (the `coroutine` module), or an inline [`Daemon`], a state machine the
+//! kernel steps directly ([`daemon`]). The kernel can execute
+//! in a conservative-parallel windowed mode (`KernelMode::Windowed`) that
+//! shards the event queue by cluster and pre-drains per-cluster event
+//! windows on a worker pool — results stay bit-identical to the serial
+//! kernel at any worker count (DESIGN.md, "Parallel kernel").
 //!
-//! There is one production substrate: every thread process talks to the
-//! kernel over a single-slot handoff, the event queue is a position-tracked
-//! heap, and rate solves are dirty-set scoped and coalesced to one per
-//! virtual instant. The settable kernel values are
-//! [`KernelMode`], [`WindowPolicy`] and the handoff [`WaitPolicy`]; none
-//! of them can change a result bit.
+//! There is one production substrate: every coroutine process talks to
+//! the kernel over a single-slot handoff, the event queue is a
+//! position-tracked heap, and rate solves are dirty-set scoped and
+//! coalesced to one per virtual instant. The settable kernel values are
+//! [`KernelMode`] and [`WindowPolicy`]; neither can change a result bit.
+//!
+//! Processes run as coroutines whose context switch is written for x86-64
+//! SysV on Linux; the crate does not compile for other targets.
 //!
 //! ```
 //! use grads_sim::prelude::*;
@@ -53,6 +55,7 @@
 
 #![warn(missing_docs)]
 
+pub(crate) mod coroutine;
 pub mod daemon;
 pub mod dml;
 pub mod engine;
@@ -67,14 +70,27 @@ pub(crate) mod window;
 
 #[doc(hidden)]
 pub use daemon::run_daemon;
-pub use handoff::{set_wait_policy, wait_policy, WaitPolicy};
 pub use window::WindowPolicy;
+
+/// The process transport, as a benchmark report stamps it. There is only
+/// one; this survives until that report field goes.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitPolicy {
+    /// Processes are coroutines on the kernel thread; nothing waits.
+    Coroutine,
+}
+
+/// The process transport in use (always [`WaitPolicy::Coroutine`]).
+#[doc(hidden)]
+pub fn wait_policy() -> WaitPolicy {
+    WaitPolicy::Coroutine
+}
 
 /// Convenient re-exports of the commonly used types.
 pub mod prelude {
     pub use crate::daemon::{Daemon, Step};
     pub use crate::engine::{Engine, KernelMode, RunReport};
-    pub use crate::handoff::{set_wait_policy, WaitPolicy};
     pub use crate::process::{mail_key, Ctx, MailKey, Payload, ProcId, SendMode};
     pub use crate::topology::{
         macrogrid_qr, microgrid_nbody, Arch, ClusterId, Grid, GridBuilder, Host, HostId, HostSpec,

@@ -1,12 +1,13 @@
 //! Simulated processes and their blocking API.
 //!
-//! A simulated process spawned with `Engine::spawn` runs on its own OS
-//! thread, but the kernel grants execution to exactly one process at a
-//! time, so simulations are fully deterministic. (A process spawned with
-//! `Engine::spawn_daemon` has no thread at all: the kernel steps it
-//! inline, see [`crate::daemon`].) Application code receives a [`Ctx`]
-//! handle and calls blocking primitives (`compute`, `send`, `recv`,
-//! `sleep`, ...); each call hands control back to the kernel, which
+//! A simulated process spawned with `Engine::spawn` is a coroutine with a
+//! stack of its own that runs on the kernel's OS thread (see the
+//! `coroutine` module). The kernel grants execution to exactly one
+//! process at a time, so simulations are fully deterministic. (A process
+//! spawned with `Engine::spawn_daemon` has no stack at all: the kernel
+//! steps it inline, see [`crate::daemon`].) Application code receives a
+//! [`Ctx`] handle and calls blocking primitives (`compute`, `send`,
+//! `recv`, `sleep`, ...); each call switches back to the kernel, which
 //! advances virtual time and resumes the process when the operation
 //! completes.
 //!
@@ -17,11 +18,16 @@
 //! slot's outbox and ride with the next real request (see the `handoff`
 //! module). The engine's unbatched test oracle turns all three shortcuts
 //! off, making every call one round trip, as the reference.
+//!
+//! Process code shares the kernel's thread: `std::thread::current()` and
+//! thread-locals are the kernel thread's, and a process must never block
+//! on a lock that a suspended process holds.
 
 use crate::daemon::Daemon;
-use crate::handoff::HandoffSlot;
+use crate::handoff::ProcLink;
 use crate::topology::HostId;
 use std::any::Any;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// Identifies a simulated process.
@@ -41,9 +47,9 @@ pub type Payload = Box<dyn Any + Send>;
 /// Entry point of a simulated process.
 pub type ProcFn = Box<dyn FnOnce(&mut Ctx) + Send + 'static>;
 
-/// What a spawned process runs: thread code or an inline daemon.
+/// What a spawned process runs: coroutine code or an inline daemon.
 pub(crate) enum ProcBody {
-    Thread(ProcFn),
+    Coroutine(ProcFn),
     Daemon(Box<dyn Daemon>),
 }
 
@@ -122,16 +128,22 @@ pub(crate) enum Grant {
     Kill,
 }
 
-/// Panic payload used to unwind a killed process. Caught by the process
-/// wrapper; never observed by user code.
+/// Panic payload used to unwind a killed process. Caught at the bottom of
+/// the process's coroutine; never observed by user code.
 pub(crate) struct KillToken;
 
 /// Handle through which a simulated process interacts with the grid.
+///
+/// Neither `Send` nor `Sync`: a call switches stacks on the calling
+/// thread, so only the process's own code, on the kernel thread, may make
+/// it.
 pub struct Ctx {
     pub(crate) pid: ProcId,
     pub(crate) host: HostId,
-    /// Single-slot rendezvous with the kernel (see [`crate::handoff`]).
-    slot: Arc<HandoffSlot>,
+    /// The process's end of its slot with the kernel (see
+    /// [`crate::handoff`]). Lives in the coroutine, which outlives every
+    /// frame on its stack, this `Ctx` included.
+    link: NonNull<ProcLink>,
     /// Test oracle: every call is a blocking round trip — no grant-stamped
     /// clock read, no zero-length shortcut, no outbox.
     unbatched: bool,
@@ -142,22 +154,27 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: ProcId, host: HostId, slot: Arc<HandoffSlot>, unbatched: bool) -> Self {
+    /// The handle of a process starting on `link`; consumes its start
+    /// grant.
+    pub(crate) fn start(pid: ProcId, host: HostId, link: &ProcLink, unbatched: bool) -> Self {
+        link.start();
         Ctx {
             pid,
             host,
-            slot,
+            link: NonNull::from(link),
             unbatched,
             labels: Vec::new(),
         }
     }
 
+    fn link(&self) -> &ProcLink {
+        // SAFETY: the link lives in this process's coroutine, which is
+        // freed only after its body (and so this `Ctx`) is gone.
+        unsafe { self.link.as_ref() }
+    }
+
     fn call(&mut self, req: Request) -> Grant {
-        self.slot.send_request(req);
-        match self.slot.wait_grant() {
-            Grant::Kill => std::panic::panic_any(KillToken),
-            g => g,
-        }
+        self.link().call(req)
     }
 
     /// Issue a request whose only reply is `Grant::Unit`. It is queued in
@@ -167,7 +184,7 @@ impl Ctx {
         let req = if self.unbatched {
             req
         } else {
-            match self.slot.defer(req) {
+            match self.link().defer(req) {
                 Ok(()) => return,
                 Err(req) => req,
             }
@@ -176,19 +193,6 @@ impl Ctx {
             Grant::Unit => {}
             _ => unreachable!("kernel grant mismatch for a fire-and-forget request"),
         }
-    }
-
-    /// Block until the kernel issues this process's start grant. Returns
-    /// `false` if the kernel instead killed the process (simulation over
-    /// before it ever ran). Used only by the engine's thread wrapper.
-    pub(crate) fn wait_start(&mut self) -> bool {
-        matches!(self.slot.wait_grant(), Grant::Unit)
-    }
-
-    /// Fire-and-forget notification to the kernel (Exit/Panic from the
-    /// thread wrapper — requests that never receive a grant).
-    pub(crate) fn notify(&mut self, req: Request) {
-        self.slot.send_request(req);
     }
 
     fn intern_label(&mut self, label: &str) -> Arc<str> {
@@ -214,7 +218,7 @@ impl Ctx {
     /// Current virtual time in seconds.
     pub fn now(&mut self) -> f64 {
         if !self.unbatched {
-            return self.slot.clock();
+            return self.link().clock();
         }
         match self.call(Request::Now) {
             Grant::Time(t) => t,
@@ -305,7 +309,7 @@ impl Ctx {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        self.spawn_body(name, host, ProcBody::Thread(Box::new(f)))
+        self.spawn_body(name, host, ProcBody::Coroutine(Box::new(f)))
     }
 
     /// Spawn an inline daemon on `host` (see `Engine::spawn_daemon`); it

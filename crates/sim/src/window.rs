@@ -10,8 +10,28 @@
 //! `windowed_policy_does_not_perturb_results` in the engine tests holds
 //! the kernel to that.
 
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// `true` once we know this machine has more than one CPU. Computed once.
+/// Gates the window worker pool and parallel accrual: concurrency that
+/// cannot overlap in hardware is pure overhead.
+#[inline]
+pub(crate) fn multicore() -> bool {
+    static CACHED: AtomicU8 = AtomicU8::new(0);
+    match CACHED.load(Ordering::Relaxed) {
+        1 => true,
+        2 => false,
+        _ => {
+            let multi = std::thread::available_parallelism()
+                .map(|n| n.get() > 1)
+                .unwrap_or(false);
+            CACHED.store(if multi { 1 } else { 2 }, Ordering::Relaxed);
+            multi
+        }
+    }
+}
 
 /// Tuning knobs for [`KernelMode::Windowed`](crate::engine::KernelMode).
 ///
