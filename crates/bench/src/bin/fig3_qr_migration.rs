@@ -10,8 +10,11 @@
 //!
 //! Usage: `cargo run --release -p grads-bench --bin fig3_qr_migration
 //! [n_real]` — larger `n_real` raises numeric fidelity at the cost of
-//! harness time.
+//! harness time. The 28 runs are independent and fan out over
+//! `GRADS_SWEEP_WORKERS` threads (default: all cores); the output is
+//! byte-identical at any worker count.
 
+use grads_bench::sweep::{default_workers, run_sweep};
 use grads_bench::{breakdown_header, breakdown_row};
 use grads_core::apps::{run_qr_experiment, QrExperimentConfig, QrExperimentResult};
 use grads_core::reschedule::{OverheadPolicy, ReschedulerMode};
@@ -35,27 +38,26 @@ fn main() {
     println!("{}", breakdown_header());
 
     let sizes = [6000usize, 8000, 10000, 11000, 12000, 14000, 16000];
+    // Per size, in this order: no-resched, resched, default with modeled
+    // overhead, default with the 900 s worst-case overhead.
+    let modes = [
+        (ReschedulerMode::ForceStay, OverheadPolicy::Modeled),
+        (ReschedulerMode::ForceMigrate, OverheadPolicy::Modeled),
+        (ReschedulerMode::Default, OverheadPolicy::Modeled),
+        (ReschedulerMode::Default, OverheadPolicy::WorstCase(900.0)),
+    ];
+    let cells: Vec<_> = sizes
+        .iter()
+        .flat_map(|&n| modes.iter().map(move |&(mode, ovh)| (n, mode, ovh)))
+        .collect();
+    let results = run_sweep(&cells, default_workers(), |_, &(n, mode, ovh)| {
+        run(n, n_real, mode, ovh)
+    });
     let mut summary = Vec::new();
-    for &n in &sizes {
-        let stay = run(
-            n,
-            n_real,
-            ReschedulerMode::ForceStay,
-            OverheadPolicy::Modeled,
-        );
-        let go = run(
-            n,
-            n_real,
-            ReschedulerMode::ForceMigrate,
-            OverheadPolicy::Modeled,
-        );
-        let dflt = run(n, n_real, ReschedulerMode::Default, OverheadPolicy::Modeled);
-        let worst = run(
-            n,
-            n_real,
-            ReschedulerMode::Default,
-            OverheadPolicy::WorstCase(900.0),
-        );
+    for (&n, runs) in sizes.iter().zip(results.chunks(modes.len())) {
+        let [stay, go, dflt, worst] = runs else {
+            unreachable!("one result per mode");
+        };
         println!(
             "{}",
             breakdown_row(&format!("N={n} no-resched"), &stay.breakdown)

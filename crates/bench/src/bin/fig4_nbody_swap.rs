@@ -8,8 +8,11 @@
 //!
 //! Usage: `cargo run --release -p grads-bench --bin fig4_nbody_swap
 //! [csv_path]` — the optional path receives the progress series as CSV
-//! for external plotting.
+//! for external plotting. The two runs fan out over `GRADS_SWEEP_WORKERS`
+//! threads (default: all cores); the output is byte-identical at any
+//! worker count.
 
+use grads_bench::sweep::{default_workers, run_sweep};
 use grads_core::apps::{run_nbody_experiment, NbodyConfig, NbodyExperimentConfig};
 use grads_core::reschedule::SwapPolicy;
 use grads_core::sim::topology::microgrid_nbody;
@@ -37,13 +40,14 @@ fn main() {
     );
 
     // Pack-cluster policy: the paper's behaviour (all three processes
-    // move to UIUC).
-    let mut pack = base.clone();
-    pack.policy = SwapPolicy::PackCluster { factor: 1.5 };
-    let with_swap = run_nbody_experiment(grid.clone(), &workers, monitor, pack);
-    let mut never = base.clone();
-    never.policy = SwapPolicy::Never;
-    let no_swap = run_nbody_experiment(grid, &workers, monitor, never);
+    // move to UIUC), then the no-swap baseline.
+    let policies = [SwapPolicy::PackCluster { factor: 1.5 }, SwapPolicy::Never];
+    let runs = run_sweep(&policies, default_workers(), |_, &policy| {
+        let mut cfg = base.clone();
+        cfg.policy = policy;
+        run_nbody_experiment(grid.clone(), &workers, monitor, cfg)
+    });
+    let (with_swap, no_swap) = (&runs[0], &runs[1]);
 
     // Print both series on a common 10-s grid (iteration reached by t).
     let sample = |series: &[(f64, f64)], t: f64| -> f64 {

@@ -3,16 +3,15 @@
 //! exchanges over a WAN mesh, with a compute phase per round so both the
 //! CPU-sharing and the max-min-fair paths are exercised.
 //!
-//! The applied-event count is invariant across kernel modes and test
-//! oracles (stale pops are not counted), so `events/sec = events_processed
+//! The applied-event count is invariant across the kernel's test oracles
+//! (stale pops are not counted), so `events/sec = events_processed
 //! / wall` is an apples-to-apples throughput number. Every row runs on the
 //! production kernel: dirty-set scoped rate solves, coalesced to one per
 //! virtual instant.
 //!
-//! Two axes ride on the serial reference: a windowed-kernel worker sweep,
-//! and a coalesced-vs-eager recompute-*timing* A/B against the eager test
-//! oracle (one solve per churn event) — each asserted bit-identical to the
-//! serial reference before its throughput is recorded.
+//! A coalesced-vs-eager recompute-*timing* A/B against the eager test
+//! oracle (one solve per churn event) rides on the reference row, asserted
+//! bit-identical to it before its throughput is recorded.
 //!
 //! Usage: `cargo run --release -p grads-bench --bin kernel_scale [rounds]`
 
@@ -55,27 +54,25 @@ fn build_grid() -> (Grid, Vec<HostId>) {
     (b.build().expect("valid grid"), hosts)
 }
 
-fn run_kernel(rounds: usize, kernel: KernelMode) -> (RunReport, f64) {
-    run_tuned(rounds, kernel, false, false, None)
+fn run_kernel(rounds: usize) -> (RunReport, f64) {
+    run_tuned(rounds, false, false, None)
 }
 
 /// `uniform` selects the payload schedule: `false` keeps the historical
 /// skewed per-pair sizes (every transfer completes at its own instant —
-/// the worker-sweep workload all checked-in numbers are taken on), `true`
+/// the workload the `kernel_scale` row is taken on), `true`
 /// gives every transfer the same size, the shape of a real synchronized
 /// `MPI_Alltoall` round — flows sharing a bottleneck then finish in
 /// bitwise-identical completion waves, the regime the coalesced flush
 /// collapses to one solve per instant.
 fn run_tuned(
     rounds: usize,
-    kernel: KernelMode,
     eager_oracle: bool,
     uniform: bool,
     obs: Option<grads_core::obs::Obs>,
 ) -> (RunReport, f64) {
     let (grid, hosts) = build_grid();
     let mut eng = Engine::new(grid);
-    eng.set_kernel_mode(kernel);
     eng.set_eager_recompute_oracle(eager_oracle);
     if let Some(o) = obs {
         eng.set_obs(o);
@@ -130,15 +127,15 @@ fn main() {
          {rounds} round(s)\n"
     );
 
-    // Warm-up run (allocator, thread spawning) before timing; keep the
+    // Warm-up run (allocator, coroutine stacks) before timing; keep the
     // faster of two timed runs to damp scheduler noise.
-    let _ = run_kernel(1, KernelMode::Serial);
+    let _ = run_kernel(1);
 
-    let (serial_ref, t1) = run_kernel(rounds, KernelMode::Serial);
-    let (r2, t2) = run_kernel(rounds, KernelMode::Serial);
+    let (serial_ref, t1) = run_kernel(rounds);
+    let (r2, t2) = run_kernel(rounds);
     assert_eq!(
         serial_ref, r2,
-        "the serial kernel must be run-to-run deterministic"
+        "the kernel must be run-to-run deterministic"
     );
     let (ref_end, ref_ev) = (serial_ref.end_time, serial_ref.events_processed);
     let serial_rate = ref_ev as f64 / t1.min(t2);
@@ -154,45 +151,6 @@ fn main() {
         serial_rate
     );
     println!("\nvirtual end_time {ref_end:.3} s.");
-
-    // ---- Windowed-kernel worker sweep -----------------------------------
-    //
-    // Same workload under the conservative parallel kernel at each worker
-    // count (GRADS_KERNEL_WORKERS, default "1,2,4,8"). Each windowed run is
-    // asserted bit-identical to the serial reference before its
-    // throughput is recorded — the sweep measures speed, never divergence.
-    let workers_axis: Vec<u32> = std::env::var("GRADS_KERNEL_WORKERS")
-        .ok()
-        .map(|s| s.split(',').filter_map(|w| w.trim().parse().ok()).collect())
-        .filter(|v: &Vec<u32>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    println!("\nwindowed kernel, worker sweep:");
-    println!(
-        "{:>12} {:>12} {:>10} {:>14} {:>12}",
-        "workers", "events", "wall(s)", "events/sec", "vs serial"
-    );
-    let mut worker_rows = Vec::new();
-    for &w in &workers_axis {
-        let (r1, t1) = run_kernel(rounds, KernelMode::Windowed { workers: w });
-        let (r2, t2) = run_kernel(rounds, KernelMode::Windowed { workers: w });
-        assert_eq!(
-            serial_ref, r1,
-            "windowed({w}) must be bit-identical to the serial kernel"
-        );
-        assert_eq!(&r1, &r2, "windowed({w}) must be run-to-run deterministic");
-        let secs = t1.min(t2);
-        let rate = r1.events_processed as f64 / secs;
-        println!(
-            "{:>12} {:>12} {:>10.3} {:>14.0} {:>11.2}x",
-            w,
-            r1.events_processed,
-            secs,
-            rate,
-            rate / serial_rate
-        );
-        worker_rows.push((w, rate));
-    }
-    println!("every windowed run verified bit-identical to the serial kernel.");
 
     // ---- Coalesced-recompute A/B ----------------------------------------
     //
@@ -212,9 +170,8 @@ fn main() {
     // throughput is recorded (`identity_ok` in the snapshot is earned, not
     // aspirational), and a separate obs-enabled run reports how much churn
     // the deferral absorbed.
-    let coal = |eager_oracle: bool, uniform: bool, obs| {
-        run_tuned(rounds, KernelMode::Serial, eager_oracle, uniform, obs)
-    };
+    let coal =
+        |eager_oracle: bool, uniform: bool, obs| run_tuned(rounds, eager_oracle, uniform, obs);
     let (e1, et1) = coal(true, true, None);
     let (e2, et2) = coal(true, true, None);
     assert_eq!(&e1, &e2, "eager run must be run-to-run deterministic");
@@ -230,7 +187,7 @@ fn main() {
     let coalesced_secs = ct1.min(ct2);
     let coalesced_rate = c1.events_processed as f64 / coalesced_secs;
     let coalesce_speedup = coalesced_rate / eager_rate;
-    println!("\ncoalesced recompute timing (serial kernel, uniform payloads):");
+    println!("\ncoalesced recompute timing (uniform payloads):");
     println!(
         "{:>12} {:>12} {:>10} {:>14} {:>10}",
         "timing", "events", "wall(s)", "events/sec", "speedup"
@@ -243,7 +200,7 @@ fn main() {
         "{:>12} {:>12} {:>10.3} {:>14.0} {:>9.2}x",
         "coalesced", c1.events_processed, coalesced_secs, coalesced_rate, coalesce_speedup
     );
-    // The skewed-payload floor: same A/B on the worker-sweep workload,
+    // The skewed-payload floor: same A/B on the reference row's workload,
     // where no two transfers finish at the same instant.
     let (se1, set1) = coal(true, false, None);
     let (se2, set2) = coal(true, false, None);
@@ -255,7 +212,7 @@ fn main() {
     );
     assert_eq!(
         serial_ref, sc1,
-        "skewed coalesced run must be bit-identical to the serial row"
+        "skewed coalesced run must be bit-identical to the reference row"
     );
     assert_eq!(&se1, &se2, "skewed eager run must be deterministic");
     assert_eq!(&sc1, &sc2, "skewed coalesced run must be deterministic");
@@ -303,8 +260,8 @@ fn main() {
         );
     }
 
-    println!("\nshape to check: every windowed row equals the serial report bit for bit,");
-    println!("and coalesced timing runs >= 2x eager events/sec on uniform payloads.");
+    println!("\nshape to check: every run is bit-identical to its oracle twin, and");
+    println!("coalesced timing runs >= 2x eager events/sec on uniform payloads.");
 
     // Stamp the machine so checked-in snapshots are self-describing
     // (throughput numbers are meaningless without the core count they
@@ -324,27 +281,6 @@ fn main() {
         ]),
     );
     println!("\nwrote kernel_scale section of BENCH_sim.json");
-
-    // The worker sweep gets its own section: its numbers are
-    // core-count-bound (on a single-core box the pool gates off and every
-    // count measures the window/merge overhead, not parallel speedup —
-    // cores_detected says which regime a snapshot was taken in).
-    let mut wfields: Vec<(&str, String)> = vec![
-        ("cores_detected", cores.to_string()),
-        ("rounds", rounds.to_string()),
-        ("processes", NPROC.to_string()),
-        ("clusters", CLUSTERS.to_string()),
-        ("serial_events_per_s", json_num(serial_rate)),
-    ];
-    let keyed: Vec<(String, String)> = worker_rows
-        .iter()
-        .map(|(w, rate)| (format!("workers_{w}_events_per_s"), json_num(*rate)))
-        .collect();
-    for (k, v) in &keyed {
-        wfields.push((k.as_str(), v.clone()));
-    }
-    merge_bench_section("kernel_scale_workers", &json_obj(&wfields));
-    println!("wrote kernel_scale_workers section of BENCH_sim.json");
 
     // Coalesce A/B snapshot. `identity_ok` is written only after the
     // in-binary bit-identity asserts above have passed.

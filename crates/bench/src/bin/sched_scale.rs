@@ -12,10 +12,8 @@
 //! * `fast` — the tuned path: one `ForecastSnapshot` per decision epoch,
 //!   a zero-materialization `CandidateWalk`, and the incremental
 //!   `TreeBcastPrefix` predictor scoring prefix k from k-1 in O(1).
-//! * `parallel` — the fast path with clusters sharded across workers and
-//!   a `(predicted, cluster, k)` total-order reduce.
 //!
-//! Every sweep point asserts the three paths pick the **bit-identical**
+//! Every sweep point asserts the two paths pick the **bit-identical**
 //! `ResourceChoice` (hosts, cluster, and `predicted.to_bits()`) before
 //! any throughput number is printed; the full sweep additionally asserts
 //! the fast path is >= 5x reference at 1024 hosts x 16 clusters.
@@ -27,7 +25,7 @@
 //! Writes the `sched_scale` (or `sched_scale_smoke`) section of
 //! `BENCH_sched.json` at the repository root.
 
-use grads_bench::sweep::{default_workers, json_num, json_obj, merge_bench_section_in};
+use grads_bench::sweep::{json_num, json_obj, merge_bench_section_in};
 use grads_core::nws::{ForecastSnapshot, NwsService};
 use grads_core::perf::TreeBcastPrefix;
 use grads_core::sched::{select_mpi_resources, select_mpi_resources_fast, ResourceChoice};
@@ -121,10 +119,9 @@ struct Point {
     clusters: usize,
     ref_per_s: f64,
     fast_per_s: f64,
-    par_per_s: f64,
 }
 
-fn run_point(hosts: usize, clusters: usize, workers: usize) -> Point {
+fn run_point(hosts: usize, clusters: usize) -> Point {
     let (grid, nws, all) = build(hosts, clusters);
     let per = hosts / clusters;
     let tag = format!("h{hosts}_c{clusters}");
@@ -139,25 +136,20 @@ fn run_point(hosts: usize, clusters: usize, workers: usize) -> Point {
     let make = || TreeBcastPrefix::new(&grid, &snap, FLOPS, BCAST_BYTES);
     let (fast_per_s, fast_choice) =
         rate(|| select_mpi_resources_fast(&grid, &snap, &all, 1, per, make, 1));
-    let (par_per_s, par_choice) =
-        rate(|| select_mpi_resources_fast(&grid, &snap, &all, 1, per, make, workers));
 
-    assert_identical(&tag, &ref_choice, &fast_choice, "fast(1)");
-    assert_identical(&tag, &ref_choice, &par_choice, &format!("fast({workers})"));
+    assert_identical(&tag, &ref_choice, &fast_choice, "fast");
 
     Point {
         hosts,
         clusters,
         ref_per_s,
         fast_per_s,
-        par_per_s,
     }
 }
 
 fn main() {
     let smoke = std::env::args().nth(1).as_deref() == Some("smoke")
         || std::env::var("GRADS_SCHED_SMOKE").is_ok();
-    let workers = default_workers().max(2);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -177,18 +169,17 @@ fn main() {
     };
 
     println!(
-        "SCHED-SCALE — decision-path selections/sec, reference vs fast vs \
-         parallel({workers}) [{} sweep, {cores} cores]\n",
+        "SCHED-SCALE — decision-path selections/sec, reference vs fast \
+         [{} sweep, {cores} cores]\n",
         if smoke { "smoke" } else { "full" }
     );
     println!(
-        "{:>6} {:>9} {:>12} {:>12} {:>12} {:>9}",
-        "hosts", "clusters", "ref/s", "fast/s", "par/s", "speedup"
+        "{:>6} {:>9} {:>12} {:>12} {:>9}",
+        "hosts", "clusters", "ref/s", "fast/s", "speedup"
     );
 
     let mut fields: Vec<(&str, String)> = vec![
         ("cores_detected", cores.to_string()),
-        ("workers", workers.to_string()),
         (
             "mode",
             format!("\"{}\"", if smoke { "smoke" } else { "full" }),
@@ -199,17 +190,15 @@ fn main() {
     let mut keyed: Vec<(String, String)> = Vec::new();
     let mut speedup_1024_16 = None;
     for &(h, c) in &sweep {
-        let p = run_point(h, c, workers);
-        let best_fast = p.fast_per_s.max(p.par_per_s);
-        let speedup = best_fast / p.ref_per_s;
+        let p = run_point(h, c);
+        let speedup = p.fast_per_s / p.ref_per_s;
         println!(
-            "{:>6} {:>9} {:>12.1} {:>12.1} {:>12.1} {:>8.1}x",
-            p.hosts, p.clusters, p.ref_per_s, p.fast_per_s, p.par_per_s, speedup
+            "{:>6} {:>9} {:>12.1} {:>12.1} {:>8.1}x",
+            p.hosts, p.clusters, p.ref_per_s, p.fast_per_s, speedup
         );
         let tag = format!("h{h}_c{c}");
         keyed.push((format!("{tag}_ref_sel_per_s"), json_num(p.ref_per_s)));
         keyed.push((format!("{tag}_fast_sel_per_s"), json_num(p.fast_per_s)));
-        keyed.push((format!("{tag}_par_sel_per_s"), json_num(p.par_per_s)));
         keyed.push((format!("{tag}_speedup"), json_num(speedup)));
         if (h, c) == (1024, 16) {
             speedup_1024_16 = Some(speedup);
@@ -217,10 +206,7 @@ fn main() {
     }
 
     let s1024 = speedup_1024_16.expect("sweep includes 1024x16");
-    println!(
-        "\nall points: fast and parallel picked the bit-identical ResourceChoice \
-         as reference."
-    );
+    println!("\nall points: fast picked the bit-identical ResourceChoice as reference.");
     println!("speedup at 1024 hosts x 16 clusters: {s1024:.1}x");
     if smoke {
         assert!(

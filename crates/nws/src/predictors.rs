@@ -238,8 +238,8 @@ impl Predictor for TrimmedMean {
 }
 
 /// The standard NWS-style predictor battery used by [`crate::ensemble`].
-/// (`Sync` so forecast state can be shared read-only across scheduler
-/// worker threads, e.g. by the parallel candidate scorer.)
+/// (`Send + Sync`, so an `NwsService` can be moved to or shared with
+/// another thread.)
 pub fn standard_battery() -> Vec<Box<dyn Predictor + Send + Sync>> {
     vec![
         Box::new(LastValue::default()),

@@ -6,7 +6,7 @@
 //! application process computing on a sensed host and a mid-run host
 //! failure, both paths must produce bit-identical run reports and traces,
 //! and every sensor must record the same observation/heartbeat series —
-//! under both kernel modes, batched and on the unbatched oracle. Speeds,
+//! batched and on the unbatched oracle. Speeds,
 //! probe sizes and times are dyadic, so sensors often wake at the very
 //! instant another process acts, which is where an inline step taken out
 //! of turn would show.
@@ -125,7 +125,7 @@ struct Outcome {
     service: Vec<(Option<u64>, Option<u64>)>,
 }
 
-fn run(sc: &Scenario, inline: bool, unbatched: bool, kernel: KernelMode) -> Outcome {
+fn run(sc: &Scenario, inline: bool, unbatched: bool) -> Outcome {
     let mut b = GridBuilder::new();
     let cids = [b.cluster("A"), b.cluster("B")];
     for &c in &cids {
@@ -147,7 +147,6 @@ fn run(sc: &Scenario, inline: bool, unbatched: bool, kernel: KernelMode) -> Outc
     let grid = b.build().unwrap();
     let mut eng = Engine::new(grid);
     eng.set_unbatched_oracle(unbatched);
-    eng.set_kernel_mode(kernel);
     let nws = Arc::new(Mutex::new(NwsService::new()));
     let done = Arc::new(Mutex::new(false));
 
@@ -234,27 +233,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// An inline sensor daemon and the same sensor on a thread are
-    /// bit-identical under every kernel mode, batched or unbatched.
+    /// bit-identical, batched or unbatched.
     #[test]
     fn inline_sensor_matches_thread_sensor(sc in scenario()) {
-        for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-            for unbatched in [true, false] {
-                let thread = run(&sc, false, unbatched, kernel);
-                let inline = run(&sc, true, unbatched, kernel);
-                let (t, d) = (&thread.report, &inline.report);
-                let at = format!("{kernel:?}/unbatched={unbatched}");
-                prop_assert_eq!(t.end_time.to_bits(), d.end_time.to_bits(), "{}: end_time", at);
-                prop_assert_eq!(bits(&t.host_flops), bits(&d.host_flops), "{}: host_flops", at);
-                prop_assert_eq!(bits(&t.link_bytes), bits(&d.link_bytes), "{}: link_bytes", at);
-                prop_assert_eq!(&t.completed, &d.completed, "{}: completed", at);
-                prop_assert_eq!(&t.died, &d.died, "{}: died", at);
-                prop_assert_eq!(&t.unfinished, &d.unfinished, "{}: unfinished", at);
-                prop_assert!(t.failed.is_empty() && d.failed.is_empty(), "{}: failures", at);
-                prop_assert_eq!(&t.trace, &d.trace, "{}: trace", at);
-                prop_assert_eq!(&thread.series, &inline.series, "{}: sensor series", at);
-                prop_assert_eq!(&thread.service, &inline.service, "{}: service state", at);
-                prop_assert_eq!(t, d, "{}: full report", at);
-            }
+        for unbatched in [true, false] {
+            let thread = run(&sc, false, unbatched);
+            let inline = run(&sc, true, unbatched);
+            let (t, d) = (&thread.report, &inline.report);
+            let at = format!("unbatched={unbatched}");
+            prop_assert_eq!(t.end_time.to_bits(), d.end_time.to_bits(), "{}: end_time", at);
+            prop_assert_eq!(bits(&t.host_flops), bits(&d.host_flops), "{}: host_flops", at);
+            prop_assert_eq!(bits(&t.link_bytes), bits(&d.link_bytes), "{}: link_bytes", at);
+            prop_assert_eq!(&t.completed, &d.completed, "{}: completed", at);
+            prop_assert_eq!(&t.died, &d.died, "{}: died", at);
+            prop_assert_eq!(&t.unfinished, &d.unfinished, "{}: unfinished", at);
+            prop_assert!(t.failed.is_empty() && d.failed.is_empty(), "{}: failures", at);
+            prop_assert_eq!(&t.trace, &d.trace, "{}: trace", at);
+            prop_assert_eq!(&thread.series, &inline.series, "{}: sensor series", at);
+            prop_assert_eq!(&thread.service, &inline.service, "{}: service state", at);
+            prop_assert_eq!(t, d, "{}: full report", at);
         }
     }
 }

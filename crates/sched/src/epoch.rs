@@ -370,8 +370,8 @@ mod tests {
                 let fresh = CandidateWalk::new(&grid, &snap, &eligible, min_p, max_p);
                 let indexed = CandidateWalk::from_index(&idx, &bits, &counts, min_p, max_p);
                 let (flops, bytes) = (2e12, 1.5e7);
-                let a = fresh.select(|| TreeBcastPrefix::new(&grid, &snap, flops, bytes), 1);
-                let b = indexed.select(|| TreeBcastPrefix::new(&grid, &snap, flops, bytes), 1);
+                let a = fresh.select(&mut TreeBcastPrefix::new(&grid, &snap, flops, bytes));
+                let b = indexed.select(&mut TreeBcastPrefix::new(&grid, &snap, flops, bytes));
                 match (&a, &b) {
                     (Some(a), Some(b)) => {
                         assert_eq!(a.hosts, b.hosts, "trial {trial} {min_p}..={max_p}");

@@ -11,7 +11,7 @@
 //!   applications (the §4.1 QR experiment's initial schedule);
 //! * [`walk`] + [`tune`] — the grid-scale fast decision path: forecast
 //!   snapshots, zero-materialization candidate walks scored by
-//!   incremental prefix predictors, and a parallel deterministic argmin,
+//!   incremental prefix predictors, and a first-wins argmin,
 //!   bit-identical to the reference path behind a [`SchedTune`] switch.
 
 pub mod bounds;

@@ -24,9 +24,8 @@ pub struct ResourceChoice {
 
 /// Application performance predictor: given an ordered host set, forecast
 /// the execution time. Provided by the COP (its executable performance
-/// model). `Sync` so the fast path's cluster-sharded scorer can share one
-/// closure across worker threads (see [`crate::walk`]).
-pub type MpiPredictor<'a> = dyn Fn(&[HostId], &Grid, &NwsService) -> f64 + Sync + 'a;
+/// model).
+pub type MpiPredictor<'a> = dyn Fn(&[HostId], &Grid, &NwsService) -> f64 + 'a;
 
 /// Enumerate candidate host sets: for each cluster, prefixes (by forecast
 /// effective speed, descending) of length `min_procs..=max_procs`.

@@ -3,24 +3,23 @@
 //! The scheduler has two implementations of MPI resource selection that
 //! are proven bit-identical (unit, property, and end-to-end levels — see
 //! `tests/prop_candidates.rs` and the root `sched_path_determinism`
-//! suite): the seed reference path and the snapshot/incremental/parallel
-//! fast path. [`SchedTune`] selects between them, so experiments can A/B
+//! suite): the seed reference path and the snapshot/incremental fast
+//! path. [`SchedTune`] selects between them, so experiments can A/B
 //! the decision path without touching application code.
 
 /// Which resource-selection implementation the scheduler uses.
 ///
 /// Both paths enumerate the same candidates in the same order and apply
 /// the same first-wins argmin over `(predicted, cluster, prefix length)`,
-/// so the chosen [`crate::ResourceChoice`] is bit-identical across modes
-/// at any worker count.
+/// so the chosen [`crate::ResourceChoice`] is bit-identical across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecisionPath {
     /// The seed path: materialize every candidate prefix and re-run the
     /// forecast ensemble inside sort comparators and predictor calls.
     /// Kept as the benchmark baseline.
     Reference,
-    /// Forecast snapshot + zero-materialization prefix walk + parallel
-    /// deterministic argmin. The default.
+    /// Forecast snapshot + zero-materialization prefix walk + first-wins
+    /// argmin on the calling thread. The default.
     #[default]
     Fast,
 }
@@ -31,10 +30,6 @@ pub enum DecisionPath {
 pub struct SchedTune {
     /// Which selection implementation to run.
     pub path: DecisionPath,
-    /// Worker threads for the fast path's cluster-sharded scorer
-    /// (`1` = score on the calling thread). Ignored by the reference
-    /// path. The argmin is bit-identical at any value.
-    pub workers: usize,
     /// Critical-path attribution feedback strength, in thousandths
     /// (`0` = off, the default; `250` = α 0.25). Stored as an integer so
     /// the tune stays `Eq`/hashable. When on, drivers that keep a
@@ -57,18 +52,17 @@ pub struct SchedTune {
     /// rebuilt-per-job path, which survives as the identity tests' oracle
     /// ([`SchedTune::reference`], or any tune `with_epoch(false)`); only
     /// the cost of reaching them changes. The service's epoch path maps
-    /// through its own plan, so there `path` and `workers` select only
-    /// the rebuild path; drivers without epoch state ignore this field.
+    /// through its own plan, so there `path` selects only the rebuild
+    /// path; drivers without epoch state ignore this field.
     pub epoch: bool,
 }
 
-/// The production tune: fast path, scored on the calling thread,
-/// attribution feedback off, incremental decision epochs on.
+/// The production tune: fast path, attribution feedback off,
+/// incremental decision epochs on.
 impl Default for SchedTune {
     fn default() -> Self {
         SchedTune {
             path: DecisionPath::default(),
-            workers: 1,
             attr_alpha_milli: 0,
             epoch: true,
         }
@@ -86,19 +80,10 @@ impl SchedTune {
         }
     }
 
-    /// The fast path, scored on the calling thread (the production tune).
+    /// The fast path (the production tune).
     pub fn fast() -> Self {
         SchedTune {
             path: DecisionPath::Fast,
-            ..Self::default()
-        }
-    }
-
-    /// The fast path with a cluster-sharded parallel scorer.
-    pub fn fast_parallel(workers: usize) -> Self {
-        SchedTune {
-            path: DecisionPath::Fast,
-            workers: workers.max(1),
             ..Self::default()
         }
     }

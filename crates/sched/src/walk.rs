@@ -1,5 +1,5 @@
-//! Zero-materialization candidate enumeration and the parallel
-//! deterministic argmin — the scheduler's grid-scale fast path.
+//! Zero-materialization candidate enumeration and the first-wins argmin
+//! — the scheduler's grid-scale fast path.
 //!
 //! The reference selector ([`crate::select_mpi_resources`]) materializes
 //! every per-cluster prefix as its own `Vec<HostId>` and hands each to a
@@ -12,12 +12,11 @@
 //! incremental [`PrefixPredictor`] needs to score prefix `k` from `k−1`
 //! in `O(1)`. Only the winning prefix is ever materialized.
 //!
-//! [`CandidateWalk::select`] shards *clusters* across worker threads
-//! (work-stealing via a shared atomic counter, the `grads_bench::sweep`
-//! pattern) and reduces per-cluster winners in cluster-index order under
-//! the total order `(predicted, cluster, prefix length)` with first-wins
-//! ties — exactly the order the reference path's serial loop applies —
-//! so the argmin is bit-identical to a serial run at any worker count.
+//! [`CandidateWalk::select`] scores clusters in index order on the
+//! calling thread and keeps the argmin under the total order
+//! `(predicted, cluster, prefix length)` with first-wins ties — exactly
+//! the order the reference path's loop applies — so the choice is
+//! bit-identical to the reference.
 //!
 //! Whole-prefix closures keep working through [`PrefixClosure`], which
 //! adapts an [`MpiPredictor`] to the walk by replaying a single growing
@@ -31,7 +30,6 @@ use crate::tune::{DecisionPath, SchedTune};
 use grads_nws::{ForecastSnapshot, ForecastSource, NwsService};
 use grads_perf::{PrefixAgg, PrefixPredictor};
 use grads_sim::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One cluster's sorted eligible hosts with their cached effective
 /// speeds — the implicit candidate family `prefix(1..=len)`.
@@ -266,57 +264,13 @@ impl CandidateWalk {
         best.expect("cluster retained by new() yields at least one prefix")
     }
 
-    /// Score every candidate and return the choice with the lowest
-    /// predicted time — the first such `(cluster, prefix length)` in
-    /// enumeration order on ties, exactly like the reference loop.
-    ///
-    /// With `workers > 1`, clusters are sharded across scoped threads;
-    /// `make_predictor` builds one predictor per worker. Which worker
-    /// scores which cluster never affects the result: per-cluster
-    /// winners are reduced in cluster-index order.
-    pub fn select<P, F>(&self, make_predictor: F, workers: usize) -> Option<ResourceChoice>
-    where
-        P: PrefixPredictor,
-        F: Fn() -> P + Sync,
-    {
-        let n = self.clusters.len();
-        if n == 0 {
-            return None;
-        }
-        let per_cluster: Vec<(usize, f64)> = if workers <= 1 || n <= 1 {
-            let mut pred = make_predictor();
-            (0..n)
-                .map(|ci| self.best_in_cluster(ci, &mut pred))
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let mut tagged: Vec<(usize, (usize, f64))> = Vec::with_capacity(n);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers.min(n))
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut pred = make_predictor();
-                            let mut local: Vec<(usize, (usize, f64))> = Vec::new();
-                            loop {
-                                let ci = next.fetch_add(1, Ordering::Relaxed);
-                                if ci >= n {
-                                    break;
-                                }
-                                local.push((ci, self.best_in_cluster(ci, &mut pred)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    tagged.extend(h.join().expect("scorer worker panicked"));
-                }
-            });
-            tagged.sort_by_key(|&(ci, _)| ci);
-            tagged.into_iter().map(|(_, r)| r).collect()
-        };
+    /// Score every candidate with `pred` and return the choice with the
+    /// lowest predicted time — the first such `(cluster, prefix length)`
+    /// in enumeration order on ties, exactly like the reference loop.
+    pub fn select<P: PrefixPredictor>(&self, pred: &mut P) -> Option<ResourceChoice> {
         let mut best: Option<(usize, usize, f64)> = None;
-        for (ci, &(k, t)) in per_cluster.iter().enumerate() {
+        for ci in 0..self.clusters.len() {
+            let (k, t) = self.best_in_cluster(ci, pred);
             match best {
                 Some((_, _, bt)) if bt <= t => {}
                 _ => best = Some((ci, k, t)),
@@ -373,6 +327,10 @@ impl PrefixPredictor for PrefixClosure<'_> {
 /// the fast path: an already-captured snapshot and an incremental
 /// predictor. Bit-identical to [`crate::select_mpi_resources`] run
 /// against the same forecasts with the equivalent whole-prefix model.
+///
+/// `make_predictor` is called once. `workers` is ignored: scoring always
+/// runs on the calling thread. The parameter stays only so existing
+/// callers keep compiling.
 pub fn select_mpi_resources_fast<P, F>(
     grid: &Grid,
     snap: &ForecastSnapshot,
@@ -380,17 +338,17 @@ pub fn select_mpi_resources_fast<P, F>(
     min_procs: usize,
     max_procs: usize,
     make_predictor: F,
-    workers: usize,
+    _workers: usize,
 ) -> Option<ResourceChoice>
 where
     P: PrefixPredictor,
-    F: Fn() -> P + Sync,
+    F: FnOnce() -> P,
 {
     if min_procs > max_procs || max_procs == 0 {
         return None;
     }
     CandidateWalk::new(grid, snap, eligible, min_procs.max(1), max_procs)
-        .select(make_predictor, workers)
+        .select(&mut make_predictor())
 }
 
 /// [`crate::select_mpi_resources`] behind the [`SchedTune`] switch:
@@ -416,7 +374,7 @@ pub fn select_mpi_resources_tuned(
             }
             let snap = ForecastSnapshot::capture(grid, nws);
             CandidateWalk::new(grid, &snap, eligible, min_procs.max(1), max_procs)
-                .select(|| PrefixClosure::new(predict, grid, nws), tune.workers)
+                .select(&mut PrefixClosure::new(predict, grid, nws))
         }
     }
 }
@@ -486,21 +444,19 @@ mod tests {
         };
         for (min_p, max_p) in [(1, 18), (2, 6), (4, 4), (9, 18)] {
             let r = select_mpi_resources(&grid, &nws, &all, min_p, max_p, &predict);
-            for workers in [1, 3, 7] {
-                let f = select_mpi_resources_tuned(
-                    &grid,
-                    &nws,
-                    &all,
-                    min_p,
-                    max_p,
-                    &predict,
-                    SchedTune::fast_parallel(workers),
-                );
-                match (&r, &f) {
-                    (Some(r), Some(f)) => assert_same_choice(r, f),
-                    (None, None) => {}
-                    _ => panic!("presence mismatch at {min_p}..={max_p} w{workers}"),
-                }
+            let f = select_mpi_resources_tuned(
+                &grid,
+                &nws,
+                &all,
+                min_p,
+                max_p,
+                &predict,
+                SchedTune::fast(),
+            );
+            match (&r, &f) {
+                (Some(r), Some(f)) => assert_same_choice(r, f),
+                (None, None) => {}
+                _ => panic!("presence mismatch at {min_p}..={max_p}"),
             }
         }
     }
@@ -515,19 +471,17 @@ mod tests {
             TreeBcastPrefix::reference(hosts, grid, nws, flops, bytes)
         };
         let reference = select_mpi_resources(&grid, &nws, &all, 2, 18, &closure).unwrap();
-        for workers in [1, 4] {
-            let fast = select_mpi_resources_fast(
-                &grid,
-                &snap,
-                &all,
-                2,
-                18,
-                || TreeBcastPrefix::new(&grid, &snap, flops, bytes),
-                workers,
-            )
-            .unwrap();
-            assert_same_choice(&reference, &fast);
-        }
+        let fast = select_mpi_resources_fast(
+            &grid,
+            &snap,
+            &all,
+            2,
+            18,
+            || TreeBcastPrefix::new(&grid, &snap, flops, bytes),
+            1,
+        )
+        .unwrap();
+        assert_same_choice(&reference, &fast);
     }
 
     #[test]
@@ -561,25 +515,15 @@ mod tests {
     fn tie_break_keeps_first_cluster_and_shortest_prefix() {
         // A constant predictor makes every candidate tie: the reference
         // keeps the very first (cluster 0, k = min_procs); the fast path
-        // must agree at any worker count.
+        // must agree.
         let (grid, nws) = setup();
         let all: Vec<HostId> = (0..18).map(HostId).collect();
         let constant = |_: &[HostId], _: &Grid, _: &NwsService| 42.0;
         let r = select_mpi_resources(&grid, &nws, &all, 2, 18, &constant).unwrap();
         assert_eq!(r.cluster, ClusterId(0));
         assert_eq!(r.hosts.len(), 2);
-        for workers in [1, 5] {
-            let f = select_mpi_resources_tuned(
-                &grid,
-                &nws,
-                &all,
-                2,
-                18,
-                &constant,
-                SchedTune::fast_parallel(workers),
-            )
+        let f = select_mpi_resources_tuned(&grid, &nws, &all, 2, 18, &constant, SchedTune::fast())
             .unwrap();
-            assert_same_choice(&r, &f);
-        }
+        assert_same_choice(&r, &f);
     }
 }

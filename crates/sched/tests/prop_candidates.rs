@@ -2,7 +2,7 @@
 //! NWS CPU histories, eligibility sets, and size bounds, the fast path —
 //! forecast snapshot + zero-materialization candidate walk + incremental
 //! prefix predictor — picks the **bit-identical** `ResourceChoice` as the
-//! seed reference loop, at 1 worker and at N workers.
+//! seed reference loop.
 
 use grads_nws::{ForecastSnapshot, NwsService};
 use grads_perf::{FlatPrefix, TreeBcastPrefix};
@@ -91,9 +91,9 @@ fn key(c: &Option<ResourceChoice>) -> Option<(ClusterId, Vec<HostId>, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Incremental `TreeBcastPrefix` through the walk, at 1 and N
-    /// workers, equals the reference loop scoring the whole-prefix
-    /// closure against the live service — bit for bit.
+    /// Incremental `TreeBcastPrefix` through the walk equals the
+    /// reference loop scoring the whole-prefix closure against the live
+    /// service — bit for bit.
     #[test]
     fn tree_model_fast_path_matches_reference(inst in instance()) {
         let (grid, nws, eligible) = build(&inst);
@@ -104,21 +104,16 @@ proptest! {
             &grid, &nws, &eligible, inst.min_procs, inst.max_procs, &closure,
         );
         let snap = ForecastSnapshot::capture(&grid, &nws);
-        for workers in [1usize, 3] {
-            let fast = select_mpi_resources_fast(
-                &grid, &snap, &eligible, inst.min_procs, inst.max_procs,
-                || TreeBcastPrefix::new(&grid, &snap, FLOPS, BCAST_BYTES),
-                workers,
-            );
-            prop_assert_eq!(
-                key(&fast), key(&reference),
-                "tree model diverged at {} workers", workers
-            );
-        }
+        let fast = select_mpi_resources_fast(
+            &grid, &snap, &eligible, inst.min_procs, inst.max_procs,
+            || TreeBcastPrefix::new(&grid, &snap, FLOPS, BCAST_BYTES),
+            1,
+        );
+        prop_assert_eq!(key(&fast), key(&reference), "tree model diverged");
     }
 
     /// The tuned entry point (closure adapter inside) is bit-identical
-    /// across `SchedTune` modes, including the parallel scorer.
+    /// across `SchedTune` modes.
     #[test]
     fn tuned_entry_point_matches_across_modes(inst in instance()) {
         let (grid, nws, eligible) = build(&inst);
@@ -130,12 +125,11 @@ proptest! {
             &grid, &nws, &eligible, inst.min_procs, inst.max_procs, &closure,
             SchedTune::reference(),
         );
-        for tune in [SchedTune::fast(), SchedTune::fast_parallel(3)] {
-            let fast = select_mpi_resources_tuned(
-                &grid, &nws, &eligible, inst.min_procs, inst.max_procs, &closure, tune,
-            );
-            prop_assert_eq!(key(&fast), key(&reference), "diverged under {:?}", tune);
-        }
+        let fast = select_mpi_resources_tuned(
+            &grid, &nws, &eligible, inst.min_procs, inst.max_procs, &closure,
+            SchedTune::fast(),
+        );
+        prop_assert_eq!(key(&fast), key(&reference), "fast path diverged");
     }
 
     /// The flat (perfectly parallel) incremental model equals its
@@ -151,16 +145,11 @@ proptest! {
             &grid, &nws, &eligible, inst.min_procs, inst.max_procs, &closure,
         );
         let snap = ForecastSnapshot::capture(&grid, &nws);
-        for workers in [1usize, 3] {
-            let fast = select_mpi_resources_fast(
-                &grid, &snap, &eligible, inst.min_procs, inst.max_procs,
-                || FlatPrefix { flops: FLOPS },
-                workers,
-            );
-            prop_assert_eq!(
-                key(&fast), key(&reference),
-                "flat model diverged at {} workers", workers
-            );
-        }
+        let fast = select_mpi_resources_fast(
+            &grid, &snap, &eligible, inst.min_procs, inst.max_procs,
+            || FlatPrefix { flops: FLOPS },
+            1,
+        );
+        prop_assert_eq!(key(&fast), key(&reference), "flat model diverged");
     }
 }

@@ -13,7 +13,7 @@
 //! 4. clears the commodities market (supply = free slots, demand = the
 //!    queue's budget rates) to get the round's slot-second price;
 //! 5. walks the queue earliest-deadline-first and, for each job, maps it
-//!    with the `SchedTune` decision path (reference or fast/parallel —
+//!    with the `SchedTune` decision path (reference or fast —
 //!    bit-identical by the decision-path contract), then admits, defers,
 //!    or rejects:
 //!    * **reject** if the snapshot-based completion estimate misses the
@@ -263,7 +263,7 @@ fn map_job(
             job.procs,
             job.procs,
             || TreeBcastPrefix::new(grid, snap, job.flops, job.bcast_bytes),
-            tune.workers,
+            1,
         ),
     }
 }

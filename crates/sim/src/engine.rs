@@ -22,14 +22,15 @@
 //! change keep their generation and their already-scheduled completion
 //! event.
 //!
-//! [`KernelMode`] is the one run-loop choice. Three hidden test oracles
-//! reproduce the reference behaviours the identity suites compare the
-//! production path against: a full recompute (every host and component on
-//! each solve), an eager recompute (one solve per churn) and an unbatched
-//! transport (one blocking round trip per `Ctx` call).
+//! The kernel has one run loop over one indexed event queue. Three
+//! hidden test oracles reproduce the reference behaviours the identity
+//! suites compare the production path against: a full recompute (every
+//! host and component on each solve), an eager recompute (one solve per
+//! churn) and an unbatched transport (one blocking round trip per `Ctx`
+//! call).
 
 use crate::daemon::{Daemon, Step};
-use crate::equeue::{class_key, Event, EventKind, IndexedHeap, ShardedHeap, MAX_SHARDS, NO_HANDLE};
+use crate::equeue::{class_key, Event, EventKind, IndexedHeap, NO_HANDLE};
 use crate::handoff::{self, panic_message, HandoffSlot, Process};
 use crate::maildir::{MailDir, QueuedSend};
 use crate::process::{
@@ -38,39 +39,9 @@ use crate::process::{
 use crate::sharing::{cpu_share, FairScratch};
 use crate::topology::{Grid, HostId, LinkId};
 use crate::trace::{Trace, TraceKind, TraceRecord};
-use crate::window::{multicore, Job, WindowPolicy, WorkerPool};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once};
-
-/// How the kernel's run loop organises event execution.
-///
-/// The serial loop is the reference. [`KernelMode::Windowed`] is the
-/// conservative-parallel organisation of the *same* event sequence:
-/// the indexed event queue is sharded by cluster, cluster-local event
-/// windows (bounded by the topology's minimum WAN link latency, see
-/// [`Grid::min_wan_latency`]) are pre-drained concurrently on a worker
-/// pool, and the pre-drained batches are merged with live shard minima
-/// under the kernel's strict `(t, class, key, seq)` total order — so the
-/// applied-event sequence, and with it every result bit, is identical to
-/// the serial kernel at any worker count. Pre-drained completions that a
-/// mid-window re-stamp invalidates fail the generation check on pop.
-/// DESIGN.md ("Parallel kernel") documents the protocol;
-/// `tests/prop_windowed.rs` and `tests/substrate_determinism.rs` pin the
-/// bit-identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// One event at a time off one queue — the reference and the default.
-    #[default]
-    Serial,
-    /// Conservative parallel windows over cluster shards. `workers` is the
-    /// total executor count (1 = the kernel thread alone, still exercising
-    /// the window/merge machinery; n > 1 adds n − 1 pool threads).
-    Windowed {
-        /// Total concurrent executors, kernel thread included.
-        workers: u32,
-    },
-}
 
 /// Outcome of a simulation run.
 ///
@@ -94,9 +65,8 @@ pub struct RunReport {
     /// Bytes carried per link over the run (indexable by `LinkId.0`).
     pub link_bytes: Vec<f64>,
     /// Kernel events applied over the run (stale completions excluded).
-    /// Identical across kernel modes and test oracles for the same
-    /// scenario, which makes it the numerator of the benchmark's
-    /// events/sec metric.
+    /// Identical across the test oracles for the same scenario, which
+    /// makes it the numerator of the benchmark's events/sec metric.
     pub events_processed: u64,
     /// Full trace of the run.
     pub trace: Trace,
@@ -186,10 +156,6 @@ struct Flow {
     /// Virtual time of the pending completion event (`INFINITY` when none
     /// is scheduled); same due-now re-stamp guard as [`CpuAction::due`].
     due: f64,
-    /// Event partition this flow's events belong to (its source host's
-    /// cluster); fixed for the flow's lifetime. Only meaningful under
-    /// [`KernelMode::Windowed`], but cheap enough to stamp always.
-    part: u32,
     payload: Option<Payload>,
     on_done: OnDone,
 }
@@ -338,89 +304,6 @@ struct RateScratch {
     route_class: EpochMap,
 }
 
-/// The kernel's pending-event queue: one indexed heap, or the
-/// cluster-sharded variant the windowed kernel uses. Both pop the
-/// identical `(t, class, key, seq)` order.
-enum EventQueue {
-    Indexed(IndexedHeap),
-    /// Indexed heaps sharded by cluster partition ([`KernelMode::Windowed`]).
-    Sharded(ShardedHeap),
-}
-
-impl EventQueue {
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Indexed(h) => h.len(),
-            EventQueue::Sharded(h) => h.len(),
-        }
-    }
-
-    fn peek(&self) -> Option<&Event> {
-        match self {
-            EventQueue::Indexed(h) => h.peek(),
-            EventQueue::Sharded(h) => h.peek(),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Indexed(h) => h.pop(),
-            EventQueue::Sharded(h) => h.pop(),
-        }
-    }
-
-    /// Push into partition `shard` (ignored by the single heap).
-    fn push(&mut self, shard: u32, ev: Event) -> u32 {
-        match self {
-            EventQueue::Indexed(h) => h.push(ev),
-            EventQueue::Sharded(h) => h.push(shard, ev),
-        }
-    }
-
-    /// Remove the event behind `handle`; a no-op for [`NO_HANDLE`].
-    fn remove(&mut self, handle: u32) {
-        match self {
-            EventQueue::Indexed(h) => h.remove(handle),
-            EventQueue::Sharded(h) => h.remove(handle),
-        };
-    }
-
-    /// Overwrite the event behind `handle` in place (a fresh push when
-    /// the handle is [`NO_HANDLE`]). Returns the event's handle.
-    fn replace(&mut self, handle: u32, shard: u32, ev: Event) -> u32 {
-        match self {
-            EventQueue::Indexed(h) => h.replace(handle, ev),
-            EventQueue::Sharded(h) => h.replace(handle, shard, ev),
-        }
-    }
-}
-
-/// Raw pointers to the engine's entity tables, for pool jobs operating on
-/// provably disjoint index sets (per-shard window drains, per-partition
-/// accrual). Plain `&mut` splitting cannot express "disjoint by partition
-/// membership", so the jobs carry these instead.
-#[derive(Clone, Copy)]
-struct EntityPtrs {
-    cpu: *mut Option<CpuAction>,
-    flows: *mut Option<Flow>,
-    host_flops: *mut f64,
-}
-
-// SAFETY: the pointee types are all Send (plain data plus `Box<dyn Any +
-// Send>` payloads), and every job batch partitions the index space so no
-// element is touched by two jobs; `WorkerPool::run_batch` returns only
-// after all jobs finished, bounding the borrows.
-unsafe impl Send for EntityPtrs {}
-
-/// Where the windowed merge found its globally next event.
-#[derive(Clone, Copy)]
-enum WindowSource {
-    /// The live sharded heap.
-    Heap,
-    /// The staged pre-drained window of this shard.
-    Staged(usize),
-}
-
 /// The grid emulator.
 ///
 /// ```
@@ -444,7 +327,7 @@ pub struct Engine {
     now: f64,
     last_advance: f64,
     seq: u64,
-    events: EventQueue,
+    events: IndexedHeap,
     procs: Vec<ProcSlot>,
     cpu: Vec<Option<CpuAction>>,
     flows: Vec<Option<Flow>>,
@@ -517,33 +400,10 @@ pub struct Engine {
     req_inline: u64,
     /// Blocking handoffs: resumes of a coroutine process.
     req_roundtrips: u64,
-    /// Staged window copies discarded by their generation check.
+    /// Completions discarded by their generation check (none on a
+    /// correct kernel; see [`Engine::discard_if_stale`]).
     stale_discarded: u64,
     recomputes: u64,
-    /// Run-loop organisation ([`KernelMode`]); `Windowed` keeps `events`
-    /// in the [`EventQueue::Sharded`] variant.
-    kernel: KernelMode,
-    /// Host → event partition (cluster index, folded into [`MAX_SHARDS`]).
-    part_of_host: Vec<u32>,
-    /// Partition count (= shard count of the sharded queue).
-    nparts: u32,
-    /// Window width: the grid's minimum WAN link latency, or infinity on a
-    /// single-cluster grid (the per-shard drain cap bounds the window then).
-    lookahead: f64,
-    /// Per-shard pre-drained event windows, each in pop order. The merge
-    /// loop consumes these against the live shard minima.
-    staged: Vec<VecDeque<Event>>,
-    staged_total: usize,
-    /// Helper threads for window drains and accrual sweeps (`Windowed`
-    /// with more than one worker only).
-    pool: Option<WorkerPool>,
-    wpolicy: WindowPolicy,
-    windows_planned: u64,
-    events_predrained: u64,
-    /// Scratch: live CPU action ids bucketed by partition, each bucket in
-    /// ascending id order (the serial accrual traversal order). Rebuilt per
-    /// parallel sweep.
-    accrual_parts: Vec<Vec<u32>>,
     obs: grads_obs::Obs,
     rec: grads_obs::Recorder,
     scratch: RateScratch,
@@ -580,16 +440,13 @@ impl Engine {
         let mut scratch = RateScratch::default();
         scratch.comp_link_mark.ensure(nlinks);
         scratch.link_local.ensure(nlinks);
-        let nparts = grid.clusters().len().clamp(1, MAX_SHARDS) as u32;
-        let part_of_host = grid.hosts().iter().map(|h| h.cluster.0 % nparts).collect();
-        let lookahead = grid.min_wan_latency().unwrap_or(f64::INFINITY);
         let link_caps = grid.links().iter().map(|l| l.bandwidth).collect();
         Engine {
             grid,
             now: 0.0,
             last_advance: 0.0,
             seq: 0,
-            events: EventQueue::Indexed(IndexedHeap::default()),
+            events: IndexedHeap::default(),
             procs: Vec::new(),
             cpu: Vec::new(),
             flows: Vec::new(),
@@ -629,17 +486,6 @@ impl Engine {
             req_roundtrips: 0,
             stale_discarded: 0,
             recomputes: 0,
-            kernel: KernelMode::default(),
-            part_of_host,
-            nparts,
-            lookahead,
-            staged: Vec::new(),
-            staged_total: 0,
-            pool: None,
-            wpolicy: WindowPolicy::default(),
-            windows_planned: 0,
-            events_predrained: 0,
-            accrual_parts: Vec::new(),
             obs: grads_obs::Obs::disabled(),
             rec: grads_obs::Recorder::disabled(),
             scratch,
@@ -670,8 +516,8 @@ impl Engine {
     /// production timing — see [`Self::must_flush_before`]). Rates are
     /// only observable through the work they accrue, and work accrues only
     /// while virtual time advances, so both timings produce bit-identical
-    /// [`RunReport`]s under every recompute scope and [`KernelMode`]; the
-    /// coalescing identity suites compare against this oracle, and
+    /// [`RunReport`]s under every recompute scope; the coalescing
+    /// identity suites compare against this oracle, and
     /// DESIGN.md ("Coalesced recomputation") carries the soundness
     /// argument. Not a tuning knob: the eager timing only ever
     /// costs more solves. Switch between runs, not mid-burst.
@@ -696,134 +542,6 @@ impl Engine {
     #[doc(hidden)]
     pub fn set_unbatched_oracle(&mut self, on: bool) {
         self.unbatched_oracle = on;
-    }
-
-    /// Select the run-loop organisation (default: [`KernelMode::Serial`]).
-    /// Call before `run`. Switching to [`KernelMode::Windowed`] converts
-    /// the queue to its cluster-sharded form (migrating pending events and
-    /// their cancellation handles) and starts the worker pool; switching
-    /// back restores a single indexed heap. Mode choice and worker count
-    /// cannot affect results — `tests/prop_windowed.rs` pins that.
-    pub fn set_kernel_mode(&mut self, m: KernelMode) {
-        assert_eq!(self.staged_total, 0, "switch kernel modes before running");
-        self.kernel = m;
-        match m {
-            KernelMode::Serial => {
-                self.pool = None;
-                if let EventQueue::Sharded(_) = self.events {
-                    let mut ih = IndexedHeap::default();
-                    while let Some(ev) = self.events.pop() {
-                        let owner = Self::completion_owner(&ev.kind);
-                        let h = ih.push(ev);
-                        self.patch_owner_handle(owner, h);
-                    }
-                    self.events = EventQueue::Indexed(ih);
-                }
-            }
-            KernelMode::Windowed { workers } => {
-                if !matches!(self.events, EventQueue::Sharded(_)) {
-                    let mut sh = ShardedHeap::new(self.nparts as usize);
-                    while let Some(ev) = self.events.pop() {
-                        let shard = self.shard_for(&ev.kind);
-                        let owner = Self::completion_owner(&ev.kind);
-                        let h = sh.push(shard, ev);
-                        self.patch_owner_handle(owner, h);
-                    }
-                    self.events = EventQueue::Sharded(sh);
-                }
-                if let EventQueue::Sharded(sh) = &self.events {
-                    debug_assert_eq!(
-                        sh.nshards(),
-                        self.nparts as usize,
-                        "shard count tracks the grid's partition count"
-                    );
-                }
-                if self.staged.len() != self.nparts as usize {
-                    self.staged = (0..self.nparts).map(|_| VecDeque::new()).collect();
-                }
-                let helpers = workers.saturating_sub(1) as usize;
-                if self.pool.as_ref().map(|p| p.workers()) != Some(helpers) {
-                    self.pool = if helpers > 0 {
-                        Some(WorkerPool::new(helpers))
-                    } else {
-                        None
-                    };
-                }
-            }
-        }
-    }
-
-    /// The active run-loop organisation.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
-    /// Tune the windowed kernel's dispatch thresholds (see
-    /// [`WindowPolicy`]). Scheduling only — any policy yields bit-identical
-    /// results; `windowed_policy_does_not_perturb_results` pins that.
-    pub fn set_window_policy(&mut self, p: WindowPolicy) {
-        self.wpolicy = p;
-    }
-
-    /// The active windowed-kernel policy.
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.wpolicy
-    }
-
-    /// The event partition an event belongs to: the cluster of the host
-    /// whose state it mutates (flows are keyed by their *source* host's
-    /// cluster for their whole lifetime).
-    fn shard_for(&self, kind: &EventKind) -> u32 {
-        match kind {
-            EventKind::Start(pid) | EventKind::SleepDone(pid) => {
-                self.part_of_host[self.procs[pid.0 as usize].host.0 as usize]
-            }
-            EventKind::HostFail { host }
-            | EventKind::LoadOn { host, .. }
-            | EventKind::LoadOff { host, .. } => self.part_of_host[host.0 as usize],
-            // A queued completion's owner is live (cancels remove the
-            // event); the fallback only keeps this total. Any shard would
-            // do: the global pop order is independent of shard placement.
-            EventKind::CpuDone { id, .. } => self.cpu[*id]
-                .as_ref()
-                .map_or(0, |a| self.part_of_host[a.host]),
-            EventKind::FlowActivate { id } | EventKind::FlowDone { id, .. } => {
-                self.flows[*id].as_ref().map_or(0, |f| f.part)
-            }
-        }
-    }
-
-    /// `(is_cpu, id, gen)` when the event is a completion whose owner holds
-    /// a cancellation handle that queue migration must re-point.
-    fn completion_owner(kind: &EventKind) -> Option<(bool, usize, u64)> {
-        match *kind {
-            EventKind::CpuDone { id, gen } => Some((true, id, gen)),
-            EventKind::FlowDone { id, gen } => Some((false, id, gen)),
-            _ => None,
-        }
-    }
-
-    /// Point a live completion owner's handle at the event's new home
-    /// after queue migration. Stale completions (generation mismatch) keep
-    /// no handle and are discarded on pop as usual.
-    fn patch_owner_handle(&mut self, owner: Option<(bool, usize, u64)>, h: u32) {
-        match owner {
-            Some((true, id, gen)) => {
-                if let Some(a) = self.cpu[id].as_mut() {
-                    if a.gen == gen {
-                        a.ev = h;
-                    }
-                }
-            }
-            Some((false, id, gen)) => {
-                if let Some(f) = self.flows[id].as_mut() {
-                    if f.gen == gen {
-                        f.ev = h;
-                    }
-                }
-            }
-            None => {}
-        }
     }
 
     /// Attach an observability sink. Kernel counters (events applied, stale
@@ -873,19 +591,15 @@ impl Engine {
         }
     }
 
-    /// Push an event into its partition's shard, returning its handle.
+    /// Push an event, returning its handle.
     fn push_event(&mut self, t: f64, kind: EventKind) -> u32 {
-        let shard = self.shard_for(&kind);
         let ev = Self::stamp(&mut self.seq, t, kind);
-        self.events.push(shard, ev)
+        self.events.push(ev)
     }
 
     /// Cancel a pending completion event: the queue removes it outright
-    /// and `handle` is reset to [`NO_HANDLE`]. In windowed mode a
-    /// completion already pre-drained into a staged window carries
-    /// [`NO_HANDLE`] — nothing to remove; the staged copy fails its
-    /// generation check on pop.
-    fn cancel_ev(events: &mut EventQueue, handle: &mut u32) {
+    /// and `handle` is reset to [`NO_HANDLE`].
+    fn cancel_ev(events: &mut IndexedHeap, handle: &mut u32) {
         events.remove(*handle);
         *handle = NO_HANDLE;
     }
@@ -893,13 +607,10 @@ impl Engine {
     /// Cancel an entity's pending completion event (if `had_pending`) and
     /// schedule its successor in one step: the queue overwrites the event
     /// in place via [`IndexedHeap::replace`] — one short sift instead of a
-    /// removal plus a push. A pre-drained (staged) completion left
-    /// [`NO_HANDLE`] behind; the replace degrades to a fresh push then,
-    /// and the staged copy dies by generation mismatch on pop.
+    /// removal plus a push.
     fn restamp_ev(
-        events: &mut EventQueue,
+        events: &mut IndexedHeap,
         seq: &mut u64,
-        shard: u32,
         handle: &mut u32,
         had_pending: bool,
         t: f64,
@@ -907,9 +618,9 @@ impl Engine {
     ) {
         let ev = Self::stamp(seq, t, kind);
         *handle = if had_pending {
-            events.replace(*handle, shard, ev)
+            events.replace(*handle, ev)
         } else {
-            events.push(shard, ev)
+            events.push(ev)
         };
     }
 
@@ -1000,11 +711,7 @@ impl Engine {
     /// (unwound) before returning. Every process runs on the calling
     /// thread.
     pub fn run_until(mut self, tmax: f64) -> RunReport {
-        if matches!(self.events, EventQueue::Sharded(_)) {
-            self.run_windowed(tmax);
-        } else {
-            self.run_serial(tmax);
-        }
+        self.run_loop(tmax);
         self.finish()
     }
 
@@ -1074,13 +781,12 @@ impl Engine {
     /// must be completely unobservable, including through `end_time`
     /// and the accrual sweep. Skipping `advance_to` on a stale pop is
     /// exact — no rate changes at a stale pop, and accrual is linear in
-    /// time. Shared verbatim by the serial and windowed loops so the
-    /// decision cannot drift between them.
+    /// time.
     ///
     /// Every cancel and re-stamp goes through the owner's queue handle,
-    /// so the serial kernel never pops a stale event: only the windowed
-    /// kernel's pre-drained copies, whose handles were cleared when they
-    /// were staged, can fail the check (debug builds assert this).
+    /// so the kernel never pops a stale event: a stale pop means a cancel
+    /// handle was lost (debug builds assert this). Release builds keep
+    /// the check and count the discard in `sim.events_stale_discarded`.
     fn discard_if_stale(&mut self, kind: &EventKind) -> bool {
         let stale = match *kind {
             EventKind::CpuDone { id, gen } => {
@@ -1091,18 +797,18 @@ impl Engine {
             }
             _ => false,
         };
+        debug_assert!(
+            !stale,
+            "kernel popped a stale completion: a cancel handle was lost"
+        );
         if stale {
-            debug_assert!(
-                matches!(self.events, EventQueue::Sharded(_)),
-                "serial kernel popped a stale completion: a cancel handle was lost"
-            );
             self.stale_discarded += 1;
         }
         stale
     }
 
-    /// The reference run loop: one event at a time off one queue.
-    fn run_serial(&mut self, tmax: f64) {
+    /// The run loop: one event at a time off one queue.
+    fn run_loop(&mut self, tmax: f64) {
         loop {
             self.pump_processes();
             // Deferred-recompute flush: solve the pending burst before its
@@ -1128,178 +834,7 @@ impl Engine {
         }
     }
 
-    /// The conservative-parallel run loop ([`KernelMode::Windowed`]).
-    ///
-    /// Alternates two steps: *plan* — when no staged events remain, pre-drain
-    /// the next window (events within the lookahead horizon) from every
-    /// cluster shard, concurrently when the pool pays — and *merge* — apply
-    /// events one at a time, always taking the global minimum of the staged
-    /// window fronts and the live shard minima under the kernel's strict
-    /// `(t, class, key, seq)` total order. The merge replays exactly the
-    /// serial applied-event sequence: events pushed mid-window land in the
-    /// live shards and win the comparison whenever the serial kernel would
-    /// have popped them first, and staged completions invalidated by a
-    /// mid-window re-stamp fail the generation check on pop. Worker count
-    /// therefore cannot perturb results.
-    fn run_windowed(&mut self, tmax: f64) {
-        loop {
-            self.pump_processes();
-            if self.staged_total == 0 {
-                self.plan_window();
-            }
-            // Deferred-recompute flush, as in the serial loop. A flush
-            // pushes into the live shards, where the merge's global-min
-            // comparison picks it up — staged windows are unaffected.
-            if self.pending_churn > 0
-                && self.must_flush_before(self.peek_windowed().map(|(t, c, _)| (t, c)))
-            {
-                self.flush_rates();
-            }
-            let Some((t, _class, src)) = self.peek_windowed() else {
-                break;
-            };
-            if t > tmax {
-                break;
-            }
-            let ev = self.pop_windowed(src);
-            if self.discard_if_stale(&ev.kind) {
-                continue;
-            }
-            self.advance_to(ev.t);
-            self.events_processed += 1;
-            self.apply_event(ev.kind);
-        }
-    }
-
-    /// Pre-drain the next window. Each shard pops its events with
-    /// `t <= t0 + lookahead` (bounded by [`WindowPolicy::max_drain_per_shard`])
-    /// into that shard's staged queue — pure motion preserving per-shard pop
-    /// order, so the per-shard drains can run concurrently. Afterwards the
-    /// kernel thread clears the drained completions' owner handles
-    /// (serially: flow/action slots are recycled, so only the kernel may
-    /// touch them) which routes later cancels/re-stamps of those owners
-    /// onto the generation check the merge already re-validates.
-    fn plan_window(&mut self) {
-        let EventQueue::Sharded(sh) = &mut self.events else {
-            return;
-        };
-        let Some(first) = sh.peek() else {
-            return;
-        };
-        // Infinity-safe: a single-cluster grid has no WAN latency and an
-        // infinite horizon; the per-shard cap bounds the window instead.
-        let horizon = first.t + self.lookahead;
-        let cap = self.wpolicy.max_drain_per_shard;
-        let fan_out = self.pool.is_some()
-            && (self.wpolicy.force_parallel || multicore())
-            && sh.len() >= self.wpolicy.min_parallel_drain;
-        let shards = sh.shards_mut();
-        let nparts = shards.len();
-        let mut drained = vec![0usize; nparts];
-        if fan_out {
-            let pool = self.pool.as_ref().expect("gated on pool presence");
-            let mut closures: Vec<Box<dyn FnMut() + Send>> = shards
-                .iter_mut()
-                .zip(self.staged.iter_mut())
-                .zip(drained.iter_mut())
-                .map(|((heap, staged), cnt)| {
-                    Box::new(move || *cnt = Self::drain_shard(heap, staged, horizon, cap))
-                        as Box<dyn FnMut() + Send>
-                })
-                .collect();
-            let mut jobs: Vec<Job<'_>> = closures.iter_mut().map(|b| &mut **b as Job<'_>).collect();
-            pool.run_batch(&mut jobs);
-        } else {
-            for (s, heap) in shards.iter_mut().enumerate() {
-                drained[s] = Self::drain_shard(heap, &mut self.staged[s], horizon, cap);
-            }
-        }
-        let total: usize = drained.iter().sum();
-        self.staged_total += total;
-        self.events_predrained += total as u64;
-        self.windows_planned += 1;
-        // Serial handle-clearing pass (see the doc comment above).
-        for s in 0..nparts {
-            for k in 0..self.staged[s].len() {
-                match self.staged[s][k].kind {
-                    EventKind::CpuDone { id, gen } => {
-                        if let Some(a) = self.cpu[id].as_mut() {
-                            if a.gen == gen {
-                                a.ev = NO_HANDLE;
-                            }
-                        }
-                    }
-                    EventKind::FlowDone { id, gen } => {
-                        if let Some(f) = self.flows[id].as_mut() {
-                            if f.gen == gen {
-                                f.ev = NO_HANDLE;
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    /// Pop one shard's current window (events up to `horizon`, at most
-    /// `cap`) into its staged queue. Returns the number drained.
-    fn drain_shard(
-        heap: &mut IndexedHeap,
-        staged: &mut VecDeque<Event>,
-        horizon: f64,
-        cap: usize,
-    ) -> usize {
-        let mut n = 0;
-        while n < cap {
-            match heap.peek() {
-                Some(ev) if ev.t <= horizon => {}
-                _ => break,
-            }
-            staged.push_back(heap.pop().expect("peeked event"));
-            n += 1;
-        }
-        n
-    }
-
-    /// The source holding the globally next event under the kernel's strict
-    /// total order: a staged window front or the live sharded heap. Returns
-    /// the winner's `(t, class)` too — the coalesced-recompute flush rule
-    /// needs both to decide whether pending churn must solve first.
-    fn peek_windowed(&self) -> Option<(f64, u8, WindowSource)> {
-        let EventQueue::Sharded(sh) = &self.events else {
-            unreachable!("windowed loop requires the sharded queue");
-        };
-        let mut best: Option<(&Event, WindowSource)> = sh.peek().map(|e| (e, WindowSource::Heap));
-        for (s, q) in self.staged.iter().enumerate() {
-            if let Some(ev) = q.front() {
-                if best.is_none_or(|(b, _)| ev.fires_before(b)) {
-                    best = Some((ev, WindowSource::Staged(s)));
-                }
-            }
-        }
-        best.map(|(e, src)| (e.t, e.class, src))
-    }
-
-    /// Pop the event [`Self::peek_windowed`] selected.
-    fn pop_windowed(&mut self, src: WindowSource) -> Event {
-        match src {
-            WindowSource::Heap => {
-                let EventQueue::Sharded(sh) = &mut self.events else {
-                    unreachable!("windowed loop requires the sharded queue");
-                };
-                sh.pop().expect("peeked event")
-            }
-            WindowSource::Staged(s) => {
-                self.staged_total -= 1;
-                self.staged[s].pop_front().expect("peeked staged event")
-            }
-        }
-    }
-
     fn finish(mut self) -> RunReport {
-        // Join the window workers first; nothing below fans out.
-        self.pool = None;
         // Unwind every started process that has not exited, in pid order.
         // One that blocks again while unwinding is never resumed; it stays
         // listed, and dropping it leaks its stack.
@@ -1358,19 +893,8 @@ impl Engine {
             self.obs
                 .counter_add("sim.req.roundtrips", self.req_roundtrips);
             self.obs.gauge_set("sim.end_time", self.now);
-            // Staged-but-unapplied window events are still pending events;
-            // `staged_total` is 0 outside windowed mode, so serial
-            // snapshots are unchanged byte for byte.
-            self.obs.gauge_set(
-                "sim.final_heap_len",
-                (self.events.len() + self.staged_total) as f64,
-            );
-            if matches!(self.kernel, KernelMode::Windowed { .. }) {
-                self.obs
-                    .counter_add("sim.windows_planned", self.windows_planned);
-                self.obs
-                    .counter_add("sim.events_predrained", self.events_predrained);
-            }
+            self.obs
+                .gauge_set("sim.final_heap_len", self.events.len() as f64);
         }
         RunReport {
             end_time: self.now,
@@ -1391,7 +915,7 @@ impl Engine {
 
     fn advance_to(&mut self, t: f64) {
         let dt = t - self.last_advance;
-        if dt > 0.0 && !self.accrue_parallel(dt) {
+        if dt > 0.0 {
             for a in self.cpu.iter_mut().flatten() {
                 let done = (a.rate * dt).min(a.remaining);
                 self.host_flops[a.host] += done;
@@ -1406,94 +930,6 @@ impl Engine {
         }
         self.last_advance = t;
         self.now = t;
-    }
-
-    /// Fan the accrual sweep out to the worker pool when it pays, returning
-    /// `false` (sweep left to the serial loops above) otherwise.
-    ///
-    /// Bitwise identical to the serial sweep by construction: CPU actions
-    /// are bucketed by their host's partition in ascending id order — the
-    /// serial traversal order — so each host's flop accumulation happens in
-    /// exactly the serial summation order on exactly the one job owning
-    /// that partition, and flows touch only their own `remaining`, making
-    /// any flow chunking exact. Neither bucketing nor chunk count can
-    /// change a result bit; only where the FLOP runs.
-    fn accrue_parallel(&mut self, dt: f64) -> bool {
-        let Some(pool) = self.pool.as_ref() else {
-            return false;
-        };
-        if !(self.wpolicy.force_parallel || multicore()) {
-            return false;
-        }
-        if self.cpu.len() + self.active_flows.len() < self.wpolicy.min_parallel_accrual {
-            return false;
-        }
-        let nparts = self.nparts as usize;
-        if self.accrual_parts.len() != nparts {
-            self.accrual_parts = (0..nparts).map(|_| Vec::new()).collect();
-        }
-        for b in &mut self.accrual_parts {
-            b.clear();
-        }
-        for (id, slot) in self.cpu.iter().enumerate() {
-            if let Some(a) = slot {
-                self.accrual_parts[self.part_of_host[a.host] as usize].push(id as u32);
-            }
-        }
-        let ptrs = EntityPtrs {
-            cpu: self.cpu.as_mut_ptr(),
-            flows: self.flows.as_mut_ptr(),
-            host_flops: self.host_flops.as_mut_ptr(),
-        };
-        let mut closures: Vec<Box<dyn FnMut() + Send>> = Vec::new();
-        for ids in self.accrual_parts.iter().filter(|v| !v.is_empty()) {
-            let ids: &[u32] = ids;
-            // Capture the pointer bundle whole so its `Send` impl applies
-            // (disjoint-field capture would smuggle bare raw pointers).
-            let p = ptrs;
-            closures.push(Box::new(move || {
-                let p = p;
-                for &idu in ids {
-                    // SAFETY: each live action id appears in exactly one
-                    // partition bucket, and a partition's hosts belong to
-                    // no other bucket, so the action slot and the
-                    // `host_flops` cell are touched by this job alone.
-                    unsafe {
-                        let a = (*p.cpu.add(idu as usize))
-                            .as_mut()
-                            .expect("bucketed action is live");
-                        let done = (a.rate * dt).min(a.remaining);
-                        *p.host_flops.add(a.host) += done;
-                        a.remaining -= done;
-                    }
-                }
-            }));
-        }
-        let nflows = self.active_flows.len();
-        if nflows > 0 {
-            let chunk = nflows.div_ceil(pool.workers() + 1);
-            for ch in self.active_flows.chunks(chunk) {
-                let p = ptrs;
-                closures.push(Box::new(move || {
-                    let p = p;
-                    for &fi in ch {
-                        // SAFETY: each active flow id appears exactly once
-                        // in `active_flows`, so exactly one chunk job
-                        // touches this slot.
-                        unsafe {
-                            let f = (*p.flows.add(fi as usize))
-                                .as_mut()
-                                .expect("active flow indexed");
-                            let moved = (f.rate * dt).min(f.remaining);
-                            f.remaining -= moved;
-                        }
-                    }
-                }));
-            }
-        }
-        let mut jobs: Vec<Job<'_>> = closures.iter_mut().map(|b| &mut **b as Job<'_>).collect();
-        pool.run_batch(&mut jobs);
-        true
     }
 
     /// Note a churn (the site already marked its dirty hosts/links). The
@@ -1603,7 +1039,6 @@ impl Engine {
             }
             let spec = &self.grid.hosts()[h];
             let rate = cpu_share(spec.speed, spec.cores, n, self.host_load[h]);
-            let shard = self.part_of_host[h];
             for k in 0..n {
                 let id = self.host_actions[h][k] as usize;
                 let a = self.cpu[id].as_mut().expect("indexed action is live");
@@ -1624,7 +1059,6 @@ impl Engine {
                     Self::restamp_ev(
                         &mut self.events,
                         &mut self.seq,
-                        shard,
                         &mut a.ev,
                         had_pending,
                         a.due,
@@ -1796,7 +1230,6 @@ impl Engine {
                 Self::restamp_ev(
                     &mut self.events,
                     &mut self.seq,
-                    f.part,
                     &mut f.ev,
                     had_pending,
                     f.due,
@@ -2095,7 +1528,6 @@ impl Engine {
             act_idx: u32::MAX,
             ev: NO_HANDLE,
             due: f64::INFINITY,
-            part: self.part_of_host[src.0 as usize],
             payload,
             on_done,
         };
@@ -2863,18 +2295,9 @@ mod tests {
 
     /// Three clusters over WAN links, cross-cluster message rings, local
     /// contention, external load churn and a host failure — every event
-    /// class the windowed kernel must merge correctly.
-    fn cross_cluster_scenario(kernel: KernelMode, policy: WindowPolicy) -> RunReport {
-        cross_cluster_scenario_timed(kernel, policy, false)
-    }
-
-    /// [`cross_cluster_scenario`] with the eager-recompute oracle
+    /// class the kernel applies, with the eager-recompute oracle
     /// selectable.
-    fn cross_cluster_scenario_timed(
-        kernel: KernelMode,
-        policy: WindowPolicy,
-        eager_oracle: bool,
-    ) -> RunReport {
+    fn cross_cluster_scenario_timed(eager_oracle: bool) -> RunReport {
         let mut b = GridBuilder::new();
         let mut all_hosts = Vec::new();
         let mut clusters = Vec::new();
@@ -2889,9 +2312,7 @@ mod tests {
         b.connect(clusters[0], clusters[2], 5e6, 0.05);
         let grid = b.build().unwrap();
         let mut eng = Engine::new(grid);
-        eng.set_kernel_mode(kernel);
         eng.set_eager_recompute_oracle(eager_oracle);
-        eng.set_window_policy(policy);
         // Cross-cluster ring: each hop computes then forwards.
         for ring in 0..3u64 {
             // Host index stays in {0, 1}: index 2 of cluster C is the
@@ -2939,126 +2360,20 @@ mod tests {
         eng.run_until(500.0)
     }
 
-    /// The windowed kernel replays the serial applied-event sequence
-    /// exactly, so every result — times, flops, bytes, trace — is bitwise
-    /// identical at any worker count, pool dispatch forced on or off.
-    #[test]
-    fn windowed_matches_serial_bitwise_at_any_worker_count() {
-        let serial = cross_cluster_scenario(KernelMode::Serial, WindowPolicy::default());
-        assert!(
-            serial.trace.series("ring_done").len() == 3,
-            "scenario exercises all rings"
-        );
-        for workers in [1, 2, 4] {
-            for force_parallel in [false, true] {
-                let policy = WindowPolicy {
-                    force_parallel,
-                    min_parallel_drain: 0,
-                    min_parallel_accrual: 0,
-                    ..WindowPolicy::default()
-                };
-                let windowed = cross_cluster_scenario(KernelMode::Windowed { workers }, policy);
-                assert_eq!(
-                    serial, windowed,
-                    "workers={workers} force_parallel={force_parallel}"
-                );
-            }
-        }
-    }
-
-    /// Window policy knobs are dispatch-only: no threshold choice may
-    /// perturb a single result bit.
-    #[test]
-    fn windowed_policy_does_not_perturb_results() {
-        let reference =
-            cross_cluster_scenario(KernelMode::Windowed { workers: 2 }, WindowPolicy::default());
-        for policy in [
-            WindowPolicy {
-                max_drain_per_shard: 1,
-                ..WindowPolicy::default()
-            },
-            WindowPolicy {
-                max_drain_per_shard: 7,
-                min_parallel_drain: 0,
-                min_parallel_accrual: 0,
-                force_parallel: true,
-            },
-            WindowPolicy {
-                max_drain_per_shard: 100_000,
-                min_parallel_drain: 1_000_000,
-                min_parallel_accrual: 1_000_000,
-                force_parallel: false,
-            },
-        ] {
-            let r = cross_cluster_scenario(KernelMode::Windowed { workers: 2 }, policy);
-            assert_eq!(reference, r, "{policy:?}");
-        }
-    }
-
-    /// A single-cluster grid has no WAN latency: the lookahead is infinite
-    /// and the drain cap alone bounds windows. Still bit-identical.
-    #[test]
-    fn windowed_handles_single_cluster_infinite_lookahead() {
-        let run = |kernel: KernelMode| {
-            let (g, h0, h1) = two_host_grid();
-            let mut eng = Engine::new(g);
-            eng.set_kernel_mode(kernel);
-            let key = mail_key(&[9]);
-            eng.spawn("a", h0, move |ctx| {
-                ctx.compute(120.0);
-                ctx.send(key, h1, 5e5, Box::new(1u8));
-            });
-            eng.spawn("b", h1, move |ctx| {
-                let _ = ctx.recv(key);
-                ctx.compute(60.0);
-                let t = ctx.now();
-                ctx.trace("done", t);
-            });
-            eng.run()
-        };
-        let serial = run(KernelMode::Serial);
-        let windowed = run(KernelMode::Windowed { workers: 4 });
-        assert_eq!(serial, windowed);
-        assert!(serial.trace.last_value("done").is_some());
-    }
-
-    /// Switching to windowed mode and back migrates pending events (and
-    /// their cancellation handles) without loss.
-    #[test]
-    fn kernel_mode_round_trip_preserves_pending_events() {
-        let (g, h) = one_host_grid(100.0);
-        let mut eng = Engine::new(g);
-        eng.add_load_window(h, 1.0, Some(2.0), 1.0);
-        eng.spawn("w", h, |ctx| {
-            ctx.compute(180.0);
-            let t = ctx.now();
-            ctx.trace("t", t);
-        });
-        let before = eng.events.len();
-        eng.set_kernel_mode(KernelMode::Windowed { workers: 2 });
-        assert!(matches!(eng.events, EventQueue::Sharded(_)));
-        assert_eq!(eng.events.len(), before);
-        eng.set_kernel_mode(KernelMode::Serial);
-        assert!(matches!(eng.events, EventQueue::Indexed(_)));
-        assert_eq!(eng.events.len(), before);
-        let r = eng.run();
-        // 100 flops in [0,1) at full rate, 50 in [1,2) at half (load 1.0),
-        // the last 30 at full rate again: done at t = 2.3.
-        assert!((r.trace.last_value("t").unwrap() - 2.3).abs() < 1e-9);
-    }
-
     /// Coalesced timing is a pure scheduling change: on the mixed
     /// cross-cluster scenario (WAN flows, load windows, a host failure) the
-    /// run report matches the eager oracle bit for bit under both
-    /// kernels. Unit level of the three-level pin (property:
-    /// `tests/prop_coalesced.rs`, e2e: `tests/substrate_determinism.rs`).
+    /// run report matches the eager oracle bit for bit. Unit level of the
+    /// three-level pin (property: `tests/prop_coalesced.rs`, e2e:
+    /// `tests/substrate_determinism.rs`).
     #[test]
     fn coalesced_recompute_matches_eager_bitwise() {
-        for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-            let eager = cross_cluster_scenario_timed(kernel, WindowPolicy::default(), true);
-            let coalesced = cross_cluster_scenario_timed(kernel, WindowPolicy::default(), false);
-            assert_eq!(eager, coalesced, "{kernel:?}");
-        }
+        let eager = cross_cluster_scenario_timed(true);
+        let coalesced = cross_cluster_scenario_timed(false);
+        assert!(
+            coalesced.trace.series("ring_done").len() == 3,
+            "scenario exercises all rings"
+        );
+        assert_eq!(eager, coalesced);
     }
 
     /// Coalescing actually coalesces: a same-instant send burst (one

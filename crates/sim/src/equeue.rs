@@ -4,12 +4,11 @@
 //! [`IndexedHeap`] tracks every event's heap position through a stable
 //! handle, so a cancellation removes the event immediately and a re-stamp
 //! overwrites it in place: the heap never carries dead weight, and the
-//! serial kernel never pops a stale completion. It pops in the same strict
+//! kernel never pops a stale completion. It pops in the same strict
 //! total order on `(t, class, key, seq)` as a plain binary heap that
 //! leaves cancelled events in place and discards them at pop time — the
 //! randomized push/cancel property test below holds it to that model bit
-//! for bit. [`ShardedHeap`] partitions the same queue by cluster for the
-//! windowed kernel.
+//! for bit.
 
 use crate::process::ProcId;
 use crate::topology::HostId;
@@ -264,121 +263,6 @@ impl IndexedHeap {
     }
 }
 
-/// Maximum number of shards a [`ShardedHeap`] supports. Shard indices are
-/// packed into the top bits of the handle word, so the cap keeps 24 bits
-/// (16M concurrent events per shard) for the slot index.
-pub(crate) const MAX_SHARDS: usize = 128;
-
-/// Bits of a [`ShardedHeap`] handle that hold the within-shard slot.
-const SHARD_SHIFT: u32 = 24;
-const LOCAL_MASK: u32 = (1 << SHARD_SHIFT) - 1;
-
-/// One [`IndexedHeap`] per logical partition, popping globally in the same
-/// strict `(t, class, key, seq)` total order as a single heap.
-///
-/// The windowed kernel ([`crate::engine::KernelMode::Windowed`]) keys
-/// shards by cluster so per-partition event windows can be drained by
-/// concurrent workers without touching each other's heaps; the global
-/// `peek`/`pop` scan the O(shards) per-shard minima, which is exactly a
-/// tournament over the same comparator a single heap uses — seq numbers
-/// are unique, so the order is total and the pop sequence is identical.
-/// The randomized `sharding_preserves_pop_order` test pins that.
-///
-/// Handles encode `(shard, slot)` in one `u32`, so the engine's
-/// per-entity `ev` words work unchanged; an entity's events always live
-/// in its partition's shard (completions are keyed by host/flow
-/// placement), so `replace` never needs to move an event across shards.
-pub(crate) struct ShardedHeap {
-    shards: Vec<IndexedHeap>,
-}
-
-impl ShardedHeap {
-    /// A heap with `n` shards (1 ≤ n ≤ [`MAX_SHARDS`]).
-    pub(crate) fn new(n: usize) -> Self {
-        assert!(
-            (1..=MAX_SHARDS).contains(&n),
-            "shard count {n} out of range"
-        );
-        ShardedHeap {
-            shards: (0..n).map(|_| IndexedHeap::default()).collect(),
-        }
-    }
-
-    pub(crate) fn nshards(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    #[inline]
-    fn encode(shard: u32, local: u32) -> u32 {
-        assert!(local < LOCAL_MASK, "shard slot overflow");
-        (shard << SHARD_SHIFT) | local
-    }
-
-    /// Push into `shard`, returning a global handle.
-    pub(crate) fn push(&mut self, shard: u32, ev: Event) -> u32 {
-        let local = self.shards[shard as usize].push(ev);
-        Self::encode(shard, local)
-    }
-
-    /// Index of the shard holding the globally earliest event, if any.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(usize, &Event)> = None;
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some(e) = s.peek() {
-                if best.is_none_or(|(_, b)| e.fires_before(b)) {
-                    best = Some((i, e));
-                }
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// The globally earliest pending event, if any.
-    pub(crate) fn peek(&self) -> Option<&Event> {
-        self.min_shard().and_then(|i| self.shards[i].peek())
-    }
-
-    /// Pop the globally earliest pending event.
-    pub(crate) fn pop(&mut self) -> Option<Event> {
-        self.min_shard().and_then(|i| self.shards[i].pop())
-    }
-
-    /// Remove the event behind a global handle. Returns `false` if the
-    /// handle is not pending.
-    pub(crate) fn remove(&mut self, handle: u32) -> bool {
-        if handle == NO_HANDLE {
-            return false;
-        }
-        self.shards[(handle >> SHARD_SHIFT) as usize].remove(handle & LOCAL_MASK)
-    }
-
-    /// In-place replace within `shard` (the kernel's re-stamp pattern; an
-    /// entity's shard never changes). Falls back to a push when `handle`
-    /// is dead or [`NO_HANDLE`]. Returns the (possibly fresh) handle.
-    pub(crate) fn replace(&mut self, handle: u32, shard: u32, ev: Event) -> u32 {
-        if handle == NO_HANDLE {
-            return self.push(shard, ev);
-        }
-        debug_assert_eq!(
-            handle >> SHARD_SHIFT,
-            shard,
-            "an entity's completion events never change shard"
-        );
-        let local = self.shards[shard as usize].replace(handle & LOCAL_MASK, ev);
-        Self::encode(shard, local)
-    }
-
-    /// The per-shard heaps, for the windowed kernel's parallel drain
-    /// (each worker owns a disjoint slice of shards).
-    pub(crate) fn shards_mut(&mut self) -> &mut [IndexedHeap] {
-        &mut self.shards
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,94 +453,5 @@ mod tests {
             .map(|e| (e.class, e.key, e.seq))
             .collect();
         assert_eq!(order, vec![(0, 9, 12), (4, 1, 5), (4, 1, 11), (4, 2, 10)]);
-    }
-
-    /// Randomized push/remove/replace scripts against a single
-    /// [`IndexedHeap`] model: splitting the same events across shards (by
-    /// a deterministic but arbitrary key) must not change the global pop
-    /// sequence. This is the property the windowed kernel's merge rests
-    /// on: the sharded queue is the same priority queue, just partitioned.
-    #[test]
-    fn sharding_preserves_pop_order() {
-        let mut rng: u64 = 0xdead_beef_cafe_f00d;
-        let mut next = move || {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            rng.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        for round in 0..40u64 {
-            let nshards = 1 + (round as usize % 7);
-            let mut sharded = ShardedHeap::new(nshards);
-            assert_eq!(sharded.nshards(), nshards);
-            let mut model = IndexedHeap::default();
-            // (seq, sharded-handle, model-handle, shard) still live.
-            let mut live: Vec<(u64, u32, u32, u32)> = Vec::new();
-            let mut seq = round * 100_000;
-            for _ in 0..500 {
-                let r = next();
-                let mk = |s: u64, r: u64| Event {
-                    t: ((r >> 8) % 16) as f64,
-                    class: ((r >> 16) % 8) as u8,
-                    key: (r >> 32) % 4,
-                    seq: s,
-                    kind: EventKind::CpuDone {
-                        id: s as usize,
-                        gen: 1,
-                    },
-                };
-                match r % 5 {
-                    0 if !live.is_empty() => {
-                        let i = (r >> 8) as usize % live.len();
-                        let (_, sh, mh, _) = live.swap_remove(i);
-                        assert_eq!(sharded.remove(sh), model.remove(mh));
-                    }
-                    1 if !live.is_empty() => {
-                        let i = (r >> 8) as usize % live.len();
-                        let (_, sh, mh, shard) = live[i];
-                        let sh2 = sharded.replace(sh, shard, mk(seq, r));
-                        let mh2 = model.replace(mh, mk(seq, r));
-                        live[i] = (seq, sh2, mh2, shard);
-                        seq += 1;
-                    }
-                    _ => {
-                        let shard = ((r >> 24) % nshards as u64) as u32;
-                        let sh = sharded.push(shard, mk(seq, r));
-                        let mh = model.push(mk(seq, r));
-                        live.push((seq, sh, mh, shard));
-                        seq += 1;
-                    }
-                }
-            }
-            assert_eq!(sharded.len(), model.len(), "round {round}: lengths");
-            let mut a = Vec::new();
-            while let Some(e) = sharded.pop() {
-                a.push((e.t.to_bits(), e.class, e.key, e.seq));
-            }
-            let mut b = Vec::new();
-            while let Some(e) = model.pop() {
-                b.push((e.t.to_bits(), e.class, e.key, e.seq));
-            }
-            assert_eq!(a, b, "round {round}: pop sequences diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_handles_round_trip() {
-        let mut h = ShardedHeap::new(3);
-        let a = h.push(0, ev(5.0, 1));
-        let b = h.push(2, ev(1.0, 2));
-        let c = h.push(1, ev(3.0, 3));
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.peek().map(|e| e.seq), Some(2));
-        assert!(h.remove(c));
-        assert!(!h.remove(c), "double remove must fail");
-        assert!(!h.remove(NO_HANDLE));
-        // Replace within the same shard moves the event's order.
-        let a2 = h.replace(a, 0, ev(0.5, 4));
-        assert_eq!(a2 >> SHARD_SHIFT, 0, "replace keeps the shard");
-        let order: Vec<u64> = std::iter::from_fn(|| h.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, vec![4, 2]);
-        let _ = b;
     }
 }

@@ -17,17 +17,13 @@
 //! a time and all event ties are broken by insertion order. A process is
 //! either ordinary blocking code run as a coroutine on the kernel's thread
 //! (the `coroutine` module), or an inline [`Daemon`], a state machine the
-//! kernel steps directly ([`daemon`]). The kernel can execute
-//! in a conservative-parallel windowed mode (`KernelMode::Windowed`) that
-//! shards the event queue by cluster and pre-drains per-cluster event
-//! windows on a worker pool — results stay bit-identical to the serial
-//! kernel at any worker count (DESIGN.md, "Parallel kernel").
+//! kernel steps directly ([`daemon`]).
 //!
-//! There is one production substrate: every coroutine process talks to
-//! the kernel over a single-slot handoff, the event queue is a
-//! position-tracked heap, and rate solves are dirty-set scoped and
-//! coalesced to one per virtual instant. The settable kernel values are
-//! [`KernelMode`] and [`WindowPolicy`]; neither can change a result bit.
+//! There is one production substrate and one run loop: every coroutine
+//! process talks to the kernel over a single-slot handoff, the event
+//! queue is a position-tracked heap, and rate solves are dirty-set scoped
+//! and coalesced to one per virtual instant. The kernel has no
+//! result-neutral tuning knobs.
 //!
 //! Processes run as coroutines whose context switch is written for x86-64
 //! SysV on Linux; the crate does not compile for other targets.
@@ -66,11 +62,9 @@ pub mod process;
 pub mod sharing;
 pub mod topology;
 pub mod trace;
-pub(crate) mod window;
 
 #[doc(hidden)]
 pub use daemon::run_daemon;
-pub use window::WindowPolicy;
 
 /// The process transport, as a benchmark report stamps it. There is only
 /// one; this survives until that report field goes.
@@ -90,14 +84,13 @@ pub fn wait_policy() -> WaitPolicy {
 /// Convenient re-exports of the commonly used types.
 pub mod prelude {
     pub use crate::daemon::{Daemon, Step};
-    pub use crate::engine::{Engine, KernelMode, RunReport};
+    pub use crate::engine::{Engine, RunReport};
     pub use crate::process::{mail_key, Ctx, MailKey, Payload, ProcId, SendMode};
     pub use crate::topology::{
         macrogrid_qr, microgrid_nbody, Arch, ClusterId, Grid, GridBuilder, Host, HostId, HostSpec,
         LinkId,
     };
     pub use crate::trace::{Trace, TraceKind, TraceRecord};
-    pub use crate::window::WindowPolicy;
 }
 
 pub use dml::{parse_dml, DmlError};

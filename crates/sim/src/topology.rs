@@ -267,34 +267,6 @@ impl Grid {
             .sum()
     }
 
-    /// The conservative-parallel lookahead bound: the minimum one-way
-    /// latency over all WAN links, or `None` for a single-cluster grid
-    /// (no WAN links — there is no inter-partition coupling to bound).
-    ///
-    /// Every inter-cluster route traverses at least one WAN link, and every
-    /// link latency is additive, so no event applied in one cluster at time
-    /// `t` can schedule a *flow activation* in another cluster before
-    /// `t + min_wan_latency()`. The windowed kernel
-    /// ([`crate::engine::KernelMode::Windowed`]) uses this as its event
-    /// window width; it is a batching hint, not a correctness bound —
-    /// zero-latency cross-cluster interactions (remote spawn, remote load
-    /// injection, mailbox rendezvous matching) exist, and the merge layer
-    /// re-validates every pre-drained completion by generation instead of
-    /// trusting the window.
-    pub fn min_wan_latency(&self) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for c in &self.clusters {
-            for &(_, l) in &c.wan {
-                let lat = self.link(l).latency;
-                best = Some(match best {
-                    Some(b) if b <= lat => b,
-                    _ => lat,
-                });
-            }
-        }
-        best
-    }
-
     /// Hosts of a given cluster, by name.
     pub fn hosts_of(&self, cluster: &str) -> Vec<HostId> {
         match self.cluster_by_name(cluster) {

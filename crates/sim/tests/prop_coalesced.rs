@@ -4,8 +4,7 @@
 //! rate solve to the end of each virtual instant
 //! (the kernel's production timing) must reproduce the eager oracle
 //! ([`Engine::set_eager_recompute_oracle`]) bit for bit under both
-//! recompute scopes (dirty-set and the full-recompute oracle) and both
-//! kernel modes. This is
+//! recompute scopes (dirty-set and the full-recompute oracle). This is
 //! the property level of the three-level pin (unit: `engine::tests`,
 //! end-to-end: `tests/substrate_determinism.rs`); the route-class solver
 //! equivalence has its own pin in `prop_sharing.rs`.
@@ -55,7 +54,7 @@ fn workload() -> impl Strategy<Value = Workload> {
 }
 
 /// Append a matching receive on every burst-send's target so nothing
-/// deadlocks (same sanitation idea as `prop_windowed.rs`).
+/// deadlocks (same sanitation idea as `prop_outbox.rs`).
 fn sanitize(n: u8, scripts: &[Vec<Op>]) -> Vec<Vec<Op>> {
     let mut out: Vec<Vec<Op>> = scripts.to_vec();
     let mut recvs: Vec<Vec<Op>> = vec![Vec::new(); n as usize];
@@ -78,7 +77,6 @@ fn run_workload(
     nclusters: u8,
     scripts: &[Vec<Op>],
     full_oracle: bool,
-    kernel: KernelMode,
     eager_oracle: bool,
 ) -> RunReport {
     let mut b = GridBuilder::new();
@@ -96,7 +94,6 @@ fn run_workload(
     }
     let mut eng = Engine::new(b.build().unwrap());
     eng.set_full_recompute_oracle(full_oracle);
-    eng.set_kernel_mode(kernel);
     eng.set_eager_recompute_oracle(eager_oracle);
     for (p, script) in scripts.iter().enumerate() {
         let script = script.clone();
@@ -146,26 +143,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Eager vs coalesced timing is bit-identical — trace, flops, bytes and
-    /// end time — under both recompute scopes and both kernels.
+    /// end time — under both recompute scopes.
     #[test]
     fn coalesced_timing_is_unobservable(
         (nclusters, nprocs, scripts) in workload()
     ) {
         let scripts = sanitize(nprocs, &scripts);
         for full in [false, true] {
-            for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-                let eager = run_workload(nclusters, &scripts, full, kernel, true);
-                let coalesced = run_workload(nclusters, &scripts, full, kernel, false);
-                prop_assert_eq!(&eager.end_time, &coalesced.end_time,
-                    "full={}/{:?}: end_time", full, kernel);
-                prop_assert_eq!(&eager.trace, &coalesced.trace,
-                    "full={}/{:?}: trace", full, kernel);
-                prop_assert_eq!(&eager.host_flops, &coalesced.host_flops,
-                    "full={}/{:?}: host_flops", full, kernel);
-                prop_assert_eq!(&eager.link_bytes, &coalesced.link_bytes,
-                    "full={}/{:?}: link_bytes", full, kernel);
-                prop_assert_eq!(&eager, &coalesced, "full={}/{:?}: full report", full, kernel);
-            }
+            let eager = run_workload(nclusters, &scripts, full, true);
+            let coalesced = run_workload(nclusters, &scripts, full, false);
+            prop_assert_eq!(&eager.end_time, &coalesced.end_time, "full={}: end_time", full);
+            prop_assert_eq!(&eager.trace, &coalesced.trace, "full={}: trace", full);
+            prop_assert_eq!(&eager.host_flops, &coalesced.host_flops, "full={}: host_flops", full);
+            prop_assert_eq!(&eager.link_bytes, &coalesced.link_bytes, "full={}: link_bytes", full);
+            prop_assert_eq!(&eager, &coalesced, "full={}: full report", full);
         }
     }
 }

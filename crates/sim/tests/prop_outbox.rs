@@ -161,12 +161,7 @@ impl Run<'_> {
 
 /// Run the scripts batched or on the unbatched oracle; returns the report
 /// and each process's observed `now()` bits, in call order.
-fn run_workload(
-    nclusters: u8,
-    scripts: &[Vec<Op>],
-    unbatched: bool,
-    kernel: KernelMode,
-) -> (RunReport, Vec<Vec<u64>>) {
+fn run_workload(nclusters: u8, scripts: &[Vec<Op>], unbatched: bool) -> (RunReport, Vec<Vec<u64>>) {
     let mut b = GridBuilder::new();
     let mut hosts = Vec::new();
     let mut cids = Vec::new();
@@ -184,7 +179,6 @@ fn run_workload(
     }
     let mut eng = Engine::new(b.build().unwrap());
     eng.set_unbatched_oracle(unbatched);
-    eng.set_kernel_mode(kernel);
     let hostv: Arc<Vec<HostId>> =
         Arc::new((0..scripts.len()).map(|q| hosts[q % hosts.len()]).collect());
     let seen: Vec<Arc<Mutex<Vec<u64>>>> = scripts.iter().map(|_| Arc::default()).collect();
@@ -222,20 +216,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The batched transport is bit-identical to the one-call,
-    /// one-round-trip unbatched oracle under both kernels.
+    /// one-round-trip unbatched oracle.
     #[test]
     fn outbox_batching_is_unobservable(
         (nclusters, nprocs, scripts) in workload()
     ) {
         let scripts = sanitize(nprocs, &scripts);
-        for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-            let (oracle, oracle_now) = run_workload(nclusters, &scripts, true, kernel);
-            let (direct, direct_now) = run_workload(nclusters, &scripts, false, kernel);
-            prop_assert_eq!(oracle.completed.len(), nprocs as usize,
-                "{:?}: sanitized scripts must not deadlock", kernel);
-            prop_assert_eq!(&oracle.trace, &direct.trace, "{:?}: trace", kernel);
-            prop_assert_eq!(&oracle_now, &direct_now, "{:?}: observed now()", kernel);
-            prop_assert_eq!(&oracle, &direct, "{:?}: full report", kernel);
-        }
+        let (oracle, oracle_now) = run_workload(nclusters, &scripts, true);
+        let (direct, direct_now) = run_workload(nclusters, &scripts, false);
+        prop_assert_eq!(oracle.completed.len(), nprocs as usize,
+            "sanitized scripts must not deadlock");
+        prop_assert_eq!(&oracle.trace, &direct.trace, "trace");
+        prop_assert_eq!(&oracle_now, &direct_now, "observed now()");
+        prop_assert_eq!(&oracle, &direct, "full report");
     }
 }
