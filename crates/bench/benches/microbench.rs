@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the substrate (B-MICRO in DESIGN.md):
 //! emulator event throughput, scheduling heuristics, reuse-distance
-//! analysis, forecasting, block-cyclic redistribution, and a complete
-//! small QR factorization through the simulated MPI stack.
+//! analysis, forecasting, a round of tracked NWS CPU observations,
+//! block-cyclic redistribution, and a complete small QR factorization
+//! through the simulated MPI stack.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use grads_core::mpi::launch;
@@ -100,6 +101,35 @@ fn bench_forecasting(c: &mut Criterion) {
                 e.update(v);
             }
             e.forecast()
+        })
+    });
+}
+
+/// One service round of tracked CPU observations: 256 hosts, each series
+/// warmed past the longest (51-sample) window, delta tracking on as the
+/// grid service runs it. One iteration observes every host once, so the
+/// cost per observation is the reported time divided by 256.
+fn bench_observe_cpu_tracked(c: &mut Criterion) {
+    const HOSTS: usize = 256;
+    const ROUNDS: usize = 1024;
+    let mut rng = StdRng::seed_from_u64(11);
+    let table: Vec<f64> = (0..HOSTS * ROUNDS)
+        .map(|_| rng.gen_range(0.35..0.95))
+        .collect();
+    let mut nws = NwsService::new();
+    nws.enable_delta_tracking();
+    for round in table.chunks(HOSTS).take(64) {
+        for (h, &v) in round.iter().enumerate() {
+            nws.observe_cpu(HostId(h as u32), v);
+        }
+    }
+    let mut rounds = table.chunks(HOSTS).cycle();
+    c.bench_function("nws_observe_cpu_tracked_256", |b| {
+        b.iter(|| {
+            let round = rounds.next().expect("cycle is endless");
+            for (h, &v) in round.iter().enumerate() {
+                nws.observe_cpu(HostId(h as u32), v);
+            }
         })
     });
 }
@@ -256,8 +286,8 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = bench_engine_throughput, bench_messaging, bench_heuristics, bench_mrd,
-              bench_forecasting, bench_redistribution, bench_qr_end_to_end,
-              bench_workflow_schedule, bench_lu_end_to_end, bench_psa_schedule,
-              bench_dml_parse, bench_economy, bench_commfit
+              bench_forecasting, bench_observe_cpu_tracked, bench_redistribution,
+              bench_qr_end_to_end, bench_workflow_schedule, bench_lu_end_to_end,
+              bench_psa_schedule, bench_dml_parse, bench_economy, bench_commfit
 }
 criterion_main!(benches);

@@ -14,6 +14,11 @@
 //! bit-identical to it before its throughput is recorded.
 //!
 //! Usage: `cargo run --release -p grads-bench --bin kernel_scale [rounds]`
+//!
+//! Writes the `kernel_scale` and `kernel_scale_coalesce` sections of
+//! `BENCH_sim.json`; a 1-round smoke run (`rounds < 2`) writes
+//! `kernel_scale_smoke` and `kernel_scale_coalesce_smoke` instead, so it
+//! never overwrites the checked-in multi-round snapshot.
 
 use grads_bench::sweep::{json_num, json_obj, merge_bench_section};
 use grads_core::sim::prelude::*;
@@ -269,8 +274,9 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let suffix = if rounds >= 2 { "" } else { "_smoke" };
     merge_bench_section(
-        "kernel_scale",
+        &format!("kernel_scale{suffix}"),
         &json_obj(&[
             ("cores_detected", cores.to_string()),
             ("rounds", rounds.to_string()),
@@ -280,7 +286,7 @@ fn main() {
             ("events_per_s", json_num(serial_rate)),
         ]),
     );
-    println!("\nwrote kernel_scale section of BENCH_sim.json");
+    println!("\nwrote kernel_scale{suffix} section of BENCH_sim.json");
 
     // Coalesce A/B snapshot. `identity_ok` is written only after the
     // in-binary bit-identity asserts above have passed.
@@ -300,6 +306,9 @@ fn main() {
         ("burst_max", json_num(burst_max)),
         ("identity_ok", "1".to_string()),
     ];
-    merge_bench_section("kernel_scale_coalesce", &json_obj(&cfields));
-    println!("wrote kernel_scale_coalesce section of BENCH_sim.json");
+    merge_bench_section(
+        &format!("kernel_scale_coalesce{suffix}"),
+        &json_obj(&cfields),
+    );
+    println!("wrote kernel_scale_coalesce{suffix} section of BENCH_sim.json");
 }

@@ -5,7 +5,7 @@
 //! across wildly different signal regimes (stable LAN bandwidth vs. bursty
 //! CPU availability) without per-signal tuning.
 
-use crate::predictors::{standard_battery, Predictor};
+use crate::predictors::{Predictor, StandardBattery, STANDARD_LEN, STANDARD_NAMES};
 
 /// Forecast plus uncertainty information.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,9 +18,9 @@ pub struct Forecast {
     pub predictor: String,
 }
 
+/// One predictor's outstanding forecast and error record.
 struct Tracked {
-    predictor: Box<dyn Predictor + Send + Sync>,
-    /// `predictor.predict()` for the current state: the outstanding
+    /// The predictor's forecast for the current state: the outstanding
     /// forecast the next measurement scores.
     next: Option<f64>,
     abs_err_sum: f64,
@@ -29,6 +29,18 @@ struct Tracked {
 }
 
 impl Tracked {
+    /// Score the outstanding forecast against `value`, then make `next`
+    /// the outstanding one.
+    fn absorb(&mut self, value: f64, next: Option<f64>) {
+        if let Some(pred) = self.next {
+            let e = pred - value;
+            self.abs_err_sum += e.abs();
+            self.sq_err_sum += e * e;
+            self.n_scored += 1;
+        }
+        self.next = next;
+    }
+
     /// Mean absolute error so far; `+inf` while unscored.
     fn mae(&self) -> f64 {
         if self.n_scored > 0 {
@@ -43,14 +55,24 @@ impl Tracked {
 /// `(mae, index, forecast)`; ties go to the earlier battery entry.
 fn select(tracked: &[Tracked]) -> Option<(f64, usize, f64)> {
     let mut best: Option<(f64, usize, f64)> = None;
+    let mut leader: Option<&Tracked> = None;
     for (i, t) in tracked.iter().enumerate() {
         let Some(pred) = t.next else {
             continue;
         };
+        // Dividing by the same count is monotone, so a predictor scored
+        // as often as the leader with no smaller error sum cannot have a
+        // smaller MAE: skip its division.
+        if leader.is_some_and(|l| l.n_scored == t.n_scored && t.abs_err_sum >= l.abs_err_sum) {
+            continue;
+        }
         let mae = t.mae();
         match best {
             Some((bmae, _, _)) if mae >= bmae => {}
-            _ => best = Some((mae, i, pred)),
+            _ => {
+                best = Some((mae, i, pred));
+                leader = Some(t);
+            }
         }
     }
     best
@@ -68,6 +90,12 @@ fn select(tracked: &[Tracked]) -> Option<(f64, usize, f64)> {
 /// assert!((f.value - 10.0).abs() < 1.0);
 /// ```
 pub struct Ensemble {
+    /// The fused standard battery, run unless `custom` is non-empty.
+    standard: StandardBattery,
+    /// A custom set of boxed predictors (the test-oracle path); empty for
+    /// the standard battery.
+    custom: Vec<Box<dyn Predictor + Send + Sync>>,
+    /// Scores, one per predictor in battery order.
     tracked: Vec<Tracked>,
     n_updates: u64,
     last: Option<f64>,
@@ -77,25 +105,36 @@ pub struct Ensemble {
 }
 
 impl Ensemble {
-    /// Ensemble over the standard NWS predictor battery.
+    /// Ensemble over the standard NWS predictor battery, run as one fused
+    /// battery (a single sample ring and three sorted windows instead of
+    /// twelve boxed predictors): bit-identical to
+    /// `Ensemble::new(standard_battery())`.
     pub fn standard() -> Self {
-        Self::new(standard_battery())
+        Self::with_custom(Vec::new(), vec![None; STANDARD_LEN])
     }
 
     /// Ensemble over a custom predictor set.
     pub fn new(predictors: Vec<Box<dyn Predictor + Send + Sync>>) -> Self {
         assert!(!predictors.is_empty(), "ensemble needs predictors");
-        let tracked: Vec<Tracked> = predictors
+        let next = predictors.iter().map(|p| p.predict()).collect();
+        Self::with_custom(predictors, next)
+    }
+
+    /// An unscored ensemble over `custom`, or over the fused battery when
+    /// `custom` is empty; `next` holds each predictor's first forecast.
+    fn with_custom(custom: Vec<Box<dyn Predictor + Send + Sync>>, next: Vec<Option<f64>>) -> Self {
+        let tracked: Vec<Tracked> = next
             .into_iter()
-            .map(|p| Tracked {
-                next: p.predict(),
-                predictor: p,
+            .map(|next| Tracked {
+                next,
                 abs_err_sum: 0.0,
                 sq_err_sum: 0.0,
                 n_scored: 0,
             })
             .collect();
         Ensemble {
+            standard: StandardBattery::new(),
+            custom,
             best: select(&tracked),
             tracked,
             n_updates: 0,
@@ -108,19 +147,28 @@ impl Ensemble {
     /// that [`Ensemble::forecast`] serves until the next update: the lowest
     /// mean absolute error, ties to the earlier battery entry.
     pub fn update(&mut self, value: f64) {
-        for t in &mut self.tracked {
-            if let Some(pred) = t.next {
-                let e = pred - value;
-                t.abs_err_sum += e.abs();
-                t.sq_err_sum += e * e;
-                t.n_scored += 1;
+        if self.custom.is_empty() {
+            let next = self.standard.update(value);
+            for (t, next) in self.tracked.iter_mut().zip(next) {
+                t.absorb(value, Some(next));
             }
-            t.predictor.update(value);
-            t.next = t.predictor.predict();
+        } else {
+            for (t, p) in self.tracked.iter_mut().zip(&mut self.custom) {
+                p.update(value);
+                t.absorb(value, p.predict());
+            }
         }
         self.best = select(&self.tracked);
         self.n_updates += 1;
         self.last = Some(value);
+    }
+
+    /// Name of the `i`-th predictor in battery order.
+    fn name(&self, i: usize) -> String {
+        match self.custom.get(i) {
+            Some(p) => p.name(),
+            None => STANDARD_NAMES[i].to_string(),
+        }
     }
 
     /// Number of measurements absorbed.
@@ -153,7 +201,7 @@ impl Ensemble {
         self.best.map(|(mae, i, value)| Forecast {
             value,
             mae: if mae.is_finite() { mae } else { 0.0 },
-            predictor: self.tracked[i].predictor.name(),
+            predictor: self.name(i),
         })
     }
 
@@ -162,7 +210,8 @@ impl Ensemble {
     pub fn scores(&self) -> Vec<(String, f64, f64)> {
         self.tracked
             .iter()
-            .map(|t| {
+            .enumerate()
+            .map(|(i, t)| {
                 let (mae, rmse) = if t.n_scored > 0 {
                     (
                         t.abs_err_sum / t.n_scored as f64,
@@ -171,7 +220,7 @@ impl Ensemble {
                 } else {
                     (f64::NAN, f64::NAN)
                 };
-                (t.predictor.name(), mae, rmse)
+                (self.name(i), mae, rmse)
             })
             .collect()
     }

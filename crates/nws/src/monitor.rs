@@ -34,7 +34,8 @@ fn pair(a: ClusterId, b: ClusterId) -> (ClusterId, ClusterId) {
 /// Per-series change tracking for delta snapshot capture.
 ///
 /// `*_clean` holds the bits the last synchronized snapshot capture served
-/// for each series. A series is **dirty** iff the forecast its ensemble
+/// for each series (`cpu_clean` indexed by `HostId`, [`IDLE_BITS`] past
+/// its end). A series is **dirty** iff the forecast its ensemble
 /// serves right now ([`Ensemble::forecast_value`], cached at update time)
 /// differs bitwise from that baseline — so an observation whose ensemble
 /// output lands back on the clean bits *removes* the series from the
@@ -42,10 +43,11 @@ fn pair(a: ClusterId, b: ClusterId) -> (ClusterId, ClusterId) {
 /// the snapshot serves for them ([`IDLE_BITS`] / [`NONE_BITS`]).
 #[derive(Default)]
 pub(crate) struct DeltaTrack {
-    cpu_clean: HashMap<HostId, u64>,
+    cpu_clean: Vec<u64>,
     bw_clean: HashMap<(ClusterId, ClusterId), u64>,
     lat_clean: HashMap<(ClusterId, ClusterId), u64>,
-    dirty_hosts: BTreeSet<HostId>,
+    /// Dirty CPU series as a bitset: bit `h % 64` of word `h / 64`.
+    dirty_hosts: Vec<u64>,
     dirty_bw: BTreeSet<(ClusterId, ClusterId)>,
     dirty_lat: BTreeSet<(ClusterId, ClusterId)>,
 }
@@ -58,6 +60,39 @@ pub(crate) enum Series {
 }
 
 impl DeltaTrack {
+    /// Flip one CPU series' dirty bit: `e`'s served bits against its
+    /// clean baseline.
+    fn note_cpu(&mut self, host: HostId, e: &Ensemble) {
+        let h = host.0 as usize;
+        let clean = self.cpu_clean.get(h).copied().unwrap_or(IDLE_BITS);
+        let (word, bit) = (h / 64, 1u64 << (h % 64));
+        if served(e).to_bits() == clean {
+            if let Some(w) = self.dirty_hosts.get_mut(word) {
+                *w &= !bit;
+            }
+        } else {
+            if word >= self.dirty_hosts.len() {
+                self.dirty_hosts.resize(word + 1, 0);
+            }
+            self.dirty_hosts[word] |= bit;
+        }
+    }
+
+    /// [`DeltaTrack::sync`] for the CPU series, in ascending host order.
+    fn sync_cpu(&mut self, series: &[Option<Ensemble>], mut moved: impl FnMut(HostId, f64)) {
+        let mut dirty = std::mem::take(&mut self.dirty_hosts);
+        for h in set_bits(&dirty) {
+            let v = served(series[h].as_ref().expect("a dirty host is measured"));
+            if h >= self.cpu_clean.len() {
+                self.cpu_clean.resize(h + 1, IDLE_BITS);
+            }
+            self.cpu_clean[h] = v.to_bits();
+            moved(HostId(h as u32), v);
+        }
+        dirty.fill(0);
+        self.dirty_hosts = dirty;
+    }
+
     /// Flip one series' dirty membership: `e`'s served bits against the
     /// clean baseline, `default` (the sentinel an uncaptured series
     /// serves) when the series was never captured.
@@ -92,6 +127,20 @@ impl DeltaTrack {
     }
 }
 
+/// The indices of the set bits of a `u64`-word bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + b
+            })
+        })
+    })
+}
+
 /// The value a measured series serves: its ensemble's cached forecast.
 fn served(e: &Ensemble) -> f64 {
     e.forecast_value().expect("measured series forecasts")
@@ -100,10 +149,13 @@ fn served(e: &Ensemble) -> f64 {
 /// The weather service: stores measurement streams and serves forecasts.
 #[derive(Default)]
 pub struct NwsService {
-    cpu: HashMap<HostId, Ensemble>,
+    /// CPU series indexed by `HostId`; `None` for a host never measured.
+    cpu: Vec<Option<Ensemble>>,
     bandwidth: HashMap<(ClusterId, ClusterId), Ensemble>,
     latency: HashMap<(ClusterId, ClusterId), Ensemble>,
-    heartbeat: HashMap<HostId, f64>,
+    /// Latest heartbeat time indexed by `HostId`; `None` for a host whose
+    /// sensor never reported.
+    heartbeat: Vec<Option<f64>>,
     /// Delta-capture tracking; `None` (the default) keeps every
     /// observation on the exact seed code path with zero overhead.
     track: Option<DeltaTrack>,
@@ -118,10 +170,14 @@ impl NwsService {
     /// Record a CPU availability measurement in `[0, 1]` for a host
     /// (fraction of one core's peak rate a new process would obtain).
     pub fn observe_cpu(&mut self, host: HostId, availability: f64) {
-        let e = self.cpu.entry(host).or_insert_with(Ensemble::standard);
+        let h = host.0 as usize;
+        if h >= self.cpu.len() {
+            self.cpu.resize_with(h + 1, || None);
+        }
+        let e = self.cpu[h].get_or_insert_with(Ensemble::standard);
         e.update(availability.clamp(0.0, 1.0));
         if let Some(t) = &mut self.track {
-            DeltaTrack::note(&t.cpu_clean, &mut t.dirty_hosts, host, e, IDLE_BITS);
+            t.note_cpu(host, e);
         }
     }
 
@@ -158,8 +214,10 @@ impl NwsService {
             return;
         }
         let mut t = DeltaTrack::default();
-        for (&h, e) in &self.cpu {
-            DeltaTrack::note(&t.cpu_clean, &mut t.dirty_hosts, h, e, IDLE_BITS);
+        for (h, e) in self.cpu.iter().enumerate() {
+            if let Some(e) = e {
+                t.note_cpu(HostId(h as u32), e);
+            }
         }
         for (&p, e) in &self.bandwidth {
             DeltaTrack::note(&t.bw_clean, &mut t.dirty_bw, p, e, NONE_BITS);
@@ -179,7 +237,7 @@ impl NwsService {
     /// synchronized capture, ascending. Empty when tracking is off.
     pub fn dirty_hosts(&self) -> Vec<HostId> {
         match &self.track {
-            Some(t) => t.dirty_hosts.iter().copied().collect(),
+            Some(t) => set_bits(&t.dirty_hosts).map(|h| HostId(h as u32)).collect(),
             None => Vec::new(),
         }
     }
@@ -204,9 +262,7 @@ impl NwsService {
             .track
             .as_mut()
             .expect("delta capture requires delta tracking (enable_delta_tracking)");
-        DeltaTrack::sync(&mut t.cpu_clean, &mut t.dirty_hosts, &self.cpu, |h, v| {
-            moved(Series::Cpu(h), v)
-        });
+        t.sync_cpu(&self.cpu, |h, v| moved(Series::Cpu(h), v));
         DeltaTrack::sync(
             &mut t.bw_clean,
             &mut t.dirty_bw,
@@ -225,44 +281,48 @@ impl NwsService {
     /// virtual time `t`. Stale heartbeats are how the GrADS machinery
     /// suspects host failures (§5 fault-tolerance direction).
     pub fn note_heartbeat(&mut self, host: HostId, t: f64) {
-        let e = self.heartbeat.entry(host).or_insert(t);
-        *e = e.max(t);
+        let h = host.0 as usize;
+        if h >= self.heartbeat.len() {
+            self.heartbeat.resize(h + 1, None);
+        }
+        let e = &mut self.heartbeat[h];
+        *e = Some(e.map_or(t, |last| last.max(t)));
     }
 
     /// Last heartbeat time of a host's sensor, if any.
     pub fn last_heartbeat(&self, host: HostId) -> Option<f64> {
-        self.heartbeat.get(&host).copied()
+        self.heartbeat.get(host.0 as usize).copied().flatten()
     }
 
     /// Hosts whose sensors have reported within `max_age` of `now`,
     /// ascending. A host that never reported is never live: no heartbeat,
     /// no liveness proof.
     pub fn live_hosts(&self, now: f64, max_age: f64) -> Vec<HostId> {
-        let mut hs: Vec<HostId> = self
-            .heartbeat
-            .iter()
-            .filter(|(_, &t)| now - t <= max_age)
-            .map(|(&h, _)| h)
-            .collect();
-        hs.sort();
-        hs
+        (0..self.heartbeat.len() as u32)
+            .map(HostId)
+            .filter(|&h| self.last_heartbeat(h).is_some_and(|t| now - t <= max_age))
+            .collect()
+    }
+
+    /// A host's CPU series; `None` if never measured.
+    fn cpu_series(&self, host: HostId) -> Option<&Ensemble> {
+        self.cpu.get(host.0 as usize).and_then(Option::as_ref)
     }
 
     /// The most recent CPU availability measurement for a host (as
     /// recorded, after clamping to `[0, 1]`); `None` if never measured.
     pub fn last_cpu_measurement(&self, host: HostId) -> Option<f64> {
-        self.cpu.get(&host).and_then(|e| e.last_measurement())
+        self.cpu_series(host).and_then(Ensemble::last_measurement)
     }
 
     /// Forecast CPU availability for a host; `None` if never measured.
     pub fn forecast_cpu(&self, host: HostId) -> Option<Forecast> {
-        self.cpu.get(&host).and_then(|e| e.forecast())
+        self.cpu_series(host).and_then(Ensemble::forecast)
     }
 
     /// Forecast CPU availability, assuming an unmeasured host is idle.
     pub fn forecast_cpu_or_idle(&self, host: HostId) -> f64 {
-        self.cpu
-            .get(&host)
+        self.cpu_series(host)
             .and_then(Ensemble::forecast_value)
             .unwrap_or(1.0)
     }

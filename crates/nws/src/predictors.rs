@@ -98,13 +98,14 @@ impl Predictor for SlidingMean {
 /// spikes that plague CPU-availability signals.
 ///
 /// The window is kept twice: in arrival order (for eviction) and sorted
-/// under [`f64::total_cmp`], so `predict` is an O(1) read and `update` an
-/// O(k) insert/remove with no allocation.
+/// under [`f64::total_cmp`], so `predict` is an O(1) read and `update` one
+/// memmove with no allocation.
 #[derive(Debug, Clone)]
 pub struct SlidingMedian {
     k: usize,
     window: VecDeque<f64>,
-    sorted: Vec<f64>,
+    /// `sorted[..window.len()]` is the window's [`order_key`]s, sorted.
+    sorted: Vec<i64>,
 }
 
 impl SlidingMedian {
@@ -114,7 +115,7 @@ impl SlidingMedian {
         SlidingMedian {
             k,
             window: VecDeque::with_capacity(k),
-            sorted: Vec::with_capacity(k),
+            sorted: vec![0; k],
         }
     }
 }
@@ -124,39 +125,82 @@ impl Predictor for SlidingMedian {
         format!("sliding_median({})", self.k)
     }
     fn update(&mut self, value: f64) {
-        slide_sorted(&mut self.window, &mut self.sorted, self.k, value);
+        push_window(&mut self.window, &mut self.sorted, self.k, value);
     }
     fn predict(&self) -> Option<f64> {
-        let v = &self.sorted;
-        let n = v.len();
-        if n == 0 {
-            return None;
-        }
-        Some(if n % 2 == 1 {
-            v[n / 2]
-        } else {
-            0.5 * (v[n / 2 - 1] + v[n / 2])
-        })
+        let n = self.window.len();
+        (n > 0).then(|| median(&self.sorted[..n]))
     }
 }
 
-/// Push `value` into a FIFO window of length at most `k` and keep
-/// `sorted` equal to the window sorted by [`f64::total_cmp`].
-///
-/// `total_cmp` equality is bit equality, so whichever equal element the
-/// binary search removes, the sorted sequence is exactly the one sorting
-/// the window from scratch would produce.
-fn slide_sorted(window: &mut VecDeque<f64>, sorted: &mut Vec<f64>, k: usize, value: f64) {
-    if window.len() == k {
-        let old = window.pop_front().expect("full window");
-        let at = sorted
-            .binary_search_by(|x| x.total_cmp(&old))
-            .expect("evicted value is in the sorted window");
-        sorted.remove(at);
+/// `x`'s rank in the [`f64::total_cmp`] order as an integer:
+/// `order_key(a).cmp(&order_key(b)) == a.total_cmp(&b)` (the same bit
+/// flip `total_cmp` applies), and [`from_key`] inverts it.
+fn order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The value whose [`order_key`] is `key`: the flip is its own inverse.
+fn from_key(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// The median of a sorted, non-empty window of keys: the middle value,
+/// or the mean of the middle two.
+fn median(v: &[i64]) -> f64 {
+    let n = v.len();
+    if n % 2 == 1 {
+        from_key(v[n / 2])
+    } else {
+        0.5 * (from_key(v[n / 2 - 1]) + from_key(v[n / 2]))
     }
+}
+
+/// Mean of a sorted window of keys after dropping `trim` values from
+/// each end; windows too short to outsize the tails are averaged whole.
+fn trimmed_mean(v: &[i64], trim: usize) -> f64 {
+    let t = if v.len() > 2 * trim { trim } else { 0 };
+    let kept = &v[t..v.len() - t];
+    kept.iter().map(|&k| from_key(k)).sum::<f64>() / kept.len() as f64
+}
+
+/// Push `value` into the FIFO `window` of length at most `k`, keeping
+/// `sorted[..window.len()]` its sorted [`order_key`]s.
+fn push_window(window: &mut VecDeque<f64>, sorted: &mut [i64], k: usize, value: f64) {
+    let len = window.len();
+    let old = if len == k { window.pop_front() } else { None };
     window.push_back(value);
-    let at = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
-    sorted.insert(at, value);
+    slide_sorted(sorted, len, old, value);
+}
+
+/// Slide the sorted window of [`order_key`]s `sorted[..len]` by one
+/// sample: evict `old` (a full window keeps its length) or, with
+/// `old == None`, grow to `len + 1` (`sorted` must have room).
+///
+/// The evict and the insert are one `copy_within` over the elements
+/// between the two positions, not a remove followed by an insert.
+/// Equal keys are equal bits, so whichever copy of `old` is evicted, the
+/// result is exactly the keys of the window sorted from scratch under
+/// [`f64::total_cmp`].
+fn slide_sorted(sorted: &mut [i64], len: usize, old: Option<f64>, value: f64) {
+    let value = order_key(value);
+    let at = sorted[..len].partition_point(|&x| x < value);
+    let Some(old) = old.map(order_key) else {
+        sorted.copy_within(at..len, at + 1);
+        sorted[at] = value;
+        return;
+    };
+    let gone = sorted[..len].partition_point(|&x| x < old);
+    debug_assert_eq!(sorted[gone], old, "evicted value is in the sorted window");
+    // `old` at or after the insertion point: shift `at..gone` right and
+    // write at `at`. Before it: shift `gone + 1..at` left over `old` and
+    // write at `at - 1`. The direction is as random as the samples, so
+    // it is selected, not branched on.
+    let right = at <= gone;
+    let pick = |r, l| std::hint::select_unpredictable(right, r, l);
+    sorted.copy_within(pick(at, gone + 1)..pick(gone, at), pick(at + 1, gone));
+    sorted[pick(at, at.wrapping_sub(1))] = value;
 }
 
 /// Exponentially smoothed forecast: `s <- alpha * x + (1 - alpha) * s`.
@@ -199,7 +243,8 @@ pub struct TrimmedMean {
     k: usize,
     trim: usize,
     window: VecDeque<f64>,
-    sorted: Vec<f64>,
+    /// `sorted[..window.len()]` is the window's [`order_key`]s, sorted.
+    sorted: Vec<i64>,
     mean: Option<f64>,
 }
 
@@ -211,7 +256,7 @@ impl TrimmedMean {
             k,
             trim,
             window: VecDeque::with_capacity(k),
-            sorted: Vec::with_capacity(k),
+            sorted: vec![0; k],
             mean: None,
         }
     }
@@ -222,15 +267,8 @@ impl Predictor for TrimmedMean {
         format!("trimmed_mean({},{})", self.k, self.trim)
     }
     fn update(&mut self, value: f64) {
-        slide_sorted(&mut self.window, &mut self.sorted, self.k, value);
-        let v = &self.sorted;
-        let t = if v.len() > 2 * self.trim {
-            self.trim
-        } else {
-            0
-        };
-        let kept = &v[t..v.len() - t];
-        self.mean = Some(kept.iter().sum::<f64>() / kept.len() as f64);
+        push_window(&mut self.window, &mut self.sorted, self.k, value);
+        self.mean = Some(trimmed_mean(&self.sorted[..self.window.len()], self.trim));
     }
     fn predict(&self) -> Option<f64> {
         self.mean
@@ -255,6 +293,128 @@ pub fn standard_battery() -> Vec<Box<dyn Predictor + Send + Sync>> {
         Box::new(ExpSmoothing::new(0.5)),
         Box::new(TrimmedMean::new(21, 3)),
     ]
+}
+
+/// Names of [`standard_battery`]'s predictors, in battery order: the
+/// names [`StandardBattery`]'s forecasts are reported under.
+pub(crate) const STANDARD_NAMES: [&str; STANDARD_LEN] = [
+    "last_value",
+    "running_mean",
+    "sliding_mean(5)",
+    "sliding_mean(21)",
+    "sliding_mean(51)",
+    "sliding_median(5)",
+    "sliding_median(21)",
+    "sliding_median(51)",
+    "exp_smoothing(0.05)",
+    "exp_smoothing(0.2)",
+    "exp_smoothing(0.5)",
+    "trimmed_mean(21,3)",
+];
+
+/// Number of predictors in the standard battery.
+pub(crate) const STANDARD_LEN: usize = 12;
+
+/// Window lengths of the standard battery's sliding means and medians.
+const WINDOWS: [usize; 3] = [5, 21, 51];
+/// Smoothing factors of the standard battery's exponential smoothers.
+const ALPHAS: [f64; 3] = [0.05, 0.2, 0.5];
+/// Samples the ring keeps: the longest window.
+const RING: usize = 51;
+/// The trimmed mean's tails; it reads the 21-sample sorted window.
+const TRIM: usize = 3;
+
+/// [`standard_battery`] fused into one concrete struct: the production
+/// battery of every [`crate::Ensemble::standard`] series.
+///
+/// One 51-slot ring holds the last 51 samples; the value a window of
+/// length `k` evicts is the one `k` slots back, read before the new
+/// sample overwrites the oldest slot. Three sorted windows (5, 21, 51)
+/// serve the medians, and the trimmed mean reads the 21-window the median
+/// keeps. Every predictor keeps its boxed twin's arithmetic in the same
+/// order, so each forecast is bit-identical to the boxed battery's
+/// (pinned by `tests/prop_forecast.rs`).
+#[derive(Debug, Clone)]
+pub(crate) struct StandardBattery {
+    ring: [f64; RING],
+    /// Samples absorbed; the next one lands in `ring[n % RING]`.
+    n: u64,
+    /// [`RunningMean`]'s sum.
+    sum: f64,
+    /// [`SlidingMean`]'s window sums, by [`WINDOWS`] entry.
+    win_sums: [f64; 3],
+    /// The three windows' sorted [`order_key`]s, by [`WINDOWS`] entry.
+    sorted5: [i64; 5],
+    sorted21: [i64; 21],
+    sorted51: [i64; 51],
+    /// [`ExpSmoothing`]'s states, by [`ALPHAS`] entry.
+    smooth: [f64; 3],
+}
+
+impl Default for StandardBattery {
+    fn default() -> Self {
+        StandardBattery {
+            ring: [0.0; RING],
+            n: 0,
+            sum: 0.0,
+            win_sums: [0.0; 3],
+            sorted5: [0; 5],
+            sorted21: [0; 21],
+            sorted51: [0; 51],
+            smooth: [0.0; 3],
+        }
+    }
+}
+
+impl StandardBattery {
+    /// An empty battery: no predictor forecasts until the first update.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Absorb `value` and return every predictor's next forecast, in
+    /// [`STANDARD_NAMES`] order.
+    pub(crate) fn update(&mut self, value: f64) -> [f64; STANDARD_LEN] {
+        let n = self.n;
+        let head = (n % RING as u64) as usize;
+        // A window of length `k` holds `before(k)` samples now and
+        // `after(k)` once this one lands; a full one evicts `k` slots back.
+        let before = |k: usize| n.min(k as u64) as usize;
+        let after = |k: usize| (n + 1).min(k as u64) as usize;
+        let old = WINDOWS.map(|k| (n >= k as u64).then(|| self.ring[(head + RING - k) % RING]));
+        let mut out = [0.0; STANDARD_LEN];
+
+        out[0] = value;
+        self.sum += value;
+        out[1] = self.sum / (n + 1) as f64;
+        for (i, &k) in WINDOWS.iter().enumerate() {
+            self.win_sums[i] += value;
+            if let Some(o) = old[i] {
+                self.win_sums[i] -= o;
+            }
+            out[2 + i] = self.win_sums[i] / after(k) as f64;
+        }
+        slide_sorted(&mut self.sorted5, before(5), old[0], value);
+        slide_sorted(&mut self.sorted21, before(21), old[1], value);
+        slide_sorted(&mut self.sorted51, before(51), old[2], value);
+        out[5] = median(&self.sorted5[..after(5)]);
+        out[6] = median(&self.sorted21[..after(21)]);
+        out[7] = median(&self.sorted51[..after(51)]);
+        for (i, &alpha) in ALPHAS.iter().enumerate() {
+            let s = &mut self.smooth[i];
+            *s = if n == 0 {
+                value
+            } else {
+                alpha * value + (1.0 - alpha) * *s
+            };
+            out[8 + i] = *s;
+        }
+        out[11] = trimmed_mean(&self.sorted21[..after(21)], TRIM);
+
+        self.ring[head] = value;
+        self.n = n + 1;
+        out
+    }
 }
 
 #[cfg(test)]
@@ -348,5 +508,41 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), n);
+    }
+
+    #[test]
+    fn standard_names_are_the_battery_names() {
+        let names: Vec<String> = standard_battery().iter().map(|p| p.name()).collect();
+        assert_eq!(names, STANDARD_NAMES);
+    }
+
+    #[test]
+    fn slide_sorted_evicts_and_inserts_on_either_side() {
+        let slid = |v: &[f64], len: usize, old: Option<f64>, value: f64| {
+            let mut keys: Vec<i64> = v.iter().map(|&x| order_key(x)).collect();
+            slide_sorted(&mut keys, len, old, value);
+            keys.into_iter()
+                .map(|k| from_key(k).to_bits())
+                .collect::<Vec<_>>()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(slid(&v, 4, Some(1.0), 3.5), bits(&[2.0, 3.0, 3.5, 4.0]));
+        assert_eq!(slid(&v, 4, Some(4.0), 0.5), bits(&[0.5, 1.0, 2.0, 3.0]));
+        assert_eq!(slid(&v, 4, Some(3.0), 3.0), bits(&v));
+        assert_eq!(
+            slid(&[2.0, 0.0, 0.0], 1, None, -0.0),
+            bits(&[-0.0, 2.0, 0.0])
+        );
+        assert_eq!(
+            slid(&[-0.0, 2.0, 0.0], 2, None, 0.0),
+            bits(&[-0.0, 0.0, 2.0])
+        );
+        let nan = [f64::NAN, -f64::NAN, f64::NEG_INFINITY, f64::INFINITY];
+        for x in nan {
+            assert_eq!(from_key(order_key(x)).to_bits(), x.to_bits());
+        }
+        assert!(order_key(-f64::NAN) < order_key(f64::NEG_INFINITY));
+        assert!(order_key(f64::INFINITY) < order_key(f64::NAN));
     }
 }

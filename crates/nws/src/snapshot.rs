@@ -2,14 +2,15 @@
 //!
 //! A live forecast read is cheap: each ensemble selects its winning
 //! predictor once per observation and caches the value, so
-//! [`NwsService::effective_speed`] is a hash lookup plus a multiply and
+//! [`NwsService::effective_speed`] is an indexed read plus a multiply and
 //! no predictor sorts anything on a read. Still, the reference decision
 //! path calls it inside every sort comparator and every predictor
 //! evaluation, so one scheduling pass over `H` hosts pays
-//! `O(H log H + H·K)` hash lookups for `K` candidate prefixes. A
-//! [`ForecastSnapshot`] pays the lookups **once per host and once per
-//! cluster pair** at capture time and then answers every query from a
-//! dense array, turning the per-candidate cost into a couple of loads.
+//! `O(H log H + H·K)` series reads (and hash lookups for the cluster
+//! pairs) for `K` candidate prefixes. A [`ForecastSnapshot`] pays the
+//! reads **once per host and once per cluster pair** at capture time and
+//! then answers every query from a dense array, turning the
+//! per-candidate cost into a couple of loads.
 //!
 //! The snapshot is a pure cache: every value it serves is bit-identical
 //! to what the live service would have returned at capture time, so a

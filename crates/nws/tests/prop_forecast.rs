@@ -128,6 +128,31 @@ fn oracle_battery() -> Vec<Box<dyn Predictor + Send + Sync>> {
     ]
 }
 
+/// Values that stress the `total_cmp` order and the running sums:
+/// infinities, NaNs of both signs, subnormals and the largest finite.
+const SPECIALS: [f64; 8] = [
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    5e-324,
+    -5e-324,
+    f64::MIN_POSITIVE / 4.0,
+    f64::MAX,
+];
+
+/// A series longer than three 51-sample windows, so every window and the
+/// fused battery's ring wrap, mixing [`ALPHABET`] duplicates, a wide
+/// range and [`SPECIALS`].
+fn long_series() -> impl Strategy<Value = Vec<f64>> {
+    let value = prop_oneof![
+        4 => alphabet(),
+        4 => 0.0f64..1e6,
+        1 => (0..SPECIALS.len()).prop_map(|i| SPECIALS[i]),
+    ];
+    proptest::collection::vec(value, 3 * 51 + 1..400)
+}
+
 fn bits(v: Option<f64>) -> Option<u64> {
     v.map(f64::to_bits)
 }
@@ -249,6 +274,37 @@ proptest! {
                 bits(want_trimmed.predict()),
                 "trimmed k={} trim={} step {}", k, trim, i
             );
+        }
+    }
+
+    /// The fused standard battery serves bitwise what the boxed
+    /// [`standard_battery`] serves, at every step: the forecast, its
+    /// value-only twin and every predictor's name, MAE and RMSE bits.
+    #[test]
+    fn fused_battery_matches_boxed_battery_bitwise(vals in long_series()) {
+        let mut fused = Ensemble::standard();
+        let mut boxed = Ensemble::new(standard_battery());
+        let forecast_bits = |e: &Ensemble| {
+            e.forecast()
+                .map(|f| (f.value.to_bits(), f.mae.to_bits(), f.predictor))
+        };
+        let score_bits = |e: &Ensemble| -> Vec<(String, u64, u64)> {
+            e.scores()
+                .into_iter()
+                .map(|(name, mae, rmse)| (name, mae.to_bits(), rmse.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(score_bits(&fused), score_bits(&boxed));
+        for (i, &v) in vals.iter().enumerate() {
+            fused.update(v);
+            boxed.update(v);
+            prop_assert_eq!(forecast_bits(&fused), forecast_bits(&boxed), "step {}", i);
+            prop_assert_eq!(
+                bits(fused.forecast_value()),
+                bits(boxed.forecast_value()),
+                "value, step {}", i
+            );
+            prop_assert_eq!(score_bits(&fused), score_bits(&boxed), "scores, step {}", i);
         }
     }
 
