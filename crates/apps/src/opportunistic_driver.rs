@@ -17,7 +17,6 @@ use crate::qr_driver::{qr_step, QrCop, QrRunning};
 use grads_mpi::launch_from;
 use grads_nws::{CpuSensor, ForecastSnapshot, NwsService};
 use grads_reschedule::{opportunistic_check, MigrationRescheduler, Reschedulable};
-use grads_sched::SchedTune;
 use grads_sim::prelude::*;
 use grads_srs::{IbpStorage, Rss, Srs};
 use parking_lot::Mutex;
@@ -124,10 +123,8 @@ pub fn run_opportunistic_experiment(
             cfg: ecfg.qr.clone(),
             min_procs: 2,
             max_procs: 8,
-            tune: SchedTune::default(),
             shared_snap: grads_nws::SharedSnapshot::new(),
             snap_trace: Arc::new(Mutex::new(Vec::new())),
-            attr_weights: Arc::new(Mutex::new(None)),
         };
         let mut hosts = slow_slots.clone();
         let mut epoch = 0u64;

@@ -33,11 +33,10 @@ use grads_contract::{
 use grads_mpi::{host_labels, launch_from_traced};
 use grads_nws::{CpuSensor, ForecastSnapshot, ForecastSource, NwsService, SharedSnapshot};
 use grads_obs::{DecisionAction, DecisionKind, Obs, Recorder, WorldTag};
-use grads_perf::{AttrPrefix, PrefixAgg, PrefixPredictor, TreeBcastPrefix};
+use grads_perf::{PrefixAgg, PrefixPredictor, TreeBcastPrefix};
 use grads_reschedule::{
     MigrationDecision, MigrationRescheduler, OverheadPolicy, Reschedulable, ReschedulerMode,
 };
-use grads_sched::{DecisionPath, SchedTune};
 use grads_sim::prelude::*;
 use grads_srs::{IbpStorage, Rss, Srs, DEFAULT_DISK_BW};
 use parking_lot::Mutex;
@@ -69,12 +68,6 @@ pub struct QrCop {
     pub min_procs: usize,
     /// Maximum ranks the mapper may select.
     pub max_procs: usize,
-    /// Decision-path tuning: the reference mapper re-runs the forecast
-    /// ensemble per host visit; the fast mapper reads one
-    /// [`ForecastSnapshot`] per `map()` and scores candidates with the
-    /// incremental prefix model. Both pick bit-identical slots (the root
-    /// `sched_path_determinism` suite pins this end to end).
-    pub tune: SchedTune,
     /// One snapshot per violation, shared across both halves of the
     /// decision: the violation handler pins the snapshot it decided
     /// against, and the next `map()` consumes it instead of capturing a
@@ -85,15 +78,6 @@ pub struct QrCop {
     /// hand-off, in virtual-time order. Cheap (a few entries per run);
     /// read by the snapshot-sharing regression test.
     pub snap_trace: Arc<Mutex<Vec<(SnapshotUse, u64)>>>,
-    /// Per-host critical-path shares from the previous incarnation's
-    /// flight-recorder walk, dense by `HostId` index (summing to 1 over
-    /// attributed hosts). Written by the experiment manager between
-    /// incarnations when [`SchedTune::attr_alpha_milli`] is on; read by
-    /// [`QrCop::map_fast`], which then inflates each candidate's
-    /// prediction through [`AttrPrefix`]. `None` (or knob off) leaves the
-    /// scoring arithmetic untouched — the bit-identity contract of the
-    /// default path. Clones share the cell.
-    pub attr_weights: Arc<Mutex<Option<Arc<Vec<f64>>>>>,
 }
 
 impl QrCop {
@@ -161,12 +145,13 @@ impl QrCop {
         out
     }
 
-    /// The fast mapper: candidates are sorted against the snapshot's
-    /// cached speeds and each is scored by driving the incremental
+    /// The mapper: candidates are sorted against the snapshot's cached
+    /// speeds and each is scored by driving the incremental
     /// [`TreeBcastPrefix`] model along its slot list — bit-identical to
-    /// the reference `map` (same model arithmetic, same first-wins
-    /// tie-break), with the ensemble battery run once per host at capture
-    /// instead of once per comparator call.
+    /// ranking [`QrCop::candidates`] by [`QrCop::model`] against the live
+    /// service (same model arithmetic, same first-wins tie-break), with
+    /// the ensemble battery run once per host at capture instead of once
+    /// per comparator call.
     pub fn map_fast(
         &self,
         grid: &Grid,
@@ -174,14 +159,6 @@ impl QrCop {
         eligible: &[HostId],
     ) -> Option<Vec<HostId>> {
         let n = self.cfg.n_nominal as f64;
-        // Attribution feedback engages only when the knob is on AND a
-        // previous incarnation left a weight table; otherwise the bare
-        // model runs and scoring is bit-identical to the knob-off build.
-        let attr: Option<Arc<Vec<f64>>> = if self.tune.attr_alpha_milli > 0 {
-            self.attr_weights.lock().clone()
-        } else {
-            None
-        };
         let mut best: Option<(f64, Vec<HostId>)> = None;
         for slots in self.candidates(grid, snap, eligible) {
             let t = if slots.is_empty() {
@@ -189,15 +166,7 @@ impl QrCop {
                 self.cfg.charged_flops()
             } else {
                 let tree = TreeBcastPrefix::new(grid, snap, self.cfg.charged_flops(), 4.0 * n * n);
-                match &attr {
-                    Some(w) => score_full_prefix(
-                        AttrPrefix::new(tree, w.clone(), self.tune.attr_alpha()),
-                        grid,
-                        snap,
-                        &slots,
-                    ),
-                    None => score_full_prefix(tree, grid, snap, &slots),
-                }
+                score_full_prefix(tree, grid, snap, &slots)
             };
             match &best {
                 Some((bt, _)) if *bt <= t => {}
@@ -259,31 +228,19 @@ impl Cop for QrCop {
         CompilationPackage::new("scalapack-qr", &["scalapack", "srs"])
     }
     fn map(&self, grid: &Grid, nws: &NwsService, eligible: &[HostId]) -> Option<Vec<HostId>> {
-        match self.tune.path {
-            DecisionPath::Reference => {
-                self.candidates(grid, nws, eligible)
-                    .into_iter()
-                    .min_by(|a, b| {
-                        self.model(a, grid, nws)
-                            .total_cmp(&self.model(b, grid, nws))
-                    })
-            }
-            DecisionPath::Fast => {
-                // Prefer the snapshot the violation handler pinned: the
-                // landing choice then reads exactly the forecasts the
-                // migrate decision was taken against. Capture fresh only
-                // when no decision preceded this map (initial schedule).
-                let (snap, used) = match self.shared_snap.take() {
-                    Some(s) => (s, SnapshotUse::MapShared),
-                    None => (
-                        Arc::new(ForecastSnapshot::capture(grid, nws)),
-                        SnapshotUse::MapCaptured,
-                    ),
-                };
-                self.snap_trace.lock().push((used, snap.fingerprint()));
-                self.map_fast(grid, &snap, eligible)
-            }
-        }
+        // Prefer the snapshot the violation handler pinned: the landing
+        // choice then reads exactly the forecasts the migrate decision was
+        // taken against. Capture fresh only when no decision preceded this
+        // map (initial schedule).
+        let (snap, used) = match self.shared_snap.take() {
+            Some(s) => (s, SnapshotUse::MapShared),
+            None => (
+                Arc::new(ForecastSnapshot::capture(grid, nws)),
+                SnapshotUse::MapCaptured,
+            ),
+        };
+        self.snap_trace.lock().push((used, snap.fingerprint()));
+        self.map_fast(grid, &snap, eligible)
     }
     fn predict(&self, hosts: &[HostId], grid: &Grid, nws: &NwsService) -> f64 {
         self.model(hosts, grid, nws)
@@ -392,10 +349,6 @@ pub struct QrExperimentConfig {
     /// and incarnation bridges for wait-state / critical-path analysis
     /// (same determinism contract as `obs`).
     pub recorder: Recorder,
-    /// Scheduler decision-path tuning (snapshot + incremental scoring vs
-    /// the seed reference loop). The default is the fast path; both are
-    /// bit-identical end to end (see `tests/sched_path_determinism.rs`).
-    pub sched: SchedTune,
 }
 
 impl QrExperimentConfig {
@@ -426,7 +379,6 @@ impl QrExperimentConfig {
             t_max: 100_000.0,
             obs: Obs::disabled(),
             recorder: Recorder::disabled(),
-            sched: SchedTune::default(),
         }
     }
 }
@@ -449,7 +401,7 @@ pub struct QrExperimentResult {
     /// The kernel's run report (end time, trace, per-host accounting) —
     /// what the obs determinism regression compares bit-for-bit.
     pub report: RunReport,
-    /// Fast-path forecast snapshot provenance, in event order: every
+    /// Forecast snapshot provenance, in event order: every
     /// capture/hand-off with the snapshot's content fingerprint. A
     /// migration shows as `ReschedCaptured(f)` followed by `MapShared(f)`
     /// with the same `f` — the landing map read the decision's forecasts.
@@ -531,10 +483,8 @@ pub fn run_qr_experiment_with(
             cfg: ecfg.qr.clone(),
             min_procs: ecfg.min_procs,
             max_procs: ecfg.max_procs,
-            tune: ecfg.sched,
             shared_snap: SharedSnapshot::new(),
             snap_trace: Arc::new(Mutex::new(Vec::new())),
-            attr_weights: Arc::new(Mutex::new(None)),
         };
         let t_begin = ctx.now();
         let mut incarnations = 0usize;
@@ -694,36 +644,14 @@ pub fn run_qr_experiment_with(
                     // per host visit. The snapshot is kept so that, if the
                     // decision is to migrate, the landing map reads the
                     // very same forecasts (see `Cop::map`).
-                    let mut poll_snap: Option<Arc<ForecastSnapshot>> = None;
-                    let mut d = match cop3.tune.path {
-                        DecisionPath::Fast => {
-                            let snap = Arc::new(ForecastSnapshot::capture(&grid3, &n));
-                            cop3.snap_trace
-                                .lock()
-                                .push((SnapshotUse::ReschedCaptured, snap.fingerprint()));
-                            let cands = cop3.candidates(&grid3, snap.as_ref(), &all3);
-                            let d = rescheduler.decide_best_obs(
-                                running3.as_ref(),
-                                &cands,
-                                &grid3,
-                                snap.as_ref(),
-                                &obs3,
-                            );
-                            poll_snap = Some(snap);
-                            d
-                        }
-                        DecisionPath::Reference => {
-                            let cands = cop3.candidates(&grid3, &*n, &all3);
-                            rescheduler.decide_best_obs(
-                                running3.as_ref(),
-                                &cands,
-                                &grid3,
-                                &*n,
-                                &obs3,
-                            )
-                        }
-                    }
-                    .expect("candidates exist");
+                    let snap = Arc::new(ForecastSnapshot::capture(&grid3, &n));
+                    cop3.snap_trace
+                        .lock()
+                        .push((SnapshotUse::ReschedCaptured, snap.fingerprint()));
+                    let cands = cop3.candidates(&grid3, snap.as_ref(), &all3);
+                    let mut d = rescheduler
+                        .decide_best_obs(running3.as_ref(), &cands, &grid3, snap.as_ref(), &obs3)
+                        .expect("candidates exist");
                     // Moving onto the very machines the app already holds
                     // is not a migration, whatever the (forecast-polluted)
                     // model says about them.
@@ -742,9 +670,7 @@ pub fn run_qr_experiment_with(
                         // Hand the decision's snapshot to the mapper: the
                         // re-prepare after the stop lands on the forecasts
                         // this migrate verdict was computed from.
-                        if let Some(snap) = poll_snap {
-                            cop3.shared_snap.pin(snap);
-                        }
+                        cop3.shared_snap.pin(snap);
                         srs3.rss.request_stop();
                         obs3.event(
                             mctx.now(),
@@ -804,25 +730,6 @@ pub fn run_qr_experiment_with(
             // Migration: open the next epoch and loop back to re-prepare.
             migrated = true;
             t_stop = ctx.now();
-            // Close the observe→decide loop: walk the stopped
-            // incarnation's critical path, attribute its cost to hosts,
-            // and hand the normalized shares to the next map's scorer.
-            // Purely a read of the flight-recorder log — no virtual time
-            // passes, and with the knob off nothing here runs.
-            if ecfg.sched.attr_alpha_milli > 0 {
-                let tl = ecfg.recorder.timeline();
-                let by_host = tl.critical_path_by_host(&tl.critical_path());
-                let total: f64 = by_host.iter().map(|(_, d)| d).sum();
-                if total > 0.0 {
-                    let mut w = vec![0.0f64; grid2.hosts().len()];
-                    for (label, d) in &by_host {
-                        if let Some(i) = grid2.hosts().iter().position(|h| h.name == *label) {
-                            w[i] = d / total;
-                        }
-                    }
-                    *cop.attr_weights.lock() = Some(Arc::new(w));
-                }
-            }
             srs.rss.begin_restart();
             *decision_m.lock() = None;
         }
@@ -1056,79 +963,81 @@ mod tests {
         );
     }
 
+    /// The mapper's oracle: rank [`QrCop::candidates`] by [`QrCop::model`]
+    /// against the live service, first minimum wins.
+    fn map_oracle(
+        cop: &QrCop,
+        grid: &Grid,
+        nws: &NwsService,
+        eligible: &[HostId],
+    ) -> Option<Vec<HostId>> {
+        cop.candidates(grid, nws, eligible)
+            .into_iter()
+            .min_by(|a, b| cop.model(a, grid, nws).total_cmp(&cop.model(b, grid, nws)))
+    }
+
     #[test]
-    fn attr_weights_flip_the_fast_map_and_knob_off_ignores_them() {
-        let grid = macrogrid_qr();
-        let snap = ForecastSnapshot::capture(&grid, &grads_nws::NwsService::new());
-        let all: Vec<HostId> = (0..grid.hosts().len() as u32).map(HostId).collect();
+    fn map_fast_matches_the_live_model_oracle() {
+        // Two identical dual-core clusters ahead of a slower one: on an
+        // idle grid their candidates tie bitwise, so the first-wins rule
+        // is exercised, not just the argmin.
+        use grads_sim::topology::{GridBuilder, HostSpec};
+        let mut b = GridBuilder::new();
+        let mut dual = HostSpec::with_speed(933e6);
+        dual.cores = 2;
+        let twins = [b.cluster("A"), b.cluster("B")];
+        for &c in &twins {
+            b.local_link(c, 12.5e6, 100e-6);
+            b.add_hosts(c, 4, &dual);
+        }
+        let slow = b.cluster("C");
+        b.local_link(slow, 160e6, 20e-6);
+        b.add_hosts(slow, 8, &HostSpec::with_speed(450e6));
+        b.connect(twins[0], twins[1], 4e6, 0.03);
+        b.connect(twins[0], slow, 4e6, 0.03);
+        b.connect(twins[1], slow, 4e6, 0.03);
+        let grid = b.build().unwrap();
+        let n_hosts = grid.hosts().len() as u32;
+        let all: Vec<HostId> = (0..n_hosts).map(HostId).collect();
         let cop = QrCop {
             cfg: QrExperimentConfig::paper(8000).qr,
             min_procs: 4,
             max_procs: 8,
-            tune: SchedTune::fast(),
             shared_snap: SharedSnapshot::new(),
             snap_trace: Arc::new(Mutex::new(Vec::new())),
-            attr_weights: Arc::new(Mutex::new(None)),
         };
-        let base = cop.map_fast(&grid, &snap, &all).expect("candidates");
-        assert!(
-            base.iter().all(|h| h.0 < 4),
-            "UTK wins unweighted: {base:?}"
-        );
-
-        // Attribute the previous critical path entirely to the UTK hosts
-        // at a strength that overcomes their speed advantage.
-        let mut w = vec![0.0f64; grid.hosts().len()];
-        for wi in w.iter_mut().take(4) {
-            *wi = 0.25;
+        let idle = NwsService::new();
+        let mut host0_loaded = NwsService::new();
+        for _ in 0..20 {
+            host0_loaded.observe_cpu(HostId(0), 0.1);
         }
-        let mut hot = cop.clone();
-        hot.tune = SchedTune::fast().with_attr_alpha_milli(8000);
-        hot.attr_weights = Arc::new(Mutex::new(Some(Arc::new(w))));
-        let flipped = hot.map_fast(&grid, &snap, &all).expect("candidates");
+        let mut mixed = NwsService::new();
+        for i in 0..n_hosts {
+            for j in 0..12 {
+                mixed.observe_cpu(HostId(i), 0.3 + 0.05 * ((i * 7 + j) % 13) as f64);
+            }
+        }
+        let mut picked = Vec::new();
+        for (label, nws) in [
+            ("idle", &idle),
+            ("host 0 loaded", &host0_loaded),
+            ("mixed", &mixed),
+        ] {
+            let snap = ForecastSnapshot::capture(&grid, nws);
+            for eligible in [&all[..], &all[1..]] {
+                let fast = cop.map_fast(&grid, &snap, eligible);
+                assert_eq!(fast, map_oracle(&cop, &grid, nws, eligible), "{label}");
+                picked.push(fast.expect("candidates exist"));
+            }
+        }
+        // The tie goes to the first twin; loading host 0 moves the map
+        // to the second.
+        assert!(picked[0].iter().all(|h| h.0 < 4), "idle: {:?}", picked[0]);
         assert!(
-            flipped.iter().all(|h| h.0 >= 4),
-            "feedback steers the map off the attributed cluster: {flipped:?}"
+            picked[2].iter().all(|h| (4..8).contains(&h.0)),
+            "loaded: {:?}",
+            picked[2]
         );
-        // Deterministic: the same weights produce the same choice again.
-        assert_eq!(hot.map_fast(&grid, &snap, &all), Some(flipped));
-
-        // Knob off: the weight table is dead data — bit-identical choice.
-        let mut off = hot.clone();
-        off.tune = SchedTune::fast();
-        assert_eq!(off.map_fast(&grid, &snap, &all), Some(base));
-    }
-
-    #[test]
-    fn attr_feedback_off_matches_default_and_on_reruns_identically() {
-        let attr_exp = |alpha_milli: u32| {
-            let mut cfg = QrExperimentConfig::paper(20000);
-            cfg.qr.n_real = 48;
-            cfg.qr.block = 4;
-            cfg.qr.poll_every = 4;
-            cfg.load_at = 60.0;
-            cfg.monitor_period = 10.0;
-            cfg.t_max = 50_000.0;
-            cfg.recorder = Recorder::enabled();
-            cfg.sched = SchedTune::default().with_attr_alpha_milli(alpha_milli);
-            run_qr_experiment(macrogrid_qr(), cfg)
-        };
-        // Knob off: the run is bit-identical to the plain default config
-        // (the feedback block never executes).
-        let base = small_exp(20000, ReschedulerMode::Default);
-        let off = attr_exp(0);
-        assert_eq!(off.migrated, base.migrated);
-        assert_eq!(off.incarnations, base.incarnations);
-        assert_eq!(off.final_hosts, base.final_hosts);
-        assert_eq!(off.total_time.to_bits(), base.total_time.to_bits());
-
-        // Knob on: deterministic — a rerun is byte-identical.
-        let on_a = attr_exp(500);
-        let on_b = attr_exp(500);
-        assert!(on_a.migrated, "fixture migrates with the knob on");
-        assert_eq!(on_a.final_hosts, on_b.final_hosts);
-        assert_eq!(on_a.incarnations, on_b.incarnations);
-        assert_eq!(on_a.total_time.to_bits(), on_b.total_time.to_bits());
     }
 
     #[test]

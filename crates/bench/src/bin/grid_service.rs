@@ -9,26 +9,18 @@
 //! latency, and SLO-miss curves as the offered load crosses capacity.
 //!
 //! Every metric in the `grid_service` section is **virtual-time-derived**
-//! (no wall clock), so that section is byte-identical across reruns,
-//! across `SchedTune` decision paths, and at any `GRADS_SWEEP_WORKERS`
-//! count — pinned by `tests/service_bench_determinism.rs` and the root
-//! `service_determinism` suite.
-//!
-//! The **`service_hotpath`** axis is the one deliberate exception: it
-//! A/Bs the incremental decision-epoch path (`SchedTune::epoch`) against
-//! the per-job-rebuild reference at a mapping-heavy point, asserts
-//! in-binary that the two runs are bit-identical (full `ServiceResult`
-//! plus the obs snapshot filtered of the epoch-only `svc.epoch.*`
-//! counters), and records **wall-clock** rounds/sec — the same
-//! measured-speed precedent as `BENCH_sim.json`'s wall keys, so those
-//! keys vary between machines while every identity key stays pinned.
+//! (no wall clock), so that section is byte-identical across reruns and
+//! at any `GRADS_SWEEP_WORKERS` count — pinned by
+//! `tests/service_bench_determinism.rs` and the root
+//! `service_determinism` suite. The wall-clock cost of a mapping-heavy
+//! service run is measured by perfbench's `service_mapheavy` workload.
 //!
 //! Usage:
 //!   cargo run --release -p grads-bench --bin grid_service          # full sweep
 //!   cargo run --release -p grads-bench --bin grid_service smoke    # CI smoke
 //!
-//! Writes the `grid_service` + `service_hotpath` (or `_smoke`) sections
-//! of `BENCH_service.json` at the repository root.
+//! Writes the `grid_service` (or `grid_service_smoke`) section of
+//! `BENCH_service.json` at the repository root.
 
 use grads_bench::sweep::{default_workers, json_num, json_obj, merge_bench_section_in, run_sweep};
 use grads_core::prelude::*;
@@ -105,88 +97,6 @@ const SMOKE: &[Point] = &[
     },
 ];
 
-/// The hotpath A/B point: a deep *standing* queue over a large grid, so
-/// per-round decision work (eligibility scans + per-job walks) dominates
-/// and the epoch path's incremental state has something to win. The
-/// standing queue is engineered, not incidental: `reserve_price` sits
-/// above most drawn budget rates (`budget_rate` spans 0.6–2.2), so the
-/// bulk of the stream maps successfully every round and then defers
-/// over-budget, re-deciding until its deadline expires. `round_s` bounds
-/// how many rounds each job is re-decided (deadline ÷ round period).
-struct HotPoint {
-    tag: &'static str,
-    hosts: usize,
-    clusters: usize,
-    cores: u32,
-    n_jobs: usize,
-    mean_interarrival_s: f64,
-    round_s: f64,
-    reserve_price: f64,
-    /// Full mode asserts the epoch speedup; smoke skips it (CI noise).
-    min_speedup: Option<f64>,
-}
-
-const HOT_FULL: HotPoint = HotPoint {
-    tag: "h4096_mapheavy",
-    hosts: 4096,
-    clusters: 32,
-    cores: 2,
-    n_jobs: 4000,
-    mean_interarrival_s: 0.05,
-    round_s: 30.0,
-    reserve_price: 6.0,
-    min_speedup: Some(3.0),
-};
-
-const HOT_SMOKE: HotPoint = HotPoint {
-    tag: "h256_mapheavy",
-    hosts: 256,
-    clusters: 8,
-    cores: 2,
-    n_jobs: 400,
-    mean_interarrival_s: 0.2,
-    round_s: 30.0,
-    reserve_price: 6.0,
-    min_speedup: None,
-};
-
-/// One hotpath run: the mapping-heavy point on the chosen decision path,
-/// returning the result, the obs snapshot with epoch-only `svc.epoch.*`
-/// lines removed (the identity-comparable remainder), and the wall time.
-fn run_hot(p: &HotPoint, epoch: bool) -> (ServiceResult, String, f64) {
-    let cfg = ServiceConfig {
-        workload: WorkloadConfig {
-            n_jobs: p.n_jobs,
-            n_tenants: 8,
-            mean_interarrival_s: p.mean_interarrival_s,
-            ..WorkloadConfig::default()
-        },
-        hosts: p.hosts,
-        clusters: p.clusters,
-        cores_per_host: p.cores,
-        round_s: p.round_s,
-        reserve_price: p.reserve_price,
-        // Never truncate the queue walk: every queued job gets its
-        // mapping decision each round, on both paths identically.
-        max_admissions_per_round: usize::MAX,
-        sched: SchedTune::fast().with_epoch(epoch),
-        obs: Obs::enabled(),
-        ..ServiceConfig::default()
-    };
-    let obs = cfg.obs.clone();
-    let t0 = std::time::Instant::now();
-    let r = run_service_experiment(cfg);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let filtered: String = obs
-        .snapshot()
-        .to_json()
-        .lines()
-        .filter(|l| !l.contains("svc.epoch."))
-        .collect::<Vec<_>>()
-        .join("\n");
-    (r, filtered, wall_s)
-}
-
 fn run_point(p: &Point) -> ServiceResult {
     let cfg = ServiceConfig {
         workload: WorkloadConfig {
@@ -198,7 +108,6 @@ fn run_point(p: &Point) -> ServiceResult {
         hosts: p.hosts,
         clusters: p.clusters,
         cores_per_host: p.cores,
-        sched: SchedTune::fast(),
         ..ServiceConfig::default()
     };
     run_service_experiment(cfg)
@@ -329,77 +238,4 @@ fn main() {
     };
     merge_bench_section_in("BENCH_service.json", section, &json_obj(&fields));
     println!("wrote {section} section of BENCH_service.json");
-
-    // ---- service_hotpath: epoch path vs reference decision path ----
-    let hp = if smoke { &HOT_SMOKE } else { &HOT_FULL };
-    println!(
-        "\nSERVICE-HOTPATH — incremental epochs vs per-job rebuild @ {} \
-         ({} hosts, {} jobs)",
-        hp.tag, hp.hosts, hp.n_jobs
-    );
-    let (r_ref, obs_ref, wall_ref) = run_hot(hp, false);
-    let (r_epoch, obs_epoch, wall_epoch) = run_hot(hp, true);
-    assert_eq!(
-        r_ref, r_epoch,
-        "{}: the epoch path changed a decision or a ledger bit",
-        hp.tag
-    );
-    let identity_ok = r_ref == r_epoch && obs_ref == obs_epoch;
-    assert_eq!(
-        obs_ref, obs_epoch,
-        "{}: obs snapshots diverge beyond the epoch-only counters",
-        hp.tag
-    );
-    let decisions_line = obs_ref
-        .lines()
-        .find(|l| l.contains("svc.round.decisions"))
-        .unwrap_or("")
-        .trim()
-        .to_string();
-    println!(
-        "{:>16} admitted {} rejected {} — {}",
-        hp.tag, r_ref.totals.admitted, r_ref.totals.rejected, decisions_line
-    );
-    let ref_rps = r_ref.rounds as f64 / wall_ref.max(1e-9);
-    let epoch_rps = r_epoch.rounds as f64 / wall_epoch.max(1e-9);
-    let speedup = wall_ref / wall_epoch.max(1e-9);
-    println!(
-        "{:>16} rounds {:>5}  reference {:>8.2} rounds/s  epoch {:>8.2} \
-         rounds/s  speedup {:>5.2}x  identity ok",
-        hp.tag, r_ref.rounds, ref_rps, epoch_rps, speedup
-    );
-    if let Some(min) = hp.min_speedup {
-        assert!(
-            speedup >= min,
-            "{}: epoch path must be >= {min}x over the reference decision \
-             path (got {speedup:.2}x)",
-            hp.tag
-        );
-    }
-    let hot_fields: Vec<(String, String)> = vec![
-        (
-            format!("{}_identity_ok", hp.tag),
-            json_num(identity_ok as u64 as f64),
-        ),
-        (format!("{}_speedup_x", hp.tag), json_num(speedup)),
-        (format!("{}_ref_rounds_per_sec", hp.tag), json_num(ref_rps)),
-        (
-            format!("{}_epoch_rounds_per_sec", hp.tag),
-            json_num(epoch_rps),
-        ),
-        (format!("{}_rounds", hp.tag), json_num(r_ref.rounds as f64)),
-        (format!("{}_ref_wall_s", hp.tag), json_num(wall_ref)),
-        (format!("{}_epoch_wall_s", hp.tag), json_num(wall_epoch)),
-    ];
-    let hot_refs: Vec<(&str, String)> = hot_fields
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.clone()))
-        .collect();
-    let hot_section = if smoke {
-        "service_hotpath_smoke"
-    } else {
-        "service_hotpath"
-    };
-    merge_bench_section_in("BENCH_service.json", hot_section, &json_obj(&hot_refs));
-    println!("wrote {hot_section} section of BENCH_service.json");
 }

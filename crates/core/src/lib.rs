@@ -59,9 +59,8 @@ pub mod prelude {
         MigrationRescheduler, OverheadPolicy, Reschedulable, ReschedulerMode, SwapPolicy,
     };
     pub use grads_sched::{
-        makespan_lower_bound, select_mpi_resources, select_mpi_resources_fast,
-        select_mpi_resources_tuned, CandidateWalk, CommodityMarket, Consumer, Heuristic, Producer,
-        SchedTune, Schedule, Workflow, WorkflowScheduler,
+        makespan_lower_bound, select_mpi_resources, select_mpi_resources_fast, CandidateWalk,
+        CommodityMarket, Consumer, Heuristic, Producer, Schedule, Workflow, WorkflowScheduler,
     };
     pub use grads_service::{
         run_service_experiment, service_grid, Accounting, ServiceConfig, ServiceResult,

@@ -28,4 +28,4 @@ pub use cost::{
 };
 pub use mrd::{reuse_distances, simulate_lru, MrdHistogram, MrdModel};
 pub use opcount::{FitError, OpCountModel};
-pub use prefix::{AttrPrefix, FlatPrefix, PrefixAgg, PrefixPredictor, TreeBcastPrefix};
+pub use prefix::{FlatPrefix, PrefixAgg, PrefixPredictor, TreeBcastPrefix};

@@ -20,7 +20,6 @@
 
 use grads_nws::{ForecastSnapshot, ForecastSource};
 use grads_sim::prelude::*;
-use std::sync::Arc;
 
 /// Running aggregates over the current prefix, maintained by the
 /// candidate walk and handed to the predictor on every step.
@@ -165,75 +164,6 @@ impl PrefixPredictor for TreeBcastPrefix<'_> {
     }
 }
 
-/// Wraps any [`PrefixPredictor`] and inflates its prediction by the
-/// *measured* critical-path weight of the prefix's hosts:
-///
-/// `predict' = inner.predict × (1 + α · w̄)`,
-///
-/// where `w̄` is the mean attributed weight over the prefix's slots
-/// (`Σ weight(host) / k`, hosts counted once per occupied slot). The
-/// weights come from a flight-recorder critical-path walk of a previous
-/// incarnation, normalized to shares of the walked span — hosts that
-/// carried the measured critical path score worse on the next mapping.
-///
-/// The wrapper preserves the incremental == whole-prefix bitwise
-/// contract: the weight sum is accumulated left-to-right exactly as a
-/// materialized prefix would sum it (pinned by
-/// `attr_prefix_matches_reference_closure_bitwise`), and with `α = 0` or
-/// an all-zero weight table the factor is exactly `1.0`, so predictions
-/// are bit-identical to the bare inner model.
-pub struct AttrPrefix<P> {
-    inner: P,
-    /// Per-host weights, dense by `HostId` index; out-of-range = `0`.
-    weights: Arc<Vec<f64>>,
-    alpha: f64,
-    /// Left-to-right weight sum over the current prefix.
-    w_sum: f64,
-}
-
-impl<P> AttrPrefix<P> {
-    /// Wrap `inner` with attribution `weights` at strength `alpha`.
-    pub fn new(inner: P, weights: Arc<Vec<f64>>, alpha: f64) -> Self {
-        AttrPrefix {
-            inner,
-            weights,
-            alpha,
-            w_sum: 0.0,
-        }
-    }
-
-    fn weight(&self, h: HostId) -> f64 {
-        self.weights.get(h.0 as usize).copied().unwrap_or(0.0)
-    }
-
-    /// The whole-prefix inflation factor, for reference closures and A/B
-    /// identity checks: bit-identical to the incremental factor on any
-    /// prefix.
-    pub fn reference_factor(hosts: &[HostId], weights: &[f64], alpha: f64) -> f64 {
-        let mut w_sum = 0.0f64;
-        for &h in hosts {
-            w_sum += weights.get(h.0 as usize).copied().unwrap_or(0.0);
-        }
-        1.0 + alpha * (w_sum / hosts.len() as f64)
-    }
-}
-
-impl<P: PrefixPredictor> PrefixPredictor for AttrPrefix<P> {
-    fn begin_cluster(&mut self, cluster: ClusterId, hosts: &[HostId]) {
-        self.w_sum = 0.0;
-        self.inner.begin_cluster(cluster, hosts);
-    }
-
-    fn push(&mut self, agg: &PrefixAgg) {
-        self.w_sum += self.weight(agg.host);
-        self.inner.push(agg);
-    }
-
-    fn predict(&self, agg: &PrefixAgg) -> f64 {
-        self.inner.predict(agg) * (1.0 + self.alpha * (self.w_sum / agg.k as f64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,82 +255,6 @@ mod tests {
                 assert_eq!(got.to_bits(), live.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn attr_prefix_matches_reference_closure_bitwise() {
-        let (grid, nws) = setup();
-        let snap = ForecastSnapshot::capture(&grid, &nws);
-        // A weight table shorter than the host count: out-of-range hosts
-        // weigh 0, like hosts the previous critical path never touched.
-        let weights = Arc::new(vec![0.6, 0.0, 0.25, 0.1, 0.05]);
-        let alpha = 0.25;
-        for hosts in [
-            (0..6).map(HostId).collect::<Vec<_>>(),
-            vec![HostId(2), HostId(2), HostId(5), HostId(1)],
-            vec![HostId(7), HostId(8)],
-        ] {
-            let inner = TreeBcastPrefix::new(&grid, &snap, 2e12, 3.2e7);
-            let mut p = AttrPrefix::new(inner, weights.clone(), alpha);
-            let incremental = drive(&mut p, ClusterId(0), &hosts, &snap);
-            for (i, &got) in incremental.iter().enumerate() {
-                let base = TreeBcastPrefix::reference(&hosts[..=i], &grid, &snap, 2e12, 3.2e7);
-                let factor =
-                    AttrPrefix::<FlatPrefix>::reference_factor(&hosts[..=i], &weights, alpha);
-                assert_eq!(
-                    got.to_bits(),
-                    (base * factor).to_bits(),
-                    "prefix {:?}",
-                    &hosts[..=i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn attr_prefix_is_inert_at_zero_alpha_or_zero_weights() {
-        let (grid, nws) = setup();
-        let snap = ForecastSnapshot::capture(&grid, &nws);
-        let hosts: Vec<HostId> = (0..6).map(HostId).collect();
-        let bare = {
-            let mut p = TreeBcastPrefix::new(&grid, &snap, 2e12, 3.2e7);
-            drive(&mut p, ClusterId(0), &hosts, &snap)
-        };
-        for (weights, alpha) in [
-            (vec![0.6, 0.2, 0.2], 0.0), // knob off
-            (vec![0.0; 6], 0.7),        // nothing attributed
-        ] {
-            let inner = TreeBcastPrefix::new(&grid, &snap, 2e12, 3.2e7);
-            let mut p = AttrPrefix::new(inner, Arc::new(weights), alpha);
-            let wrapped = drive(&mut p, ClusterId(0), &hosts, &snap);
-            for (a, b) in bare.iter().zip(&wrapped) {
-                assert_eq!(a.to_bits(), b.to_bits(), "factor must be exactly 1");
-            }
-        }
-    }
-
-    #[test]
-    fn attr_prefix_penalizes_attributed_hosts() {
-        // Two equal-speed candidate prefixes; only one contains the host
-        // that carried the previous critical path — it must score worse.
-        let mut b = GridBuilder::new();
-        let x = b.cluster("X");
-        b.local_link(x, 1e8, 1e-4);
-        b.add_hosts(x, 4, &HostSpec::with_speed(5e8));
-        let grid = b.build().unwrap();
-        let snap = ForecastSnapshot::capture(&grid, &NwsService::new());
-        let weights = Arc::new(vec![0.9, 0.0, 0.0, 0.0]);
-        let score = |hosts: &[HostId]| {
-            let inner = TreeBcastPrefix::new(&grid, &snap, 1e12, 1e6);
-            let mut p = AttrPrefix::new(inner, weights.clone(), 0.5);
-            *drive(&mut p, ClusterId(0), hosts, &snap).last().unwrap()
-        };
-        let with_hot = score(&[HostId(0), HostId(1)]);
-        let without = score(&[HostId(2), HostId(3)]);
-        assert!(
-            with_hot > without,
-            "attributed host must cost more: {with_hot} vs {without}"
-        );
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!   random / round-robin / greedy baselines and HEFT;
 //! * [`mpi_sched`] — processor-set selection for tightly-coupled MPI
 //!   applications (the §4.1 QR experiment's initial schedule);
-//! * [`walk`] + [`tune`] — the grid-scale fast decision path: forecast
+//! * [`walk`] + [`epoch`] — the production decision path: forecast
 //!   snapshots, zero-materialization candidate walks scored by
-//!   incremental prefix predictors, and a first-wins argmin,
-//!   bit-identical to the reference path behind a [`SchedTune`] switch.
+//!   incremental prefix predictors, and a first-wins argmin. It is
+//!   bit-identical to the [`select_mpi_resources`] reference loop, which
+//!   stays only as the test oracle.
 
 pub mod bounds;
 pub mod dag;
@@ -20,7 +21,6 @@ pub mod economy;
 pub mod epoch;
 pub mod heuristics;
 pub mod mpi_sched;
-pub mod tune;
 pub mod walk;
 pub mod workflow;
 
@@ -33,14 +33,8 @@ pub use economy::{
     Consumer, Equilibrium, Producer, AUCTION_EPS,
 };
 pub use heuristics::{makespan, map_tasks, Heuristic, Placement};
-pub use mpi_sched::{
-    candidate_sets, select_mpi_resources, select_mpi_resources_obs, MpiPredictor, ResourceChoice,
-};
-pub use tune::{DecisionPath, SchedTune};
-pub use walk::{
-    select_mpi_resources_fast, select_mpi_resources_tuned, CandidateWalk, ClusterPrefixes,
-    PrefixClosure,
-};
+pub use mpi_sched::{candidate_sets, select_mpi_resources, MpiPredictor, ResourceChoice};
+pub use walk::{select_mpi_resources_fast, CandidateWalk, ClusterPrefixes};
 pub use workflow::{
     evaluate_placement, schedule_greedy_ecost, schedule_heft, schedule_random,
     schedule_round_robin, Schedule, WorkflowScheduler,

@@ -8,7 +8,6 @@
 //! using the application's own performance model.
 
 use grads_nws::NwsService;
-use grads_obs::Obs;
 use grads_sim::prelude::*;
 
 /// A candidate (or selected) processor set with its predicted time.
@@ -69,6 +68,12 @@ pub fn candidate_sets(
 
 /// Select the processor set with the lowest predicted execution time.
 /// Returns `None` if no cluster can supply `min_procs` eligible hosts.
+///
+/// This is the reference selector: it materializes every candidate and
+/// re-runs the forecast ensemble inside the sort and the predictor.
+/// Production decisions go through [`crate::CandidateWalk`]; this loop
+/// stays as the oracle that the walk's property tests and `sched_scale`
+/// compare against.
 pub fn select_mpi_resources(
     grid: &Grid,
     nws: &NwsService,
@@ -77,24 +82,8 @@ pub fn select_mpi_resources(
     max_procs: usize,
     predict: &MpiPredictor<'_>,
 ) -> Option<ResourceChoice> {
-    select_with_count(grid, nws, eligible, min_procs, max_procs, predict).0
-}
-
-/// The reference selection loop, also reporting how many candidate sets
-/// it scored — so the obs wrapper counts from the same single
-/// enumeration instead of re-enumerating.
-fn select_with_count(
-    grid: &Grid,
-    nws: &NwsService,
-    eligible: &[HostId],
-    min_procs: usize,
-    max_procs: usize,
-    predict: &MpiPredictor<'_>,
-) -> (Option<ResourceChoice>, usize) {
     let mut best: Option<ResourceChoice> = None;
-    let mut scored = 0usize;
     for (cluster, hosts) in candidate_sets(grid, nws, eligible, min_procs, max_procs) {
-        scored += 1;
         let predicted = predict(&hosts, grid, nws);
         match &best {
             Some(b) if b.predicted <= predicted => {}
@@ -106,30 +95,6 @@ fn select_with_count(
                 })
             }
         }
-    }
-    (best, scored)
-}
-
-/// [`select_mpi_resources`] with an observability sink: identical choice,
-/// plus `sched.*` counters (selection calls, candidate sets scored) and
-/// gauges describing the winner (predicted time, processor count) so the
-/// launch half of the decision loop shows up next to the monitoring half
-/// in one metrics snapshot.
-pub fn select_mpi_resources_obs(
-    grid: &Grid,
-    nws: &NwsService,
-    eligible: &[HostId],
-    min_procs: usize,
-    max_procs: usize,
-    predict: &MpiPredictor<'_>,
-    obs: &Obs,
-) -> Option<ResourceChoice> {
-    obs.counter_add("sched.selections", 1);
-    let (best, scored) = select_with_count(grid, nws, eligible, min_procs, max_procs, predict);
-    obs.counter_add("sched.candidate_sets", scored as u64);
-    if let Some(c) = &best {
-        obs.gauge_set("sched.selected_predicted", c.predicted);
-        obs.gauge_set("sched.selected_procs", c.hosts.len() as f64);
     }
     best
 }

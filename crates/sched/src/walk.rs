@@ -17,17 +17,10 @@
 //! `(predicted, cluster, prefix length)` with first-wins ties — exactly
 //! the order the reference path's loop applies — so the choice is
 //! bit-identical to the reference.
-//!
-//! Whole-prefix closures keep working through [`PrefixClosure`], which
-//! adapts an [`MpiPredictor`] to the walk by replaying a single growing
-//! prefix buffer (compatibility: correct for arbitrary closures, but
-//! still `O(n²)` in closure work; write a real [`PrefixPredictor`] for
-//! the `O(n)` path).
 
 use crate::epoch::{HostBitset, SnapshotIndex};
-use crate::mpi_sched::{MpiPredictor, ResourceChoice};
-use crate::tune::{DecisionPath, SchedTune};
-use grads_nws::{ForecastSnapshot, ForecastSource, NwsService};
+use crate::mpi_sched::ResourceChoice;
+use grads_nws::{ForecastSnapshot, ForecastSource};
 use grads_perf::{PrefixAgg, PrefixPredictor};
 use grads_sim::prelude::*;
 
@@ -125,9 +118,9 @@ impl CandidateWalk {
     /// [`CandidateWalk::best_in_cluster`] never reads. One contract
     /// deviation: [`PrefixPredictor::begin_cluster`] sees the truncated
     /// host list rather than the full eligible list; every in-tree
-    /// predictor ([`grads_perf::TreeBcastPrefix`], `AttrPrefix`,
-    /// [`PrefixClosure`]) ignores that argument, but a custom predictor
-    /// that reads beyond the scored prefix would observe the difference.
+    /// predictor ([`grads_perf::TreeBcastPrefix`], [`grads_perf::FlatPrefix`])
+    /// ignores that argument, but a custom predictor that reads beyond the
+    /// scored prefix would observe the difference.
     pub fn from_index(
         index: &SnapshotIndex,
         eligible: &HostBitset,
@@ -287,42 +280,6 @@ impl CandidateWalk {
     }
 }
 
-/// Compatibility adapter: drives a whole-prefix [`MpiPredictor`] closure
-/// through the walk by replaying one growing prefix buffer. The closure
-/// sees exactly the host slices the reference path would have
-/// materialized, so predictions are bit-identical — only the per-prefix
-/// allocation is gone.
-pub struct PrefixClosure<'a> {
-    predict: &'a MpiPredictor<'a>,
-    grid: &'a Grid,
-    nws: &'a NwsService,
-    prefix: Vec<HostId>,
-}
-
-impl<'a> PrefixClosure<'a> {
-    /// Adapt `predict` (which reads the live `nws`) to the walk.
-    pub fn new(predict: &'a MpiPredictor<'a>, grid: &'a Grid, nws: &'a NwsService) -> Self {
-        PrefixClosure {
-            predict,
-            grid,
-            nws,
-            prefix: Vec::new(),
-        }
-    }
-}
-
-impl PrefixPredictor for PrefixClosure<'_> {
-    fn begin_cluster(&mut self, _cluster: ClusterId, _hosts: &[HostId]) {
-        self.prefix.clear();
-    }
-    fn push(&mut self, agg: &PrefixAgg) {
-        self.prefix.push(agg.host);
-    }
-    fn predict(&self, _agg: &PrefixAgg) -> f64 {
-        (self.predict)(&self.prefix, self.grid, self.nws)
-    }
-}
-
 /// Select the processor set with the lowest predicted execution time via
 /// the fast path: an already-captured snapshot and an incremental
 /// predictor. Bit-identical to [`crate::select_mpi_resources`] run
@@ -351,38 +308,11 @@ where
         .select(&mut make_predictor())
 }
 
-/// [`crate::select_mpi_resources`] behind the [`SchedTune`] switch:
-/// `Reference` runs the seed loop verbatim; `Fast` captures a snapshot
-/// for the sort and walks the closure through [`PrefixClosure`]. The
-/// returned choice is bit-identical either way.
-pub fn select_mpi_resources_tuned(
-    grid: &Grid,
-    nws: &NwsService,
-    eligible: &[HostId],
-    min_procs: usize,
-    max_procs: usize,
-    predict: &MpiPredictor<'_>,
-    tune: SchedTune,
-) -> Option<ResourceChoice> {
-    match tune.path {
-        DecisionPath::Reference => {
-            crate::select_mpi_resources(grid, nws, eligible, min_procs, max_procs, predict)
-        }
-        DecisionPath::Fast => {
-            if min_procs > max_procs || max_procs == 0 {
-                return None;
-            }
-            let snap = ForecastSnapshot::capture(grid, nws);
-            CandidateWalk::new(grid, &snap, eligible, min_procs.max(1), max_procs)
-                .select(&mut PrefixClosure::new(predict, grid, nws))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mpi_sched::{candidate_sets, select_mpi_resources};
+    use grads_nws::NwsService;
     use grads_perf::TreeBcastPrefix;
     use grads_sim::topology::{GridBuilder, HostSpec};
 
@@ -436,32 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn tuned_fast_matches_reference_bitwise() {
-        let (grid, nws) = setup();
-        let all: Vec<HostId> = (0..18).map(HostId).collect();
-        let predict = |hosts: &[HostId], grid: &Grid, nws: &NwsService| {
-            TreeBcastPrefix::reference(hosts, grid, nws, 3e12, 2.5e7)
-        };
-        for (min_p, max_p) in [(1, 18), (2, 6), (4, 4), (9, 18)] {
-            let r = select_mpi_resources(&grid, &nws, &all, min_p, max_p, &predict);
-            let f = select_mpi_resources_tuned(
-                &grid,
-                &nws,
-                &all,
-                min_p,
-                max_p,
-                &predict,
-                SchedTune::fast(),
-            );
-            match (&r, &f) {
-                (Some(r), Some(f)) => assert_same_choice(r, f),
-                (None, None) => {}
-                _ => panic!("presence mismatch at {min_p}..={max_p}"),
-            }
-        }
-    }
-
-    #[test]
     fn incremental_predictor_matches_closure_path_bitwise() {
         let (grid, nws) = setup();
         let all: Vec<HostId> = (0..18).map(HostId).collect();
@@ -484,31 +388,33 @@ mod tests {
         assert_same_choice(&reference, &fast);
     }
 
+    /// Scores every prefix `42.0`, so every candidate ties.
+    struct ConstantPrefix;
+
+    impl PrefixPredictor for ConstantPrefix {
+        fn begin_cluster(&mut self, _cluster: ClusterId, _hosts: &[HostId]) {}
+        fn push(&mut self, _agg: &PrefixAgg) {}
+        fn predict(&self, _agg: &PrefixAgg) -> f64 {
+            42.0
+        }
+    }
+
     #[test]
     fn degenerate_bounds_select_nothing() {
         let (grid, nws) = setup();
+        let snap = ForecastSnapshot::capture(&grid, &nws);
         let all: Vec<HostId> = (0..18).map(HostId).collect();
         let predict = |hosts: &[HostId], g: &Grid, n: &NwsService| {
             TreeBcastPrefix::reference(hosts, g, n, 1e12, 1e6)
         };
         for (min_p, max_p) in [(5, 2), (30, 40), (1, 0)] {
             let r = select_mpi_resources(&grid, &nws, &all, min_p, max_p, &predict);
-            let f = select_mpi_resources_tuned(
-                &grid,
-                &nws,
-                &all,
-                min_p,
-                max_p,
-                &predict,
-                SchedTune::fast(),
-            );
+            let f =
+                select_mpi_resources_fast(&grid, &snap, &all, min_p, max_p, || ConstantPrefix, 1);
             assert!(r.is_none() && f.is_none(), "{min_p}..={max_p}");
         }
         // No eligible hosts at all.
-        assert!(
-            select_mpi_resources_tuned(&grid, &nws, &[], 1, 4, &predict, SchedTune::fast())
-                .is_none()
-        );
+        assert!(select_mpi_resources_fast(&grid, &snap, &[], 1, 4, || ConstantPrefix, 1).is_none());
     }
 
     #[test]
@@ -517,13 +423,13 @@ mod tests {
         // keeps the very first (cluster 0, k = min_procs); the fast path
         // must agree.
         let (grid, nws) = setup();
+        let snap = ForecastSnapshot::capture(&grid, &nws);
         let all: Vec<HostId> = (0..18).map(HostId).collect();
         let constant = |_: &[HostId], _: &Grid, _: &NwsService| 42.0;
         let r = select_mpi_resources(&grid, &nws, &all, 2, 18, &constant).unwrap();
         assert_eq!(r.cluster, ClusterId(0));
         assert_eq!(r.hosts.len(), 2);
-        let f = select_mpi_resources_tuned(&grid, &nws, &all, 2, 18, &constant, SchedTune::fast())
-            .unwrap();
+        let f = select_mpi_resources_fast(&grid, &snap, &all, 2, 18, || ConstantPrefix, 1).unwrap();
         assert_same_choice(&r, &f);
     }
 }

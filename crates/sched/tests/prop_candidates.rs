@@ -6,10 +6,7 @@
 
 use grads_nws::{ForecastSnapshot, NwsService};
 use grads_perf::{FlatPrefix, TreeBcastPrefix};
-use grads_sched::{
-    select_mpi_resources, select_mpi_resources_fast, select_mpi_resources_tuned, ResourceChoice,
-    SchedTune,
-};
+use grads_sched::{select_mpi_resources, select_mpi_resources_fast, ResourceChoice};
 use grads_sim::prelude::*;
 use grads_sim::topology::GridBuilder;
 use proptest::prelude::*;
@@ -110,26 +107,6 @@ proptest! {
             1,
         );
         prop_assert_eq!(key(&fast), key(&reference), "tree model diverged");
-    }
-
-    /// The tuned entry point (closure adapter inside) is bit-identical
-    /// across `SchedTune` modes.
-    #[test]
-    fn tuned_entry_point_matches_across_modes(inst in instance()) {
-        let (grid, nws, eligible) = build(&inst);
-        let closure = |hs: &[HostId], grid: &Grid, nws: &NwsService| {
-            let total: f64 = hs.iter().map(|&h| nws.effective_speed(grid, h)).sum();
-            FLOPS / total + 40.0 * hs.len() as f64
-        };
-        let reference = select_mpi_resources_tuned(
-            &grid, &nws, &eligible, inst.min_procs, inst.max_procs, &closure,
-            SchedTune::reference(),
-        );
-        let fast = select_mpi_resources_tuned(
-            &grid, &nws, &eligible, inst.min_procs, inst.max_procs, &closure,
-            SchedTune::fast(),
-        );
-        prop_assert_eq!(key(&fast), key(&reference), "fast path diverged");
     }
 
     /// The flat (perfectly parallel) incremental model equals its

@@ -28,9 +28,12 @@
 //!
 //! Everything runs inside `grads-sim` virtual time and is bit-for-bit
 //! deterministic: the same seed produces the same admitted set, the same
-//! accounts, and the same metrics across reruns, across
-//! [`grads_sched::SchedTune`] decision paths, and at any sweep worker
-//! count (pinned by the root `service_determinism` suite).
+//! accounts, and the same metrics across reruns and at any sweep worker
+//! count (pinned by the root `service_determinism` suite). Decisions go
+//! through one incremental path (delta capture, a repaired
+//! [`grads_sched::SnapshotIndex`] and a [`plan::MappingPlan`]); debug
+//! builds check each round and each decision against a rebuild from
+//! scratch.
 
 pub mod accounting;
 pub mod plan;

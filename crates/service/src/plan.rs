@@ -31,8 +31,10 @@
 //! model inputs), recomputation itself goes through
 //! [`grads_sched::CandidateWalk::score_cluster_from_index`] (the same
 //! scoring code as a fresh walk), and the cross-cluster argmin below
-//! replays the walk's cluster-index-order first-wins reduction. The
-//! service determinism suite pins the end-to-end equality.
+//! replays the walk's cluster-index-order first-wins reduction. Debug
+//! builds of the dispatcher check every decision against a fresh
+//! [`grads_sched::select_mpi_resources_fast`] walk over a rebuilt
+//! eligible list.
 
 use std::collections::HashMap;
 

@@ -9,13 +9,15 @@
 //! 3. feeds the NWS one CPU-availability observation per host — the
 //!    service's own occupancy shows up in the forecasts, closing the
 //!    load → forecast → admission feedback loop — and captures **one**
-//!    [`ForecastSnapshot`] that every decision in the round reads;
+//!    [`ForecastSnapshot`] that every decision in the round reads. The
+//!    capture is incremental (only hosts observed since the last round
+//!    are re-forecast) and repairs the persistent
+//!    [`grads_sched::SnapshotIndex`] from the same dirty set;
 //! 4. clears the commodities market (supply = free slots, demand = the
 //!    queue's budget rates) to get the round's slot-second price;
 //! 5. walks the queue earliest-deadline-first and, for each job, maps it
-//!    with the `SchedTune` decision path (reference or fast —
-//!    bit-identical by the decision-path contract), then admits, defers,
-//!    or rejects:
+//!    through the round's [`MappingPlan`] (free-host bitsets plus a
+//!    per-cluster placement memo), then admits, defers, or rejects:
 //!    * **reject** if the snapshot-based completion estimate misses the
 //!      deadline (running it would only burn slots on a lost SLO);
 //!    * **defer** if the job is affordable later (market price above its
@@ -36,6 +38,11 @@
 //! abstraction — the per-rank MPI emulation of each application already
 //! has its own end-to-end drivers — and it is what lets one engine
 //! sustain thousands of concurrent jobs on a 4096-host grid.
+//!
+//! Debug builds check every round against a rebuild from scratch: the
+//! incremental snapshot must equal a full capture, and every decision's
+//! free-host count and placement must equal those of a fresh eligible
+//! list mapped by [`grads_sched::select_mpi_resources_fast`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,10 +50,9 @@ use std::sync::Arc;
 
 use grads_nws::{ForecastSnapshot, NwsService};
 use grads_obs::Obs;
-use grads_perf::TreeBcastPrefix;
 use grads_sched::{
-    auction_allocate, price_volatility, select_mpi_resources, select_mpi_resources_fast,
-    CommodityMarket, Consumer, DecisionPath, Producer, SchedTune, SnapshotIndex, AUCTION_EPS,
+    auction_allocate, price_volatility, CommodityMarket, Consumer, Producer, SnapshotIndex,
+    AUCTION_EPS,
 };
 use grads_sim::prelude::*;
 use parking_lot::Mutex;
@@ -81,8 +87,6 @@ pub struct ServiceConfig {
     /// in flight are counted in [`ServiceResult::high_water_rounds`]
     /// (the "sustained N concurrent jobs" evidence).
     pub high_water_in_flight: usize,
-    /// Decision-path tune for the per-job mapper.
-    pub sched: SchedTune,
     /// Metrics sink (counters/gauges published at end of run).
     pub obs: Obs,
     /// Per-job lifecycle span stream (disabled by default). Every span
@@ -106,7 +110,6 @@ impl Default for ServiceConfig {
             scarcity_slots: 64.0,
             reserve_price: 0.25,
             high_water_in_flight: 2000,
-            sched: SchedTune::default(),
             obs: Obs::disabled(),
             spans: SpanLog::disabled(),
             t_max: 1.0e7,
@@ -116,8 +119,8 @@ impl Default for ServiceConfig {
 
 /// What a service run produced. `PartialEq` is bitwise on every float —
 /// two results compare equal only if the runs were numerically
-/// identical, which is what the determinism suite pins across reruns,
-/// decision paths, and sweep worker counts.
+/// identical, which is what the determinism suite pins across reruns and
+/// sweep worker counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceResult {
     /// Per-tenant ledgers, tenant-indexed.
@@ -227,45 +230,60 @@ struct Running {
     deadline_abs: f64,
 }
 
-/// Incremental decision-epoch state ([`SchedTune::epoch`]): the
-/// persistent per-cluster host orderings and the reusable mapping plan,
-/// plus the previous round's snapshot (the delta-capture baseline).
-/// Built at the first dispatch round, maintained `O(Δ)` afterwards.
+/// The persistent per-cluster host orderings and the previous round's
+/// snapshot (the delta-capture baseline). Built at the first dispatch
+/// round, repaired `O(Δ)` afterwards.
 struct EpochState {
     index: SnapshotIndex,
-    plan: MappingPlan,
     prev_snap: ForecastSnapshot,
 }
 
-/// Map `job` onto `eligible` hosts through the tuned decision path. Both
-/// paths read the same frozen `snap` (the reference path's live-service
-/// sort sees bitwise-equal values because nothing observes between
-/// capture and selection), so the choice is bit-identical across tunes.
-fn map_job(
-    job: &Job,
+/// The hosts with at least one free core, rebuilt from scratch: the
+/// debug-build oracle for the plan's incremental free-host state, whose
+/// count `plan_count` must match it.
+#[cfg(debug_assertions)]
+fn rebuilt_eligible(free_cores: &[u32], plan_count: usize) -> Vec<HostId> {
+    let eligible: Vec<HostId> = (0..free_cores.len() as u32)
+        .map(HostId)
+        .filter(|h| free_cores[h.0 as usize] > 0)
+        .collect();
+    assert_eq!(
+        plan_count,
+        eligible.len(),
+        "the plan's free-host count drifted from free_cores"
+    );
+    eligible
+}
+
+/// Debug-build oracle for one placement: map `job` onto the rebuilt
+/// `eligible` list with a fresh candidate walk and require the plan's
+/// choice to match it bit for bit.
+#[cfg(debug_assertions)]
+fn check_against_rebuild(
     grid: &Grid,
-    nws: &NwsService,
     snap: &ForecastSnapshot,
     eligible: &[HostId],
-    tune: SchedTune,
-) -> Option<grads_sched::ResourceChoice> {
-    match tune.path {
-        DecisionPath::Reference => {
-            let predict = |hs: &[HostId], grid: &Grid, _n: &NwsService| {
-                TreeBcastPrefix::reference(hs, grid, snap, job.flops, job.bcast_bytes)
-            };
-            select_mpi_resources(grid, nws, eligible, job.procs, job.procs, &predict)
-        }
-        DecisionPath::Fast => select_mpi_resources_fast(
-            grid,
-            snap,
-            eligible,
-            job.procs,
-            job.procs,
-            || TreeBcastPrefix::new(grid, snap, job.flops, job.bcast_bytes),
-            1,
-        ),
-    }
+    job: &Job,
+    mapped: Option<&grads_sched::ResourceChoice>,
+) {
+    let rebuilt = grads_sched::select_mpi_resources_fast(
+        grid,
+        snap,
+        eligible,
+        job.procs,
+        job.procs,
+        || grads_perf::TreeBcastPrefix::new(grid, snap, job.flops, job.bcast_bytes),
+        1,
+    );
+    let key = |c: Option<&grads_sched::ResourceChoice>| {
+        c.map(|c| (c.hosts.clone(), c.cluster, c.predicted.to_bits()))
+    };
+    assert_eq!(
+        key(mapped),
+        key(rebuilt.as_ref()),
+        "job {}: the mapping plan diverged from a rebuilt candidate walk",
+        job.id
+    );
 }
 
 /// Run the full service experiment: generate the stream, serve it to
@@ -297,12 +315,10 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
 
     // NWS seeded with a short deterministic history per host so the
     // ensemble has something to select predictors on from round one.
-    // Epoch mode turns on delta tracking first, so the seed history is
-    // already part of the dirty-set baseline bookkeeping.
+    // Delta tracking goes on first, so the seed history is already part
+    // of the dirty-set baseline bookkeeping.
     let mut nws = NwsService::new();
-    if cfg.sched.epoch {
-        nws.enable_delta_tracking();
-    }
+    nws.enable_delta_tracking();
     for i in 0..n_hosts {
         for j in 0..6u64 {
             nws.observe_cpu(HostId(i as u32), 0.55 + 0.4 * jitter(i, j));
@@ -317,6 +333,7 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
     let mut running_jobs: Vec<Option<Running>> = Vec::new();
     let mut free_cores: Vec<u32> = grid.hosts().iter().map(|h| h.cores).collect();
     let total_slots: f64 = free_cores.iter().map(|&c| c as f64).sum();
+    let mut plan = MappingPlan::new(grid, &free_cores);
 
     let mut market = CommodityMarket::default();
     let mut price_series: Vec<f64> = Vec::new();
@@ -368,9 +385,7 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                 free_cores[h.0 as usize] += 1;
                 if free_cores[h.0 as usize] == 1 {
                     // 0 → 1: the host just became eligible again.
-                    if let Some(st) = epoch_state.as_mut() {
-                        st.plan.set_host_free(h, true);
-                    }
+                    plan.set_host_free(h, true);
                 }
             }
             in_flight -= 1;
@@ -433,35 +448,38 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
             let avail = (0.35 + 0.6 * free_frac) * (0.7 + 0.3 * jitter(i, rounds));
             nws.observe_cpu(HostId(i as u32), avail);
         }
-        // Epoch mode captures incrementally (bit-identical to a full
-        // capture — the delta-capture contract) and repairs the
-        // persistent index from the same dirty set; the reference path
-        // re-captures from scratch. Both serve the identical snapshot.
-        let snap = if cfg.sched.epoch {
-            let dirty = nws.dirty_hosts();
-            let net_dirty = nws.has_dirty_network();
-            match epoch_state.as_mut() {
-                None => {
-                    let snap = ForecastSnapshot::capture_sync(grid, &mut nws);
-                    epoch_state = Some(EpochState {
-                        index: SnapshotIndex::build(grid, &snap),
-                        plan: MappingPlan::new(grid, &free_cores),
-                        prev_snap: snap.clone(),
-                    });
-                    snap
-                }
-                Some(st) => {
-                    let snap = ForecastSnapshot::capture_delta(grid, &mut nws, &st.prev_snap);
-                    let rep = st.index.repair(grid, &snap, &dirty);
-                    st.plan.note_repair(rep);
-                    st.plan.on_weather(&dirty, net_dirty);
-                    st.prev_snap = snap.clone();
-                    snap
-                }
+        // The capture is incremental (bit-identical to a full capture —
+        // the delta-capture contract) and the persistent index is
+        // repaired from the same dirty set.
+        let dirty = nws.dirty_hosts();
+        let net_dirty = nws.has_dirty_network();
+        let snap = match epoch_state.as_mut() {
+            None => {
+                let snap = ForecastSnapshot::capture_sync(grid, &mut nws);
+                epoch_state = Some(EpochState {
+                    index: SnapshotIndex::build(grid, &snap),
+                    prev_snap: snap.clone(),
+                });
+                snap
             }
-        } else {
-            ForecastSnapshot::capture(grid, &nws)
+            Some(st) => {
+                let snap = ForecastSnapshot::capture_delta(grid, &mut nws, &st.prev_snap);
+                let rep = st.index.repair(grid, &snap, &dirty);
+                plan.note_repair(rep);
+                plan.on_weather(&dirty, net_dirty);
+                st.prev_snap = snap.clone();
+                snap
+            }
         };
+        debug_assert_eq!(
+            snap.fingerprint(),
+            ForecastSnapshot::capture(grid, &nws).fingerprint(),
+            "round {rounds}: the delta capture diverged from a full capture"
+        );
+        let index = &epoch_state
+            .as_ref()
+            .expect("built at the first round")
+            .index;
 
         let free_slots: f64 = free_cores.iter().map(|&c| c as f64).sum();
 
@@ -552,31 +570,19 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                     continue;
                 }
             }
-            // Epoch mode answers the free-host check from the plan's
-            // running count and maps through the persistent index + memo;
-            // the reference path rebuilds the eligibility list and the
-            // walk from scratch. Decisions are bit-identical.
-            let mapped = if let Some(st) = epoch_state.as_mut() {
-                if st.plan.free_host_count() < q.job.procs {
-                    // defer: not enough free hosts anywhere
-                    jspan(&q.job, JobPhase::Defer, Some("no-hosts"), t, t, 0.0);
-                    continue;
-                }
-                decisions_this_round += 1;
-                st.plan.map(&q.job, &st.index, grid, &snap)
-            } else {
-                let eligible: Vec<HostId> = (0..n_hosts as u32)
-                    .map(HostId)
-                    .filter(|h| free_cores[h.0 as usize] > 0)
-                    .collect();
-                if eligible.len() < q.job.procs {
-                    // defer: not enough free hosts anywhere
-                    jspan(&q.job, JobPhase::Defer, Some("no-hosts"), t, t, 0.0);
-                    continue;
-                }
-                decisions_this_round += 1;
-                map_job(&q.job, grid, &nws, &snap, &eligible, cfg.sched)
-            };
+            // The free-host check reads the plan's running count, and the
+            // job maps through the persistent index + memo.
+            #[cfg(debug_assertions)]
+            let eligible = rebuilt_eligible(&free_cores, plan.free_host_count());
+            if plan.free_host_count() < q.job.procs {
+                // defer: not enough free hosts anywhere
+                jspan(&q.job, JobPhase::Defer, Some("no-hosts"), t, t, 0.0);
+                continue;
+            }
+            decisions_this_round += 1;
+            let mapped = plan.map(&q.job, index, grid, &snap);
+            #[cfg(debug_assertions)]
+            check_against_rebuild(grid, &snap, &eligible, &q.job, mapped.as_ref());
             let Some(choice) = mapped else {
                 // defer: no cluster offers `procs` free hosts
                 jspan(&q.job, JobPhase::Defer, Some("no-cluster"), t, t, 0.0);
@@ -610,9 +616,7 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                 free_cores[h.0 as usize] -= 1;
                 if free_cores[h.0 as usize] == 0 {
                     // 1 → 0: the host left the eligible set.
-                    if let Some(st) = epoch_state.as_mut() {
-                        st.plan.set_host_free(h, false);
-                    }
+                    plan.set_host_free(h, false);
                 }
             }
             let a = accounting.tenant_mut(q.job.tenant);
@@ -637,8 +641,6 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
             still_queued[qi] = false;
         }
         // Decision-cost histogram: mapping decisions computed this round.
-        // Both paths attempt the same mappings (the defer/reject logic is
-        // identical), so the histogram is path-independent.
         cfg.obs
             .observe("svc.round.decisions", decisions_this_round as f64);
         max_in_flight = max_in_flight.max(in_flight);
@@ -687,8 +689,8 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
     };
 
     accounting.publish(&cfg.obs);
-    if let Some(st) = &epoch_state {
-        st.plan.publish(&cfg.obs);
+    if epoch_state.is_some() {
+        plan.publish(&cfg.obs);
     }
     cfg.obs.counter_add("svc.rounds", rounds);
     cfg.obs.counter_add("svc.auction_rounds", auction_rounds);
@@ -846,18 +848,14 @@ mod tests {
 
     #[test]
     fn epoch_path_is_bit_identical_and_counts_its_work() {
-        // The epoch contract: the production epoch path must agree with
-        // the rebuild-per-job oracle on every float bit of the result
-        // (ServiceResult's PartialEq is bitwise).
-        let mut oracle = small_cfg();
-        oracle.sched = oracle.sched.with_epoch(false);
-        let r_off = run_service_experiment(oracle);
+        // Bit-identity with the per-job rebuild is asserted inside the
+        // run on debug builds (every round's snapshot, every decision's
+        // free-host count and placement); here the run must also publish
+        // the work counters of its incremental state.
         let mut cfg = small_cfg();
-        cfg.sched = cfg.sched.with_epoch(true);
         cfg.obs = Obs::enabled();
         let obs = cfg.obs.clone();
-        let r_on = run_service_experiment(cfg);
-        assert_eq!(r_off, r_on, "epoch mode must not change any decision");
+        run_service_experiment(cfg);
         let json = obs.snapshot().to_json();
         assert!(json.contains("\"svc.epoch.memo_misses\""), "{json}");
         assert!(json.contains("\"svc.epoch.elig_updates\""));

@@ -134,3 +134,79 @@ fn equal_computes_on_a_multicore_host_finish_at_the_closed_form() {
     assert_eq!(seen[&(2, 3)], 6.0);
     assert_eq!(seen[&(1, 8)], 32.0);
 }
+
+/// A token of `bytes` goes once around a ring of `p` single-host
+/// clusters, each joined to the next by its own WAN link, with blocking
+/// `send`/`recv`. Host `i` records when its receive completed, and host
+/// 0 starts the pass at t = 0 and receives last.
+fn ring_pass(p: usize, bytes: f64) -> RunReport {
+    let mut b = GridBuilder::new();
+    let mut clusters = Vec::new();
+    let mut hosts = Vec::new();
+    for i in 0..p {
+        let c = b.cluster(&format!("R{i}"));
+        b.local_link(c, LOCAL_BW, LOCAL_LAT);
+        hosts.push(b.add_hosts(c, 1, &HostSpec::with_speed(1.0))[0]);
+        clusters.push(c);
+    }
+    for i in 0..p {
+        b.connect(clusters[i], clusters[(i + 1) % p], WAN_BW, WAN_LAT);
+    }
+    let mut eng = Engine::new(b.build().unwrap());
+    for i in 0..p {
+        let next = hosts[(i + 1) % p];
+        eng.spawn(&format!("r{i}"), hosts[i], move |ctx| {
+            let hop_in = mail_key(&[((i + p - 1) % p) as u64]);
+            let hop_out = mail_key(&[i as u64]);
+            if i == 0 {
+                ctx.send(hop_out, next, bytes, Box::new(()));
+            }
+            let _ = ctx.recv(hop_in);
+            let t = ctx.now();
+            ctx.trace(&format!("recv{i}"), t);
+            if i != 0 {
+                ctx.send(hop_out, next, bytes, Box::new(()));
+            }
+        });
+    }
+    eng.run()
+}
+
+/// The ring pass for p = 3..=8 completes its last receive at exactly
+/// `p × t_hop`, and host `i` receives at exactly `i × t_hop`.
+///
+/// `t_hop` follows from the kernel's rendezvous send: the wire transfer
+/// starts once both the send and the matching receive are posted (here
+/// the receiver is always waiting already), activates after the route's
+/// latency, and then moves `B` bytes at the flow's max-min share. A hop
+/// from host `i` to host `i + 1` routes over the sender's local uplink,
+/// the one WAN link between the two clusters, and the receiver's local
+/// downlink, so its latency is `LOCAL_LAT + WAN_LAT + LOCAL_LAT`. It is
+/// the only flow in the grid, so its rate is the slowest capacity on the
+/// route, `WAN_BW`. Sender and receiver both resume when the transfer
+/// completes, and the receiver forwards at once:
+/// `t_hop = 2·LOCAL_LAT + WAN_LAT + B / WAN_BW`.
+#[test]
+fn ring_pass_completes_at_p_hops() {
+    let bytes = WAN_BW / 16.0;
+    let t_hop = LOCAL_LAT + WAN_LAT + LOCAL_LAT + bytes / WAN_BW;
+    for p in 3..=8usize {
+        let r = ring_pass(p, bytes);
+        assert_eq!(r.completed.len(), p, "p={p}: every host finishes");
+        for i in 1..p {
+            let expected = i as f64 * t_hop;
+            assert_eq!(
+                finish_bits(&r, &format!("recv{i}")),
+                vec![expected.to_bits()],
+                "p={p}: host {i} receives at {expected}"
+            );
+        }
+        let last = p as f64 * t_hop;
+        assert_eq!(
+            finish_bits(&r, "recv0"),
+            vec![last.to_bits()],
+            "p={p}: the token returns at {last}"
+        );
+        assert_eq!(r.end_time.to_bits(), last.to_bits(), "p={p}: end_time");
+    }
+}

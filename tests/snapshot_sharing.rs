@@ -1,6 +1,6 @@
 //! Regression: one `ForecastSnapshot` per violation decision.
 //!
-//! The fast decision path captures a forecast snapshot in the violation
+//! The decision path captures a forecast snapshot in the violation
 //! handler (migrate-or-not) and used to capture *another* inside the
 //! mapper when the migration re-prepared — so the two halves of a single
 //! decision could read divergent forecasts within one monitor poll. The
@@ -20,7 +20,6 @@ fn fig3_cfg() -> QrExperimentConfig {
     cfg.load_at = 60.0;
     cfg.monitor_period = 10.0;
     cfg.t_max = 50_000.0;
-    cfg.sched = SchedTune::fast();
     cfg
 }
 
@@ -29,7 +28,10 @@ fn mapper_and_rescheduler_share_one_snapshot_per_migration() {
     let r = run_qr_experiment(macrogrid_qr(), fig3_cfg());
     assert!(r.migrated, "scenario must migrate");
     let trace = &r.snapshot_trace;
-    assert!(!trace.is_empty(), "fast path must record snapshot use");
+    assert!(
+        !trace.is_empty(),
+        "the decision path must record snapshot use"
+    );
 
     // The initial map has no preceding decision: it captures fresh.
     assert_eq!(
