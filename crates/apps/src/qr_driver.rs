@@ -650,7 +650,7 @@ pub fn run_qr_experiment_with(
                         .push((SnapshotUse::ReschedCaptured, snap.fingerprint()));
                     let cands = cop3.candidates(&grid3, snap.as_ref(), &all3);
                     let mut d = rescheduler
-                        .decide_best_obs(running3.as_ref(), &cands, &grid3, snap.as_ref(), &obs3)
+                        .decide_best(running3.as_ref(), &cands, &grid3, snap.as_ref(), &obs3)
                         .expect("candidates exist");
                     // Moving onto the very machines the app already holds
                     // is not a migration, whatever the (forecast-polluted)

@@ -242,17 +242,6 @@ impl NwsService {
         }
     }
 
-    /// True when any bandwidth/latency pair's served forecast bits differ
-    /// from the last synchronized capture. Coarser than per-pair dirt on
-    /// purpose: network forecasts feed cross-cluster transfer estimates,
-    /// so epoch drivers conservatively invalidate every cached cluster
-    /// score when this trips. `false` when tracking is off.
-    pub fn has_dirty_network(&self) -> bool {
-        self.track
-            .as_ref()
-            .is_some_and(|t| !t.dirty_bw.is_empty() || !t.dirty_lat.is_empty())
-    }
-
     /// Mark every tracked series clean, handing each dirty series and the
     /// value it serves now to `moved` — called by the snapshot module,
     /// whose capture then serves exactly these values. Costs `O(dirty)`:

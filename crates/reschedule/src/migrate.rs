@@ -134,27 +134,15 @@ impl MigrationRescheduler {
     /// Evaluate several candidate host sets and return the decision for
     /// the highest-benefit one (or, when nothing clears the threshold, the
     /// best-available decision with `migrate = false` under default mode).
-    pub fn decide_best(
-        &self,
-        app: &dyn Reschedulable,
-        candidates: &[Vec<HostId>],
-        grid: &Grid,
-        src: &dyn ForecastSource,
-    ) -> Option<MigrationDecision> {
-        candidates
-            .iter()
-            .map(|c| self.evaluate(app, c, grid, src))
-            .max_by(|a, b| a.benefit.total_cmp(&b.benefit))
-    }
-
-    /// [`MigrationRescheduler::decide_best`] with an observability sink:
-    /// identical decision, plus `reschedule.*` counters (candidate sets
-    /// evaluated, migrate/stay verdicts) and gauges describing the winning
+    ///
+    /// `obs` receives `reschedule.*` counters (candidate sets evaluated,
+    /// migrate/stay verdicts) and gauges describing the winning
     /// decision's prediction terms (§4.1's remaining-current vs.
-    /// remaining-new + overhead comparison). Pure decision logic carries no
-    /// virtual clock, so this records no timed events — callers with a
-    /// `Ctx` stamp the surrounding `Decision`/actuation events themselves.
-    pub fn decide_best_obs(
+    /// remaining-new + overhead comparison); pass [`Obs::disabled`] to
+    /// record nothing. Pure decision logic carries no virtual clock, so
+    /// this records no timed events — callers with a `Ctx` stamp the
+    /// surrounding `Decision`/actuation events themselves.
+    pub fn decide_best(
         &self,
         app: &dyn Reschedulable,
         candidates: &[Vec<HostId>],
@@ -163,7 +151,10 @@ impl MigrationRescheduler {
         obs: &Obs,
     ) -> Option<MigrationDecision> {
         obs.counter_add("reschedule.candidate_sets", candidates.len() as u64);
-        let best = self.decide_best(app, candidates, grid, src);
+        let best = candidates
+            .iter()
+            .map(|c| self.evaluate(app, c, grid, src))
+            .max_by(|a, b| a.benefit.total_cmp(&b.benefit));
         if let Some(d) = &best {
             obs.counter_add(
                 if d.migrate {
@@ -362,7 +353,9 @@ mod tests {
             (2..6).map(HostId).collect::<Vec<_>>(), // 3.2 Gflop/s
             vec![HostId(1)],                        // 1.0 Gflop/s
         ];
-        let d = r.decide_best(&app, &candidates, &grid, &nws).unwrap();
+        let d = r
+            .decide_best(&app, &candidates, &grid, &nws, &Obs::disabled())
+            .unwrap();
         assert_eq!(d.candidate_hosts.len(), 4);
         assert!(d.migrate);
     }

@@ -15,17 +15,17 @@
 //! re-sort would produce, so everything downstream stays bit-identical.
 //!
 //! Per-job work then drops to
-//! [`crate::CandidateWalk::from_index`]: walk the prebuilt order, keep
-//! hosts present in the job's eligibility [`HostBitset`], and stop after
-//! `max_procs` of them — `O(procs + skipped busy hosts)` instead of
-//! `O(H log H)`.
+//! [`crate::CandidateWalk::select_from_index`]: walk the prebuilt order,
+//! keep hosts present in the job's eligibility [`HostBitset`], and stop
+//! after `max_procs` of them — `O(procs + skipped busy hosts)` per
+//! cluster instead of `O(H log H)`.
 
 use grads_nws::{ForecastSnapshot, ForecastSource};
 use grads_sim::prelude::*;
 use std::cmp::Ordering;
 
 /// Dense bitset over host ids — the per-job eligibility mask handed to
-/// [`crate::CandidateWalk::from_index`], maintained `O(1)` per
+/// [`crate::CandidateWalk::select_from_index`], maintained `O(1)` per
 /// admit/complete by service drivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostBitset {
@@ -179,24 +179,6 @@ impl SnapshotIndex {
         lo
     }
 
-    /// The first `k` hosts of cluster `ci`'s order that are set in
-    /// `eligible` — the host list of the prefix a cached
-    /// `(prefix length, predicted)` cluster score refers to, materialized
-    /// only for the winning cluster of a mapping decision.
-    pub fn eligible_prefix(&self, ci: usize, eligible: &HostBitset, k: usize) -> Vec<HostId> {
-        let order = &self.clusters[ci];
-        let mut hosts = Vec::with_capacity(k);
-        for &h in &order.hosts {
-            if eligible.contains(h) {
-                hosts.push(h);
-                if hosts.len() == k {
-                    break;
-                }
-            }
-        }
-        hosts
-    }
-
     /// Bring the index up to date with `snap` given the hosts whose
     /// forecasts changed since the last sync (the
     /// [`grads_nws::NwsService::dirty_hosts`] set). Each changed host is
@@ -247,7 +229,7 @@ mod tests {
     use super::*;
     use crate::walk::CandidateWalk;
     use grads_nws::NwsService;
-    use grads_perf::TreeBcastPrefix;
+    use grads_perf::{PrefixAgg, PrefixPredictor, TreeBcastPrefix};
     use grads_sim::topology::{GridBuilder, HostSpec};
 
     fn setup(hosts_per_cluster: usize) -> (Grid, NwsService) {
@@ -341,13 +323,37 @@ mod tests {
         assert_index_matches_full_sort(&grid, &snap, &idx);
     }
 
+    /// Wraps a predictor and records, per `begin_cluster`, the cluster
+    /// and how many hosts it was handed.
+    struct Recording<P> {
+        inner: P,
+        seen: Vec<(ClusterId, usize)>,
+    }
+
+    impl<P: PrefixPredictor> PrefixPredictor for Recording<P> {
+        fn begin_cluster(&mut self, cluster: ClusterId, hosts: &[HostId]) {
+            self.seen.push((cluster, hosts.len()));
+            self.inner.begin_cluster(cluster, hosts);
+        }
+        fn push(&mut self, agg: &PrefixAgg) {
+            self.inner.push(agg);
+        }
+        fn predict(&self, agg: &PrefixAgg) -> f64 {
+            self.inner.predict(agg)
+        }
+    }
+
+    /// The index-backed selector equals a fresh walk bit for bit, scores
+    /// only clusters that can seat `min_procs`, and hands each scored
+    /// cluster exactly `min(max_procs, eligible)` hosts.
     #[test]
     fn indexed_walk_matches_fresh_walk_bitwise() {
         let (grid, nws) = setup(8);
         let snap = ForecastSnapshot::capture(&grid, &nws);
         let idx = SnapshotIndex::build(&grid, &snap);
         let n = 24u32;
-        // Deterministic pseudo-random eligibility patterns.
+        // Deterministic pseudo-random eligibility patterns; the last
+        // trial has every host eligible.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -355,24 +361,29 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for trial in 0..40 {
+        for trial in 0..=40 {
             let mut bits = HostBitset::new(n as usize);
             let mut eligible = Vec::new();
             let mut counts = vec![0usize; grid.clusters().len()];
             for h in 0..n {
-                if next() % 3 != 0 {
+                let draw = next();
+                if trial == 40 || draw % 3 != 0 {
                     bits.insert(HostId(h));
                     eligible.push(HostId(h));
                     counts[(h / 8) as usize] += 1;
                 }
             }
             for (min_p, max_p) in [(1, 4), (2, 3), (3, 24), (1, 1)] {
-                let fresh = CandidateWalk::new(&grid, &snap, &eligible, min_p, max_p);
-                let indexed = CandidateWalk::from_index(&idx, &bits, &counts, min_p, max_p);
                 let (flops, bytes) = (2e12, 1.5e7);
-                let a = fresh.select(&mut TreeBcastPrefix::new(&grid, &snap, flops, bytes));
-                let b = indexed.select(&mut TreeBcastPrefix::new(&grid, &snap, flops, bytes));
-                match (&a, &b) {
+                let fresh = CandidateWalk::new(&grid, &snap, &eligible, min_p, max_p)
+                    .select(&mut TreeBcastPrefix::new(&grid, &snap, flops, bytes));
+                let mut pred = Recording {
+                    inner: TreeBcastPrefix::new(&grid, &snap, flops, bytes),
+                    seen: Vec::new(),
+                };
+                let indexed =
+                    CandidateWalk::select_from_index(&idx, &bits, &counts, min_p, max_p, &mut pred);
+                match (&fresh, &indexed) {
                     (Some(a), Some(b)) => {
                         assert_eq!(a.hosts, b.hosts, "trial {trial} {min_p}..={max_p}");
                         assert_eq!(a.cluster, b.cluster);
@@ -381,24 +392,14 @@ mod tests {
                     (None, None) => {}
                     _ => panic!("presence mismatch, trial {trial} {min_p}..={max_p}"),
                 }
+                let expected: Vec<(ClusterId, usize)> = counts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &c)| c >= min_p)
+                    .map(|(ci, &c)| (ClusterId(ci as u32), c.min(max_p)))
+                    .collect();
+                assert_eq!(pred.seen, expected, "trial {trial} {min_p}..={max_p}");
             }
         }
-    }
-
-    #[test]
-    fn indexed_walk_truncates_to_max_procs() {
-        let (grid, nws) = setup(8);
-        let snap = ForecastSnapshot::capture(&grid, &nws);
-        let idx = SnapshotIndex::build(&grid, &snap);
-        let mut bits = HostBitset::new(24);
-        for h in 0..24u32 {
-            bits.insert(HostId(h));
-        }
-        let counts = vec![8usize; 3];
-        let walk = CandidateWalk::from_index(&idx, &bits, &counts, 2, 3);
-        for c in walk.clusters() {
-            assert_eq!(c.hosts.len(), 3, "only max_procs hosts are materialized");
-        }
-        assert_eq!(walk.n_candidates(), 3 * 2);
     }
 }

@@ -16,7 +16,9 @@
 //! calling thread and keeps the argmin under the total order
 //! `(predicted, cluster, prefix length)` with first-wins ties — exactly
 //! the order the reference path's loop applies — so the choice is
-//! bit-identical to the reference.
+//! bit-identical to the reference. [`CandidateWalk::select_from_index`]
+//! applies the same scoring and argmin to a persistent
+//! [`SnapshotIndex`], one cluster at a time — the service mapper's path.
 
 use crate::epoch::{HostBitset, SnapshotIndex};
 use crate::mpi_sched::ResourceChoice;
@@ -101,116 +103,6 @@ impl CandidateWalk {
         }
     }
 
-    /// Enumerate candidates from a prebuilt [`SnapshotIndex`] instead of
-    /// re-sorting: walk each cluster's persistent order, keep hosts set
-    /// in `eligible`, and stop once `max_procs` of them are collected —
-    /// `O(procs + skipped hosts)` per cluster instead of `O(H log H)`.
-    ///
-    /// `elig_counts[ci]` must be the number of eligible hosts in cluster
-    /// `ci` (service drivers maintain it `O(1)` per admit/complete).
-    /// Clusters with fewer than `min_procs` eligible hosts are skipped
-    /// without touching their order at all — the same retention rule as
-    /// [`CandidateWalk::new`].
-    ///
-    /// Bit-identity with the fresh walk: the index order filtered by
-    /// eligibility equals filter-then-sort (the comparator is a unique
-    /// total order), and truncating at `max_procs` removes only hosts
-    /// [`CandidateWalk::best_in_cluster`] never reads. One contract
-    /// deviation: [`PrefixPredictor::begin_cluster`] sees the truncated
-    /// host list rather than the full eligible list; every in-tree
-    /// predictor ([`grads_perf::TreeBcastPrefix`], [`grads_perf::FlatPrefix`])
-    /// ignores that argument, but a custom predictor that reads beyond the
-    /// scored prefix would observe the difference.
-    pub fn from_index(
-        index: &SnapshotIndex,
-        eligible: &HostBitset,
-        elig_counts: &[usize],
-        min_procs: usize,
-        max_procs: usize,
-    ) -> Self {
-        assert!(min_procs >= 1, "a candidate prefix needs at least one host");
-        let mut clusters = Vec::new();
-        if min_procs <= max_procs {
-            for (ci, order) in index.clusters().iter().enumerate() {
-                let avail = elig_counts[ci];
-                if avail < min_procs {
-                    continue;
-                }
-                let take = max_procs.min(avail);
-                let mut hosts = Vec::with_capacity(take);
-                let mut speeds = Vec::with_capacity(take);
-                for (i, &h) in order.hosts.iter().enumerate() {
-                    if eligible.contains(h) {
-                        hosts.push(h);
-                        speeds.push(order.speeds[i]);
-                        if hosts.len() == take {
-                            break;
-                        }
-                    }
-                }
-                debug_assert_eq!(hosts.len(), take, "elig_counts out of sync with bitset");
-                clusters.push(ClusterPrefixes {
-                    cluster: order.cluster,
-                    hosts,
-                    speeds,
-                });
-            }
-        }
-        CandidateWalk {
-            clusters,
-            min_procs,
-            max_procs,
-        }
-    }
-
-    /// Score a *single* cluster of the index against `pred` and return
-    /// its best `(prefix length, predicted)` — `None` when fewer than
-    /// `min_procs` hosts are eligible (the retention rule). This is the
-    /// memoizable unit of epoch-mode mapping: a cluster's best depends
-    /// only on its eligible prefix, the snapshot behind `index`, and the
-    /// predictor's inputs, so service drivers cache it per cluster and
-    /// recompute only when one of those moved. Bit-identical to scoring
-    /// the same cluster inside [`CandidateWalk::from_index`] (it is the
-    /// same collection and the same [`CandidateWalk::best_in_cluster`]).
-    pub fn score_cluster_from_index<P: PrefixPredictor>(
-        index: &SnapshotIndex,
-        ci: usize,
-        eligible: &HostBitset,
-        avail: usize,
-        min_procs: usize,
-        max_procs: usize,
-        pred: &mut P,
-    ) -> Option<(usize, f64)> {
-        assert!(min_procs >= 1, "a candidate prefix needs at least one host");
-        if avail < min_procs || min_procs > max_procs {
-            return None;
-        }
-        let order = &index.clusters()[ci];
-        let take = max_procs.min(avail);
-        let mut hosts = Vec::with_capacity(take);
-        let mut speeds = Vec::with_capacity(take);
-        for (i, &h) in order.hosts.iter().enumerate() {
-            if eligible.contains(h) {
-                hosts.push(h);
-                speeds.push(order.speeds[i]);
-                if hosts.len() == take {
-                    break;
-                }
-            }
-        }
-        debug_assert_eq!(hosts.len(), take, "avail out of sync with bitset");
-        let one = CandidateWalk {
-            clusters: vec![ClusterPrefixes {
-                cluster: order.cluster,
-                hosts,
-                speeds,
-            }],
-            min_procs,
-            max_procs,
-        };
-        Some(one.best_in_cluster(0, pred))
-    }
-
     /// The per-cluster prefix families, in cluster-index order.
     pub fn clusters(&self) -> &[ClusterPrefixes] {
         &self.clusters
@@ -225,45 +117,13 @@ impl CandidateWalk {
             .sum()
     }
 
-    /// Walk one cluster's prefixes with an incremental predictor and
-    /// return its best `(prefix length, predicted)`. Ties keep the
-    /// shorter prefix — the reference loop's first-wins rule, since it
-    /// visits a cluster's prefixes in ascending length.
-    pub fn best_in_cluster<P: PrefixPredictor>(&self, ci: usize, pred: &mut P) -> (usize, f64) {
-        let c = &self.clusters[ci];
-        let kmax = self.max_procs.min(c.hosts.len());
-        pred.begin_cluster(c.cluster, &c.hosts);
-        let (mut sum, mut min) = (0.0f64, f64::INFINITY);
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..kmax {
-            sum += c.speeds[i];
-            min = min.min(c.speeds[i]);
-            let agg = PrefixAgg {
-                k: i + 1,
-                host: c.hosts[i],
-                speed: c.speeds[i],
-                sum_speed: sum,
-                min_speed: min,
-            };
-            pred.push(&agg);
-            if agg.k >= self.min_procs {
-                let t = pred.predict(&agg);
-                match best {
-                    Some((_, bt)) if bt <= t => {}
-                    _ => best = Some((agg.k, t)),
-                }
-            }
-        }
-        best.expect("cluster retained by new() yields at least one prefix")
-    }
-
     /// Score every candidate with `pred` and return the choice with the
     /// lowest predicted time — the first such `(cluster, prefix length)`
     /// in enumeration order on ties, exactly like the reference loop.
     pub fn select<P: PrefixPredictor>(&self, pred: &mut P) -> Option<ResourceChoice> {
         let mut best: Option<(usize, usize, f64)> = None;
-        for ci in 0..self.clusters.len() {
-            let (k, t) = self.best_in_cluster(ci, pred);
+        for (ci, c) in self.clusters.iter().enumerate() {
+            let (k, t) = best_in_cluster(c, self.min_procs, self.max_procs, pred);
             match best {
                 Some((_, _, bt)) if bt <= t => {}
                 _ => best = Some((ci, k, t)),
@@ -278,6 +138,123 @@ impl CandidateWalk {
             }
         })
     }
+
+    /// [`CandidateWalk::select`] straight from a prebuilt
+    /// [`SnapshotIndex`], without re-sorting and without collecting every
+    /// cluster first. Clusters are scored one at a time in index order:
+    /// a cluster with fewer than `min_procs` eligible hosts is skipped
+    /// without touching its order (the retention rule of
+    /// [`CandidateWalk::new`]); otherwise the first `min(max_procs,
+    /// avail)` hosts of its persistent order that are set in `eligible`
+    /// are collected into one reused buffer and scored there —
+    /// `O(procs + skipped hosts)` per cluster instead of `O(H log H)`.
+    /// A new leader's buffer is swapped aside, not copied.
+    ///
+    /// `elig_counts[ci]` must be the number of eligible hosts in cluster
+    /// `ci` (service drivers maintain it `O(1)` per admit/complete).
+    ///
+    /// Bit-identity with the fresh walk: the index order filtered by
+    /// eligibility equals filter-then-sort (the comparator is a unique
+    /// total order), truncating at `max_procs` removes only hosts the
+    /// scoring pass never reads, and the argmin is the same first-wins
+    /// reduction. One contract deviation:
+    /// [`PrefixPredictor::begin_cluster`] sees the truncated host list
+    /// rather than the full eligible list; every in-tree predictor
+    /// ([`grads_perf::TreeBcastPrefix`], [`grads_perf::FlatPrefix`])
+    /// ignores that argument, but a custom predictor that reads beyond the
+    /// scored prefix would observe the difference.
+    pub fn select_from_index<P: PrefixPredictor>(
+        index: &SnapshotIndex,
+        eligible: &HostBitset,
+        elig_counts: &[usize],
+        min_procs: usize,
+        max_procs: usize,
+        pred: &mut P,
+    ) -> Option<ResourceChoice> {
+        assert!(min_procs >= 1, "a candidate prefix needs at least one host");
+        if min_procs > max_procs {
+            return None;
+        }
+        let empty = || ClusterPrefixes {
+            cluster: ClusterId(0),
+            hosts: Vec::new(),
+            speeds: Vec::new(),
+        };
+        // `buf` is the cluster being scored; `lead` holds the leader's.
+        let (mut buf, mut lead) = (empty(), empty());
+        let mut best: Option<(usize, f64)> = None;
+        for (order, &avail) in index.clusters().iter().zip(elig_counts) {
+            if avail < min_procs {
+                continue;
+            }
+            let take = max_procs.min(avail);
+            buf.cluster = order.cluster;
+            buf.hosts.clear();
+            buf.speeds.clear();
+            for (&h, &s) in order.hosts.iter().zip(&order.speeds) {
+                if eligible.contains(h) {
+                    buf.hosts.push(h);
+                    buf.speeds.push(s);
+                    if buf.hosts.len() == take {
+                        break;
+                    }
+                }
+            }
+            debug_assert_eq!(buf.hosts.len(), take, "elig_counts out of sync with bitset");
+            let (k, t) = best_in_cluster(&buf, min_procs, max_procs, pred);
+            match best {
+                Some((_, bt)) if bt <= t => {}
+                _ => {
+                    best = Some((k, t));
+                    std::mem::swap(&mut buf, &mut lead);
+                }
+            }
+        }
+        best.map(|(k, predicted)| {
+            lead.hosts.truncate(k);
+            ResourceChoice {
+                hosts: lead.hosts,
+                predicted,
+                cluster: lead.cluster,
+            }
+        })
+    }
+}
+
+/// Walk one cluster's prefixes with an incremental predictor and return
+/// its best `(prefix length, predicted)`. Ties keep the shorter prefix —
+/// the reference loop's first-wins rule, since it visits a cluster's
+/// prefixes in ascending length. `c` must hold at least `min_procs` hosts.
+fn best_in_cluster<P: PrefixPredictor>(
+    c: &ClusterPrefixes,
+    min_procs: usize,
+    max_procs: usize,
+    pred: &mut P,
+) -> (usize, f64) {
+    let kmax = max_procs.min(c.hosts.len());
+    pred.begin_cluster(c.cluster, &c.hosts);
+    let (mut sum, mut min) = (0.0f64, f64::INFINITY);
+    let mut best: Option<(usize, f64)> = None;
+    for i in 0..kmax {
+        sum += c.speeds[i];
+        min = min.min(c.speeds[i]);
+        let agg = PrefixAgg {
+            k: i + 1,
+            host: c.hosts[i],
+            speed: c.speeds[i],
+            sum_speed: sum,
+            min_speed: min,
+        };
+        pred.push(&agg);
+        if agg.k >= min_procs {
+            let t = pred.predict(&agg);
+            match best {
+                Some((_, bt)) if bt <= t => {}
+                _ => best = Some((agg.k, t)),
+            }
+        }
+    }
+    best.expect("a retained cluster yields at least one prefix")
 }
 
 /// Select the processor set with the lowest predicted execution time via

@@ -1,42 +1,29 @@
-//! The reusable mapping plan: per-cluster free-host state and a
-//! placement memo, maintained `O(Δ)` instead of rebuilt per job.
+//! The reusable mapping plan: per-cluster free-host state, maintained
+//! `O(Δ)` instead of rebuilt per job.
 //!
 //! Without the plan, every job examined in a dispatch round pays an
 //! `O(hosts)` scan of `free_cores` to build its eligibility list and an
 //! `O(hosts log hosts)` per-cluster re-sort inside the candidate walk —
 //! even though at most `procs` hosts change occupancy per admission and
 //! the forecast snapshot is frozen for the whole round. [`MappingPlan`]
-//! keeps what those rebuilds recompute:
+//! keeps a free-host [`HostBitset`] plus per-cluster eligible counts and
+//! a grid-wide free-host count, updated only on the `0 ↔ 1` free-core
+//! transitions of admit/retire (a host with 2 free cores going to 1 is
+//! still eligible — no update). Each job then maps through
+//! [`CandidateWalk::select_from_index`] over the persistent
+//! [`grads_sched::SnapshotIndex`], scoring one cluster at a time.
 //!
-//! * a free-host [`HostBitset`] plus per-cluster eligible counts and a
-//!   grid-wide free-host count, updated only on the `0 ↔ 1` free-core
-//!   transitions of admit/retire (a host with 2 free cores going to 1 is
-//!   still eligible — no update);
-//! * per-cluster **stamps**: a logical clock value recording when the
-//!   cluster's mapping-relevant state last changed. A stamp is bumped by
-//!   an eligibility transition in the cluster, by a forecast change on
-//!   one of its hosts (the delta-capture dirty set), or — conservatively,
-//!   for all clusters at once — by a dirty network pair (cross-cluster
-//!   transfer estimates feed every cluster's broadcast leg in general);
-//! * a placement **memo** keyed by `(app class, procs, flops bits,
-//!   broadcast bits)` holding per-cluster `(prefix length, predicted)`
-//!   scores, each tagged with the cluster stamp it was computed under.
-//!   A lookup reuses exactly the columns whose stamp still matches and
-//!   recomputes the rest through the persistent
-//!   [`grads_sched::SnapshotIndex`] — so an admission invalidates
-//!   precisely the clusters it touched, nothing else.
+//! No score is cached between jobs. The dispatcher observes every host
+//! each round, so every cluster's forecasts move every round, and each
+//! job brings its own work size: a per-cluster placement memo measured
+//! zero hits on every service configuration tried (EXPERIMENTS.md
+//! §SVC-MEMO).
 //!
-//! Bit-identity: a memo column is reused only when nothing a recompute
-//! would read has changed (same eligible prefix, same snapshot bits, same
-//! model inputs), recomputation itself goes through
-//! [`grads_sched::CandidateWalk::score_cluster_from_index`] (the same
-//! scoring code as a fresh walk), and the cross-cluster argmin below
-//! replays the walk's cluster-index-order first-wins reduction. Debug
-//! builds of the dispatcher check every decision against a fresh
+//! Bit-identity: the indexed selector is the fresh walk's scoring and
+//! first-wins argmin over the same filtered order. Debug builds of the
+//! dispatcher check every decision against a fresh
 //! [`grads_sched::select_mpi_resources_fast`] walk over a rebuilt
 //! eligible list.
-
-use std::collections::HashMap;
 
 use grads_nws::ForecastSnapshot;
 use grads_obs::Obs;
@@ -46,21 +33,8 @@ use grads_sim::prelude::*;
 
 use crate::workload::Job;
 
-/// Memo capacity guard: when the key set reaches this size the memo is
-/// cleared wholesale (deterministically) rather than grown without bound.
-const MEMO_MAX_KEYS: usize = 8192;
-
-#[derive(Debug, Clone, Copy)]
-struct MemoCol {
-    /// Cluster stamp the score was computed under (`0` = never).
-    stamp: u64,
-    /// The cluster's best `(prefix length, predicted)`, `None` when the
-    /// cluster could not seat the job at computation time.
-    best: Option<(usize, f64)>,
-}
-
-/// Incrementally-maintained mapping state for one service run. See the
-/// module docs for the invalidation rules and the identity argument.
+/// Incrementally-maintained free-host state for one service run. See the
+/// module docs for the update rule and the identity argument.
 pub struct MappingPlan {
     /// Hosts with at least one free core.
     free: HostBitset,
@@ -71,14 +45,7 @@ pub struct MappingPlan {
     /// Grid-wide free-host count — the `eligible.len()` of the rebuilt
     /// path, without the scan.
     free_hosts: usize,
-    /// Per-cluster last-changed stamps.
-    stamps: Vec<u64>,
-    /// Logical clock behind the stamps.
-    clock: u64,
-    memo: HashMap<(u8, usize, u64, u64), Vec<MemoCol>>,
     // `svc.epoch.*` counter state, published once at end of run.
-    memo_hits: u64,
-    memo_misses: u64,
     elig_updates: u64,
     index_repairs: u64,
     index_rebuilds: u64,
@@ -108,20 +75,10 @@ impl MappingPlan {
             elig_count,
             cluster_of,
             free_hosts,
-            stamps: vec![1; n_clusters],
-            clock: 1,
-            memo: HashMap::new(),
-            memo_hits: 0,
-            memo_misses: 0,
             elig_updates: 0,
             index_repairs: 0,
             index_rebuilds: 0,
         }
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
     }
 
     /// Number of hosts with at least one free core — what the rebuilt
@@ -134,7 +91,7 @@ impl MappingPlan {
     /// when its last free core was taken (admit), `true` when a core
     /// freed up on a fully-busy host (retire). Calls for non-boundary
     /// core transitions must be omitted by the driver — a host going from
-    /// 2 free cores to 1 is still eligible and invalidates nothing.
+    /// 2 free cores to 1 is still eligible.
     pub fn set_host_free(&mut self, h: HostId, free: bool) {
         let changed = if free {
             self.free.insert(h)
@@ -150,24 +107,15 @@ impl MappingPlan {
             self.elig_count[ci] -= 1;
             self.free_hosts -= 1;
         }
-        self.stamps[ci] = self.tick();
         self.elig_updates += 1;
     }
 
-    /// Absorb a round's forecast delta: bump the stamp of every cluster
-    /// holding a dirty host; a dirty network pair bumps every cluster
-    /// (transfer estimates are cross-cluster state).
-    pub fn on_weather(&mut self, dirty_hosts: &[HostId], network_dirty: bool) {
-        if network_dirty {
-            let s = self.tick();
-            self.stamps.fill(s);
-            return;
-        }
-        for &h in dirty_hosts {
-            let ci = self.cluster_of[h.0 as usize] as usize;
-            self.stamps[ci] = self.tick();
-        }
-    }
+    /// A no-op. The plan caches nothing that a forecast change could
+    /// invalidate; this stays only because the benchmark harness's
+    /// mapping layer (`perfbench/src/layers.rs`) still calls
+    /// `on_weather(&[], true)`.
+    #[doc(hidden)]
+    pub fn on_weather(&mut self, _dirty_hosts: &[HostId], _network_dirty: bool) {}
 
     /// Fold a [`SnapshotIndex::repair`] outcome into the counters.
     pub fn note_repair(&mut self, rep: RepairReport) {
@@ -177,10 +125,9 @@ impl MappingPlan {
         self.index_repairs += rep.moved as u64;
     }
 
-    /// Map `job` through the memo + persistent index: per cluster, reuse
-    /// the cached score when the cluster's stamp is unchanged, recompute
-    /// it through the index otherwise, then reduce in cluster-index order
-    /// with first-wins ties — the candidate walk's exact argmin.
+    /// Map `job` through the persistent index: the lowest-predicted
+    /// `procs`-host prefix of any cluster's free hosts, first-wins on
+    /// ties — the candidate walk's exact choice.
     pub fn map(
         &mut self,
         job: &Job,
@@ -188,55 +135,14 @@ impl MappingPlan {
         grid: &Grid,
         snap: &ForecastSnapshot,
     ) -> Option<ResourceChoice> {
-        let key = (
-            job.kind as u8,
+        CandidateWalk::select_from_index(
+            index,
+            &self.free,
+            &self.elig_count,
             job.procs,
-            job.flops.to_bits(),
-            job.bcast_bytes.to_bits(),
-        );
-        let n_clusters = self.stamps.len();
-        if !self.memo.contains_key(&key) && self.memo.len() >= MEMO_MAX_KEYS {
-            self.memo.clear();
-        }
-        let cols = self.memo.entry(key).or_insert_with(|| {
-            vec![
-                MemoCol {
-                    stamp: 0,
-                    best: None
-                };
-                n_clusters
-            ]
-        });
-        let mut pred = TreeBcastPrefix::new(grid, snap, job.flops, job.bcast_bytes);
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (ci, col) in cols.iter_mut().enumerate() {
-            if col.stamp == self.stamps[ci] {
-                self.memo_hits += 1;
-            } else {
-                col.best = CandidateWalk::score_cluster_from_index(
-                    index,
-                    ci,
-                    &self.free,
-                    self.elig_count[ci],
-                    job.procs,
-                    job.procs,
-                    &mut pred,
-                );
-                col.stamp = self.stamps[ci];
-                self.memo_misses += 1;
-            }
-            if let Some((k, t)) = col.best {
-                match best {
-                    Some((_, _, bt)) if bt <= t => {}
-                    _ => best = Some((ci, k, t)),
-                }
-            }
-        }
-        best.map(|(ci, k, predicted)| ResourceChoice {
-            hosts: index.eligible_prefix(ci, &self.free, k),
-            predicted,
-            cluster: ClusterId(ci as u32),
-        })
+            job.procs,
+            &mut TreeBcastPrefix::new(grid, snap, job.flops, job.bcast_bytes),
+        )
     }
 
     /// Publish the `svc.epoch.*` counters. Zero-perturbation like every
@@ -244,8 +150,6 @@ impl MappingPlan {
     pub fn publish(&self, obs: &Obs) {
         obs.counter_add("svc.epoch.index_repairs", self.index_repairs);
         obs.counter_add("svc.epoch.index_rebuilds", self.index_rebuilds);
-        obs.counter_add("svc.epoch.memo_hits", self.memo_hits);
-        obs.counter_add("svc.epoch.memo_misses", self.memo_misses);
         obs.counter_add("svc.epoch.elig_updates", self.elig_updates);
     }
 }
@@ -284,7 +188,7 @@ mod tests {
     }
 
     /// The plan's mapping equals the fresh walk across an admit/retire
-    /// sequence, and the memo actually reuses columns when nothing moved.
+    /// sequence.
     #[test]
     fn plan_map_matches_fresh_walk_through_occupancy_churn() {
         let (grid, nws) = setup();
@@ -295,7 +199,7 @@ mod tests {
         let jobs = [
             job(3, 2e12, 1.5e7),
             job(2, 5e11, 1e6),
-            job(3, 2e12, 1.5e7), // same key as the first: memo-hit material
+            job(3, 2e12, 1.5e7),
             job(4, 8e12, 3e7),
             job(1, 1e11, 0.0),
         ];
@@ -335,7 +239,6 @@ mod tests {
                 occupied.push(c.hosts);
             }
         }
-        assert!(plan.memo_hits > 0, "repeated keys must hit the memo");
         // Retire everything and re-map: still identical to fresh.
         for hosts in occupied.drain(..) {
             for h in hosts {
@@ -362,9 +265,10 @@ mod tests {
         assert_eq!(reference.predicted.to_bits(), got.predicted.to_bits());
     }
 
-    /// Weather deltas invalidate exactly the touched clusters' columns.
+    /// After a forecast delta repairs the index, the plan's mapping
+    /// equals a fresh walk against the new snapshot.
     #[test]
-    fn weather_invalidation_is_per_cluster() {
+    fn plan_map_matches_fresh_walk_after_weather_repair() {
         let (grid, mut nws) = setup();
         nws.enable_delta_tracking();
         let snap0 = ForecastSnapshot::capture_sync(&grid, &mut nws);
@@ -373,24 +277,13 @@ mod tests {
         let mut plan = MappingPlan::new(&grid, &free_cores);
         let j = job(2, 1e12, 5e6);
         plan.map(&j, &index, &grid, &snap0);
-        let misses0 = plan.memo_misses;
-        assert_eq!(misses0, 4, "cold memo computes every cluster");
 
         // Dirty one host in cluster 0 only.
         nws.observe_cpu(HostId(0), 0.9);
         let dirty = nws.dirty_hosts();
-        let net = nws.has_dirty_network();
         let snap1 = ForecastSnapshot::capture_delta(&grid, &mut nws, &snap0);
         plan.note_repair(index.repair(&grid, &snap1, &dirty));
-        plan.on_weather(&dirty, net);
         let got = plan.map(&j, &index, &grid, &snap1);
-        assert_eq!(
-            plan.memo_misses - misses0,
-            1,
-            "only the dirtied cluster recomputes"
-        );
-        assert_eq!(plan.memo_hits, 3);
-        // And the result still equals a fresh walk against the new snap.
         let all: Vec<HostId> = (0..48).map(HostId).collect();
         let reference = select_mpi_resources_fast(
             &grid,

@@ -16,8 +16,9 @@
 //! 4. clears the commodities market (supply = free slots, demand = the
 //!    queue's budget rates) to get the round's slot-second price;
 //! 5. walks the queue earliest-deadline-first and, for each job, maps it
-//!    through the round's [`MappingPlan`] (free-host bitsets plus a
-//!    per-cluster placement memo), then admits, defers, or rejects:
+//!    through the round's [`MappingPlan`] (a free-host bitset and
+//!    per-cluster free counts over the persistent index, scored cluster
+//!    by cluster), then admits, defers, or rejects:
 //!    * **reject** if the snapshot-based completion estimate misses the
 //!      deadline (running it would only burn slots on a lost SLO);
 //!    * **defer** if the job is affordable later (market price above its
@@ -452,7 +453,6 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
         // the delta-capture contract) and the persistent index is
         // repaired from the same dirty set.
         let dirty = nws.dirty_hosts();
-        let net_dirty = nws.has_dirty_network();
         let snap = match epoch_state.as_mut() {
             None => {
                 let snap = ForecastSnapshot::capture_sync(grid, &mut nws);
@@ -466,7 +466,6 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                 let snap = ForecastSnapshot::capture_delta(grid, &mut nws, &st.prev_snap);
                 let rep = st.index.repair(grid, &snap, &dirty);
                 plan.note_repair(rep);
-                plan.on_weather(&dirty, net_dirty);
                 st.prev_snap = snap.clone();
                 snap
             }
@@ -571,7 +570,7 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                 }
             }
             // The free-host check reads the plan's running count, and the
-            // job maps through the persistent index + memo.
+            // job maps through the persistent index.
             #[cfg(debug_assertions)]
             let eligible = rebuilt_eligible(&free_cores, plan.free_host_count());
             if plan.free_host_count() < q.job.procs {
@@ -857,8 +856,7 @@ mod tests {
         let obs = cfg.obs.clone();
         run_service_experiment(cfg);
         let json = obs.snapshot().to_json();
-        assert!(json.contains("\"svc.epoch.memo_misses\""), "{json}");
-        assert!(json.contains("\"svc.epoch.elig_updates\""));
+        assert!(json.contains("\"svc.epoch.elig_updates\""), "{json}");
         assert!(json.contains("\"svc.epoch.index_repairs\""));
         assert!(json.contains("\"svc.round.decisions\""));
     }

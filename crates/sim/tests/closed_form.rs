@@ -210,3 +210,52 @@ fn ring_pass_completes_at_p_hops() {
         assert_eq!(r.end_time.to_bits(), last.to_bits(), "p={p}: end_time");
     }
 }
+
+/// One compute of `flops` on a 1-core host of `speed`, started at
+/// `start`, with one unit of external load on the host over
+/// `[load_on, load_off)`. The finish time is traced under `done`.
+fn compute_under_load_window(
+    speed: f64,
+    flops: f64,
+    start: f64,
+    load_on: f64,
+    load_off: f64,
+) -> RunReport {
+    let mut b = GridBuilder::new();
+    let c = b.cluster("LOCAL");
+    let h = b.add_hosts(c, 1, &HostSpec::with_speed(speed))[0];
+    let mut eng = Engine::new(b.build().unwrap());
+    eng.add_load_window(h, load_on, Some(load_off), 1.0);
+    eng.spawn("c", h, move |ctx| {
+        if start > 0.0 {
+            ctx.sleep(start);
+        }
+        ctx.compute(flops);
+        let t = ctx.now();
+        ctx.trace("done", t);
+    });
+    eng.run()
+}
+
+/// One unit of load on a 1-core host halves the compute's rate
+/// (`cpu_share(s, 1, 1, 1.0) = s / 2`), so a compute of F flops that
+/// overlaps a window for `w` seconds finishes `w / 2` later than
+/// `F / s`: it does `s/2 · w` flops in the window and the rest at full
+/// speed. With speed 1024 and 4096 flops every intermediate is dyadic,
+/// so the answers are exact.
+#[test]
+fn load_window_overlapping_a_compute_finishes_at_the_closed_form() {
+    let (speed, flops) = (1024.0, 4096.0);
+    // Opens mid-action at 1, closes mid-action at 3: 1024 flops at full
+    // speed, 1024 at half speed over 2 s, 2048 at full speed — 5.
+    let r = compute_under_load_window(speed, flops, 0.0, 1.0, 3.0);
+    assert_eq!(r.completed.len(), 1);
+    assert_eq!(finish_bits(&r, "done"), vec![5.0f64.to_bits()]);
+    assert_eq!(r.host_flops[0].to_bits(), flops.to_bits());
+    // Opens at 0.5, before the action starts at 1, and closes mid-action
+    // at 3: 1024 flops at half speed over 2 s, then 3072 at full speed.
+    let r = compute_under_load_window(speed, flops, 1.0, 0.5, 3.0);
+    assert_eq!(r.completed.len(), 1);
+    assert_eq!(finish_bits(&r, "done"), vec![6.0f64.to_bits()]);
+    assert_eq!(r.host_flops[0].to_bits(), flops.to_bits());
+}

@@ -158,11 +158,7 @@ fn default_service_config_runs_decision_epochs() {
     let r = run_service_experiment(cfg);
     assert!(r.totals.admitted > 0, "the scenario admits work");
     let json = obs.snapshot().to_json();
-    for k in [
-        "svc.epoch.memo_misses",
-        "svc.epoch.elig_updates",
-        "svc.epoch.index_repairs",
-    ] {
+    for k in ["svc.epoch.elig_updates", "svc.epoch.index_repairs"] {
         assert!(json.contains(k), "default service must publish {k}: {json}");
     }
 }

@@ -30,24 +30,65 @@ fn cfg(seed: u64) -> ServiceConfig {
     }
 }
 
+/// The `service_mapheavy` shape on a small grid: 8 clusters, no
+/// admission cap and a reserve price above most budget rates, so a queue
+/// stands and is re-decided every round. On debug builds every one of
+/// those decisions runs the dispatcher's rebuild cross-check across all
+/// 8 clusters.
+fn standing_queue_cfg(seed: u64) -> ServiceConfig {
+    ServiceConfig {
+        workload: WorkloadConfig {
+            seed,
+            n_jobs: 40,
+            mean_interarrival_s: 0.1,
+            ..WorkloadConfig::default()
+        },
+        hosts: 64,
+        clusters: 8,
+        cores_per_host: 2,
+        round_s: 30.0,
+        reserve_price: 6.0,
+        max_admissions_per_round: usize::MAX,
+        ..ServiceConfig::default()
+    }
+}
+
 #[test]
 fn rerun_is_bit_identical() {
-    let a = run_service_experiment(cfg(7));
-    let b = run_service_experiment(cfg(7));
-    assert_eq!(a, b, "same seed must reproduce the identical run");
-    assert!(a.totals.admitted > 0, "the scenario admits work");
+    for c in [cfg(7), standing_queue_cfg(11)] {
+        let a = run_service_experiment(c.clone());
+        let b = run_service_experiment(c);
+        assert_eq!(a, b, "same seed must reproduce the identical run");
+        assert!(a.totals.admitted > 0, "the scenario admits work");
+    }
 }
 
 #[test]
 fn obs_snapshot_is_bit_identical_across_reruns() {
-    let snap = |seed: u64| {
-        let mut c = cfg(seed);
+    let snap = |mut c: ServiceConfig| {
         c.obs = Obs::enabled();
         let obs = c.obs.clone();
         run_service_experiment(c);
-        obs.snapshot().to_json()
+        obs.snapshot()
     };
-    assert_eq!(snap(3), snap(3), "published counters are deterministic");
+    assert_eq!(
+        snap(cfg(3)).to_json(),
+        snap(cfg(3)).to_json(),
+        "published counters are deterministic"
+    );
+    let standing = snap(standing_queue_cfg(11));
+    assert_eq!(
+        standing.to_json(),
+        snap(standing_queue_cfg(11)).to_json(),
+        "published counters are deterministic"
+    );
+    // The standing-queue shape re-decides its queue round after round,
+    // so it takes more decisions than it has jobs.
+    let decisions = standing
+        .histogram("svc.round.decisions")
+        .expect("published")
+        .sum;
+    assert!(decisions > 40.0, "the queue stands: {decisions} decisions");
 }
 
 proptest! {
