@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the substrate (B-MICRO in DESIGN.md):
 //! emulator event throughput, scheduling heuristics, reuse-distance
 //! analysis, forecasting, a round of tracked NWS CPU observations,
-//! block-cyclic redistribution, and a complete small QR factorization
-//! through the simulated MPI stack.
+//! block-cyclic redistribution, the grid-economy market and auction, and
+//! a complete small QR factorization through the simulated MPI stack.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use grads_core::mpi::launch;
@@ -241,7 +241,7 @@ connect UTK UIUC 4e6 0.030
 }
 
 fn bench_economy(c: &mut Criterion) {
-    use grads_core::sched::{CommodityMarket, Consumer, Producer};
+    use grads_core::sched::{auction_allocate, CommodityMarket, Consumer, Producer};
     let producers: Vec<Producer> = (0..16)
         .map(|i| Producer {
             capacity: 10.0 + i as f64,
@@ -258,6 +258,18 @@ fn bench_economy(c: &mut Criterion) {
             let mut m = CommodityMarket::default();
             m.clear(&producers, &consumers, 500, 0.01)
         })
+    });
+    // The service's scarcity gate: its 128-job queue head bids for the
+    // last free slots, and repeated budgets exercise the index tie-break.
+    let slots = [Producer { capacity: 64.0 }];
+    let bidders: Vec<Consumer> = (0..128)
+        .map(|i| Consumer {
+            budget: 10.0 + (i % 13) as f64 * 5.0,
+            max_demand: (1 + i % 4) as f64,
+        })
+        .collect();
+    c.bench_function("economy_auction_128_bidders_64_slots", |b| {
+        b.iter(|| auction_allocate(&slots, &bidders))
     });
 }
 

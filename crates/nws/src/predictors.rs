@@ -135,8 +135,9 @@ impl Predictor for SlidingMedian {
 
 /// `x`'s rank in the [`f64::total_cmp`] order as an integer:
 /// `order_key(a).cmp(&order_key(b)) == a.total_cmp(&b)` (the same bit
-/// flip `total_cmp` applies), and [`from_key`] inverts it.
-fn order_key(x: f64) -> i64 {
+/// flip `total_cmp` applies), and the flip is its own inverse. Also the
+/// sort key of the scheduler's auction heap and snapshot-index rebuild.
+pub fn order_key(x: f64) -> i64 {
     let bits = x.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }

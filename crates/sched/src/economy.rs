@@ -18,6 +18,10 @@
 //! predictable prices than auctions while clearing comparably — is
 //! reproduced by the tests and the price-stability metric.
 
+use grads_nws::predictors::order_key;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// A resource seller: `capacity` divisible CPU slots.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Producer {
@@ -176,6 +180,18 @@ pub const AUCTION_EPS: f64 = 1e-9;
 /// its remaining useful demand, `b / max(n, 1)`: a consumer needing less
 /// than one slot concentrates its whole budget on that fraction, so its
 /// per-slot bid is its full remaining budget.
+///
+/// **Heap invariant.** The bids live in a max-heap keyed by
+/// `(order_key(bid), Reverse(index))` — the integer image of "bid
+/// descending under `total_cmp`, index ascending" — holding exactly one
+/// entry per eligible consumer (budget and need above [`AUCTION_EPS`]),
+/// each at that consumer's current bid. Each lot pops the winner, reads
+/// the second price off the runner-up at the top, and re-pushes the
+/// winner at its recomputed bid if it is still eligible. Selling a lot
+/// moves only the winner's budget and need, so every other entry stays
+/// exact between lots, and the heap order is the order a full re-sort of
+/// all bids would give: ties still go to the lower index. Cost is
+/// `O(n + lots · log n)` for `n` consumers, with no allocation per lot.
 pub fn auction_allocate(producers: &[Producer], consumers: &[Consumer]) -> AuctionOutcome {
     let mut capacity = CommodityMarket::supply(producers);
     let mut remaining_budget: Vec<f64> = consumers.iter().map(|c| c.budget).collect();
@@ -183,21 +199,24 @@ pub fn auction_allocate(producers: &[Producer], consumers: &[Consumer]) -> Aucti
     let mut allocations = vec![0.0; consumers.len()];
     let mut slot_prices = Vec::new();
     let mut lot_sizes = Vec::new();
+    // Per-slot value of more capacity to a consumer, if it can still bid.
+    let bid = |b: f64, n: f64| (n > AUCTION_EPS && b > AUCTION_EPS).then(|| b / n.max(1.0));
+    let mut bids: BinaryHeap<(i64, Reverse<usize>)> = consumers
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| bid(c.budget, c.max_demand).map(|v| (order_key(v), Reverse(i))))
+        .collect();
     while capacity > AUCTION_EPS {
-        // Bids: per-slot value of more capacity to each consumer.
-        let mut bids: Vec<(usize, f64)> = remaining_budget
-            .iter()
-            .zip(&remaining_need)
-            .enumerate()
-            .filter(|(_, (&b, &n))| n > AUCTION_EPS && b > AUCTION_EPS)
-            .map(|(i, (&b, &n))| (i, b / n.max(1.0)))
-            .collect();
-        if bids.is_empty() {
+        let Some((_, Reverse(winner))) = bids.pop() else {
             break;
-        }
-        bids.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let (winner, top) = bids[0];
-        let price = bids.get(1).map(|&(_, p)| p).unwrap_or(top * 0.5).min(top);
+        };
+        let current = |i: usize| remaining_budget[i] / remaining_need[i].max(1.0);
+        let top = current(winner);
+        let price = bids
+            .peek()
+            .map(|&(_, Reverse(i))| current(i))
+            .unwrap_or(top * 0.5)
+            .min(top);
         let lot = capacity.min(1.0).min(remaining_need[winner]);
         let paid = (price * lot).min(remaining_budget[winner]);
         allocations[winner] += lot;
@@ -206,6 +225,9 @@ pub fn auction_allocate(producers: &[Producer], consumers: &[Consumer]) -> Aucti
         capacity -= lot;
         slot_prices.push(price);
         lot_sizes.push(lot);
+        if let Some(v) = bid(remaining_budget[winner], remaining_need[winner]) {
+            bids.push((order_key(v), Reverse(winner)));
+        }
     }
     AuctionOutcome {
         allocations,

@@ -13,6 +13,10 @@
 //! re-inserted at its new one. Because the order is a unique total order,
 //! remove/re-insert repair provably lands in the same permutation a full
 //! re-sort would produce, so everything downstream stays bit-identical.
+//! A delta covering more than a quarter of the grid (every service round
+//! observes every host) takes the re-sort instead, done in place: each
+//! cluster is re-keyed inside its existing buffers and sorted through one
+//! reused buffer of integer keys, so no round reallocates the index.
 //!
 //! Per-job work then drops to
 //! [`crate::CandidateWalk::select_from_index`]: walk the prebuilt order,
@@ -20,6 +24,7 @@
 //! after `max_procs` of them — `O(procs + skipped busy hosts)` per
 //! cluster instead of `O(H log H)`.
 
+use grads_nws::predictors::order_key;
 use grads_nws::{ForecastSnapshot, ForecastSource};
 use grads_sim::prelude::*;
 use std::cmp::Ordering;
@@ -110,6 +115,9 @@ pub struct SnapshotIndex {
     speed_of: Vec<f64>,
     /// Host id → index into `clusters`.
     cluster_ix: Vec<u32>,
+    /// Reused sort buffer of the large-delta fallback: one cluster's
+    /// `(!order_key(speed), host id)` keys.
+    keys: Vec<(i64, u32)>,
 }
 
 /// The walk comparator on `(speed, host)` keys: speed descending under
@@ -123,7 +131,8 @@ fn key_cmp(a_speed: f64, a_host: HostId, b_speed: f64, b_host: HostId) -> Orderi
 
 impl SnapshotIndex {
     /// Sort every cluster's full host list against `snap`. Done once at
-    /// service start (and as the repair fallback for very large deltas).
+    /// service start; the large-delta repair fallback re-sorts in place
+    /// instead (see [`Self::repair`]).
     pub fn build(grid: &Grid, snap: &ForecastSnapshot) -> Self {
         let n = grid.hosts().len();
         let mut speed_of = vec![0.0; n];
@@ -150,6 +159,7 @@ impl SnapshotIndex {
             clusters,
             speed_of,
             cluster_ix,
+            keys: Vec::new(),
         }
     }
 
@@ -183,8 +193,12 @@ impl SnapshotIndex {
     /// forecasts changed since the last sync (the
     /// [`grads_nws::NwsService::dirty_hosts`] set). Each changed host is
     /// removed at its old key and re-inserted at its new one; when the
-    /// delta covers more than a quarter of the grid, a full rebuild is
-    /// cheaper and provably equivalent, so we do that instead.
+    /// delta covers more than a quarter of the grid, re-sorting every
+    /// cluster is cheaper and provably equivalent, so we do that instead.
+    /// That fallback works in place: each cluster is re-sorted inside its
+    /// existing `hosts`/`speeds` buffers through one reused buffer of
+    /// integer keys, so the index keeps its allocations. Debug builds
+    /// check each fallback against a fresh [`Self::build`].
     pub fn repair(
         &mut self,
         grid: &Grid,
@@ -192,7 +206,9 @@ impl SnapshotIndex {
         changed: &[HostId],
     ) -> RepairReport {
         if changed.len() * 4 > self.speed_of.len() {
-            *self = Self::build(grid, snap);
+            self.resort_all(grid, snap);
+            #[cfg(debug_assertions)]
+            self.assert_equals_build(grid, snap);
             return RepairReport {
                 moved: changed.len(),
                 rebuilt: true,
@@ -221,6 +237,49 @@ impl SnapshotIndex {
             moved,
             rebuilt: false,
         }
+    }
+
+    /// Re-sort every cluster against `snap` in place. A cluster's host
+    /// set never changes, so each one is re-keyed from its own `hosts`.
+    /// The keys `(!order_key(speed), host id)` order exactly like
+    /// [`key_cmp`], a unique total order, so `sort_unstable` lands in the
+    /// permutation [`Self::build`] produces.
+    fn resort_all(&mut self, grid: &Grid, snap: &ForecastSnapshot) {
+        let keys = &mut self.keys;
+        for c in &mut self.clusters {
+            keys.clear();
+            for &h in &c.hosts {
+                let s = snap.effective_speed(grid, h);
+                self.speed_of[h.0 as usize] = s;
+                keys.push((!order_key(s), h.0));
+            }
+            keys.sort_unstable();
+            for ((slot, speed), &(_, h)) in c.hosts.iter_mut().zip(&mut c.speeds).zip(&*keys) {
+                *slot = HostId(h);
+                *speed = self.speed_of[h as usize];
+            }
+        }
+    }
+
+    /// Panic unless the index equals a fresh [`Self::build`] bit for bit.
+    #[cfg(debug_assertions)]
+    fn assert_equals_build(&self, grid: &Grid, snap: &ForecastSnapshot) {
+        let fresh = Self::build(grid, snap);
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+        for (a, b) in self.clusters.iter().zip(&fresh.clusters) {
+            assert_eq!(
+                a.hosts, b.hosts,
+                "in-place rebuild diverged in {:?}",
+                a.cluster
+            );
+            assert_eq!(
+                bits(&a.speeds),
+                bits(&b.speeds),
+                "in-place rebuild speeds diverged"
+            );
+        }
+        assert_eq!(bits(&self.speed_of), bits(&fresh.speed_of));
+        assert_eq!(self.cluster_ix, fresh.cluster_ix);
     }
 }
 
@@ -306,21 +365,63 @@ mod tests {
         }
     }
 
+    /// Consecutive full-grid deltas each take the in-place fallback and
+    /// each land exactly where a fresh build does, including hosts tied
+    /// on effective speed and hosts whose availability clamps to `±0.0`
+    /// (distinct keys under `total_cmp`).
     #[test]
     fn huge_delta_falls_back_to_rebuild() {
         let (grid, mut nws) = setup(6);
         nws.enable_delta_tracking();
-        let snap0 = ForecastSnapshot::capture_sync(&grid, &mut nws);
-        let mut idx = SnapshotIndex::build(&grid, &snap0);
-        for h in 0..18u32 {
-            nws.observe_cpu(HostId(h), 0.9);
+        let mut snap = ForecastSnapshot::capture_sync(&grid, &mut nws);
+        let mut idx = SnapshotIndex::build(&grid, &snap);
+        let (mut neg_zero, mut pos_zero, mut ties) = (0, 0, 0);
+        for round in 0..6u32 {
+            for h in 0..18u32 {
+                // Equal availabilities on hosts of equal speed tie; -0.0
+                // stays -0.0 and negatives clamp to +0.0.
+                let a = match (h + round) % 6 {
+                    0 => -0.0,
+                    1 => -0.5,
+                    2 | 3 => 0.5,
+                    _ => 0.25 + 0.125 * f64::from(round % 3),
+                };
+                for _ in 0..12 {
+                    nws.observe_cpu(HostId(h), a);
+                }
+            }
+            let dirty = nws.dirty_hosts();
+            assert!(dirty.len() * 4 > 18, "round {round}: a full-grid delta");
+            snap = ForecastSnapshot::capture_delta(&grid, &mut nws, &snap);
+            let rep = idx.repair(&grid, &snap, &dirty);
+            assert_eq!(
+                rep,
+                RepairReport {
+                    moved: dirty.len(),
+                    rebuilt: true
+                },
+                "round {round}"
+            );
+            assert_index_matches_full_sort(&grid, &snap, &idx);
+            for c in idx.clusters() {
+                neg_zero += c
+                    .speeds
+                    .iter()
+                    .filter(|s| s.to_bits() == (-0.0f64).to_bits())
+                    .count();
+                pos_zero += c.speeds.iter().filter(|s| s.to_bits() == 0).count();
+                ties += c
+                    .speeds
+                    .windows(2)
+                    .filter(|w| w[0].to_bits() == w[1].to_bits())
+                    .count();
+            }
         }
-        let dirty = nws.dirty_hosts();
-        assert!(dirty.len() * 4 > 18);
-        let snap = ForecastSnapshot::capture_delta(&grid, &mut nws, &snap0);
-        let rep = idx.repair(&grid, &snap, &dirty);
-        assert!(rep.rebuilt);
-        assert_index_matches_full_sort(&grid, &snap, &idx);
+        assert!(
+            neg_zero > 0 && pos_zero > 0,
+            "-0.0: {neg_zero}, +0.0: {pos_zero}"
+        );
+        assert!(ties > 0, "some hosts tie on effective speed");
     }
 
     /// Wraps a predictor and records, per `begin_cluster`, the cluster

@@ -27,10 +27,13 @@
 //!    * **admit** otherwise, paying `price × procs × predicted` from the
 //!      job's budget and occupying one slot per chosen host.
 //!
-//!    Under scarcity (free slots below a threshold) the round first runs
-//!    a second-price auction over the queue head and only auction
-//!    winners may admit — the last slots go to the bidders valuing them
-//!    most, not merely the earliest deadline.
+//!    Under scarcity (fewer than [`ServiceConfig::scarcity_slots`] free
+//!    slots) the round first sells the free slots by second-price
+//!    auction ([`grads_sched::auction_allocate`], heap-driven,
+//!    `O(n + lots · log n)`) to the first 128 queued jobs in deadline
+//!    order, and only a job sold its whole processor need may admit —
+//!    the last slots go to the bidders valuing them most, not merely the
+//!    earliest deadline.
 //!
 //! Job execution is **modeled occupancy**: an admitted job holds its
 //! slots for `predicted × runtime_skew` virtual seconds (the skew is the

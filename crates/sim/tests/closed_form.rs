@@ -259,3 +259,62 @@ fn load_window_overlapping_a_compute_finishes_at_the_closed_form() {
     assert_eq!(finish_bits(&r, "done"), vec![6.0f64.to_bits()]);
     assert_eq!(r.host_flops[0].to_bits(), flops.to_bits());
 }
+
+/// Two equal flows of `bytes` cross one bottleneck from cluster A to
+/// cluster B at t = 0, while a third host of cluster A, which no flow
+/// touches, runs a long compute and fails at `fail_at`.
+fn flows_with_an_uninvolved_host_failure(bytes: f64, fail_at: f64) -> (RunReport, Grid) {
+    let mut b = GridBuilder::new();
+    let ca = b.cluster("A");
+    let cb = b.cluster("B");
+    b.local_link(ca, LOCAL_BW, LOCAL_LAT);
+    b.local_link(cb, LOCAL_BW, LOCAL_LAT);
+    let src = b.add_hosts(ca, 1, &HostSpec::with_speed(1.0))[0];
+    let dst = b.add_hosts(cb, 1, &HostSpec::with_speed(1.0))[0];
+    let bystander = b.add_hosts(ca, 1, &HostSpec::with_speed(1.0))[0];
+    b.connect(ca, cb, WAN_BW, WAN_LAT);
+    let grid = b.build().unwrap();
+    let mut eng = Engine::new(grid.clone());
+    for i in 0..2 {
+        eng.spawn(&format!("f{i}"), src, move |ctx| {
+            ctx.transfer(dst, bytes);
+            let t = ctx.now();
+            ctx.trace("done", t);
+        });
+    }
+    eng.spawn("bystander", bystander, |ctx| {
+        ctx.compute(1024.0);
+        ctx.trace("bystander_done", 1.0);
+    });
+    eng.fail_host_at(bystander, fail_at);
+    (eng.run(), grid)
+}
+
+/// A host failure mid-transfer on a host that neither flow touches
+/// triggers a rate recompute, but must not perturb the flows' shares:
+/// both still finish at exactly `latency + 2·B/C`, the bottleneck carries
+/// exactly `2·B`, and the failed host's compute dies with it.
+#[test]
+fn uninvolved_host_failure_mid_transfer_keeps_the_closed_form() {
+    let bytes = WAN_BW / 16.0;
+    let latency = LOCAL_LAT + WAN_LAT + LOCAL_LAT;
+    let expected = latency + 2.0 * bytes / WAN_BW;
+    // The flows activate at `latency` and move for 1/8 s; fail halfway.
+    let fail_at = latency + 1.0 / 16.0;
+    let (r, grid) = flows_with_an_uninvolved_host_failure(bytes, fail_at);
+    assert_eq!(r.died, vec!["bystander".to_string()]);
+    assert!(finish_bits(&r, "bystander_done").is_empty());
+    assert_eq!(r.completed.len(), 2, "both flows complete");
+    assert_eq!(
+        finish_bits(&r, "done"),
+        vec![expected.to_bits(); 2],
+        "finish times, expected {expected}"
+    );
+    assert_eq!(r.end_time.to_bits(), expected.to_bits(), "end_time");
+    let wan = grid
+        .links()
+        .iter()
+        .position(|l| l.bandwidth == WAN_BW)
+        .expect("one WAN link");
+    assert_eq!(r.link_bytes[wan].to_bits(), (2.0 * bytes).to_bits());
+}
