@@ -105,11 +105,10 @@ fn bench_forecasting(c: &mut Criterion) {
     });
 }
 
-/// One service round of tracked CPU observations: 256 hosts, each series
-/// warmed past the longest (51-sample) window, delta tracking on as the
-/// grid service runs it. One iteration observes every host once, so the
-/// cost per observation is the reported time divided by 256.
-fn bench_observe_cpu_tracked(c: &mut Criterion) {
+/// A service's CPU observations: a table of 1024 rounds of 256 host
+/// availabilities, and a tracked service whose 256 series are warmed
+/// past the longest (51-sample) window by the table's first 64 rounds.
+fn warmed_cpu_table() -> (Vec<f64>, NwsService) {
     const HOSTS: usize = 256;
     const ROUNDS: usize = 1024;
     let mut rng = StdRng::seed_from_u64(11);
@@ -119,11 +118,20 @@ fn bench_observe_cpu_tracked(c: &mut Criterion) {
     let mut nws = NwsService::new();
     nws.enable_delta_tracking();
     for round in table.chunks(HOSTS).take(64) {
-        for (h, &v) in round.iter().enumerate() {
-            nws.observe_cpu(HostId(h as u32), v);
-        }
+        nws.observe_cpu_all(round);
     }
-    let mut rounds = table.chunks(HOSTS).cycle();
+    (table, nws)
+}
+
+/// One service round of tracked CPU observations: 256 warmed hosts,
+/// delta tracking on as the grid service runs it. One iteration observes
+/// every host once, so the cost per observation is the reported time
+/// divided by 256. `nws_observe_cpu_tracked_256` observes host by host
+/// (the sensors' path); `nws_observe_cpu_all_256` observes the same
+/// rounds through the batch call (the service's path).
+fn bench_observe_cpu_tracked(c: &mut Criterion) {
+    let (table, mut nws) = warmed_cpu_table();
+    let mut rounds = table.chunks(256).cycle();
     c.bench_function("nws_observe_cpu_tracked_256", |b| {
         b.iter(|| {
             let round = rounds.next().expect("cycle is endless");
@@ -131,6 +139,11 @@ fn bench_observe_cpu_tracked(c: &mut Criterion) {
                 nws.observe_cpu(HostId(h as u32), v);
             }
         })
+    });
+    let (table, mut nws) = warmed_cpu_table();
+    let mut rounds = table.chunks(256).cycle();
+    c.bench_function("nws_observe_cpu_all_256", |b| {
+        b.iter(|| nws.observe_cpu_all(rounds.next().expect("cycle is endless")))
     });
 }
 

@@ -8,7 +8,7 @@
 //! produce the measurements, exactly as NWS sensor daemons did on the
 //! GrADS testbeds.
 
-use crate::ensemble::{Ensemble, Forecast};
+use crate::ensemble::{CpuBank, Ensemble, Forecast};
 use grads_sim::prelude::*;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -35,9 +35,9 @@ fn pair(a: ClusterId, b: ClusterId) -> (ClusterId, ClusterId) {
 ///
 /// `*_clean` holds the bits the last synchronized snapshot capture served
 /// for each series (`cpu_clean` indexed by `HostId`, [`IDLE_BITS`] past
-/// its end). A series is **dirty** iff the forecast its ensemble
-/// serves right now ([`Ensemble::forecast_value`], cached at update time)
-/// differs bitwise from that baseline — so an observation whose ensemble
+/// its end). A series is **dirty** iff the forecast it serves right now
+/// (its winner, cached at update time) differs bitwise from that
+/// baseline — so an observation whose ensemble
 /// output lands back on the clean bits *removes* the series from the
 /// dirty set again. Never-captured series compare against the sentinel
 /// the snapshot serves for them ([`IDLE_BITS`] / [`NONE_BITS`]).
@@ -60,13 +60,12 @@ pub(crate) enum Series {
 }
 
 impl DeltaTrack {
-    /// Flip one CPU series' dirty bit: `e`'s served bits against its
-    /// clean baseline.
-    fn note_cpu(&mut self, host: HostId, e: &Ensemble) {
-        let h = host.0 as usize;
+    /// Flip host `h`'s dirty bit: the `served` bits against its clean
+    /// baseline.
+    fn note_cpu(&mut self, h: usize, served: f64) {
         let clean = self.cpu_clean.get(h).copied().unwrap_or(IDLE_BITS);
         let (word, bit) = (h / 64, 1u64 << (h % 64));
-        if served(e).to_bits() == clean {
+        if served.to_bits() == clean {
             if let Some(w) = self.dirty_hosts.get_mut(word) {
                 *w &= !bit;
             }
@@ -78,11 +77,23 @@ impl DeltaTrack {
         }
     }
 
+    /// Extend the CPU baselines and the dirty bitset over hosts `0..len`
+    /// (a baseline past the old end is [`IDLE_BITS`] either way).
+    fn cover_cpu(&mut self, len: usize) {
+        if len > self.cpu_clean.len() {
+            self.cpu_clean.resize(len, IDLE_BITS);
+        }
+        let words = len.div_ceil(64);
+        if words > self.dirty_hosts.len() {
+            self.dirty_hosts.resize(words, 0);
+        }
+    }
+
     /// [`DeltaTrack::sync`] for the CPU series, in ascending host order.
-    fn sync_cpu(&mut self, series: &[Option<Ensemble>], mut moved: impl FnMut(HostId, f64)) {
+    fn sync_cpu(&mut self, bank: &CpuBank, mut moved: impl FnMut(HostId, f64)) {
         let mut dirty = std::mem::take(&mut self.dirty_hosts);
         for h in set_bits(&dirty) {
-            let v = served(series[h].as_ref().expect("a dirty host is measured"));
+            let v = bank.forecast_value(h).expect("a dirty host is measured");
             if h >= self.cpu_clean.len() {
                 self.cpu_clean.resize(h + 1, IDLE_BITS);
             }
@@ -149,8 +160,8 @@ fn served(e: &Ensemble) -> f64 {
 /// The weather service: stores measurement streams and serves forecasts.
 #[derive(Default)]
 pub struct NwsService {
-    /// CPU series indexed by `HostId`; `None` for a host never measured.
-    cpu: Vec<Option<Ensemble>>,
+    /// CPU series indexed by `HostId`.
+    cpu: CpuBank,
     bandwidth: HashMap<(ClusterId, ClusterId), Ensemble>,
     latency: HashMap<(ClusterId, ClusterId), Ensemble>,
     /// Latest heartbeat time indexed by `HostId`; `None` for a host whose
@@ -171,14 +182,36 @@ impl NwsService {
     /// (fraction of one core's peak rate a new process would obtain).
     pub fn observe_cpu(&mut self, host: HostId, availability: f64) {
         let h = host.0 as usize;
-        if h >= self.cpu.len() {
-            self.cpu.resize_with(h + 1, || None);
-        }
-        let e = self.cpu[h].get_or_insert_with(Ensemble::standard);
-        e.update(availability.clamp(0.0, 1.0));
+        let served = self.cpu.observe(h, availability);
         if let Some(t) = &mut self.track {
-            t.note_cpu(host, e);
+            t.note_cpu(h, served);
         }
+    }
+
+    /// Record one CPU availability measurement for every host `h` in
+    /// `0..availability.len()`, `availability[h]` for host `h`: the same
+    /// forecasts and dirty bits as [`NwsService::observe_cpu`] on each
+    /// host in turn. One pass observes the hosts and writes each word of
+    /// the dirty-host bitset once.
+    pub fn observe_cpu_all(&mut self, availability: &[f64]) {
+        let Some(t) = &mut self.track else {
+            self.cpu.observe_all(availability, |_, _| {});
+            return;
+        };
+        t.cover_cpu(availability.len());
+        let (clean, dirty) = (&t.cpu_clean, &mut t.dirty_hosts);
+        let last = availability.len().wrapping_sub(1);
+        let mut word = 0u64;
+        self.cpu.observe_all(availability, |h, served| {
+            word |= u64::from(served.to_bits() != clean[h]) << (h % 64);
+            if h % 64 == 63 || h == last {
+                // Bits `0..=h % 64` of this word were all just observed.
+                let fresh = u64::MAX >> (63 - h % 64);
+                let w = &mut dirty[h / 64];
+                *w = *w & !fresh | word;
+                word = 0;
+            }
+        });
     }
 
     /// Record an achieved end-to-end bandwidth (bytes/s) between two sites.
@@ -214,10 +247,8 @@ impl NwsService {
             return;
         }
         let mut t = DeltaTrack::default();
-        for (h, e) in self.cpu.iter().enumerate() {
-            if let Some(e) = e {
-                t.note_cpu(HostId(h as u32), e);
-            }
+        for (h, served) in self.cpu.measured() {
+            t.note_cpu(h, served);
         }
         for (&p, e) in &self.bandwidth {
             DeltaTrack::note(&t.bw_clean, &mut t.dirty_bw, p, e, NONE_BITS);
@@ -293,27 +324,20 @@ impl NwsService {
             .collect()
     }
 
-    /// A host's CPU series; `None` if never measured.
-    fn cpu_series(&self, host: HostId) -> Option<&Ensemble> {
-        self.cpu.get(host.0 as usize).and_then(Option::as_ref)
-    }
-
     /// The most recent CPU availability measurement for a host (as
     /// recorded, after clamping to `[0, 1]`); `None` if never measured.
     pub fn last_cpu_measurement(&self, host: HostId) -> Option<f64> {
-        self.cpu_series(host).and_then(Ensemble::last_measurement)
+        self.cpu.last_measurement(host.0 as usize)
     }
 
     /// Forecast CPU availability for a host; `None` if never measured.
     pub fn forecast_cpu(&self, host: HostId) -> Option<Forecast> {
-        self.cpu_series(host).and_then(Ensemble::forecast)
+        self.cpu.forecast(host.0 as usize)
     }
 
     /// Forecast CPU availability, assuming an unmeasured host is idle.
     pub fn forecast_cpu_or_idle(&self, host: HostId) -> f64 {
-        self.cpu_series(host)
-            .and_then(Ensemble::forecast_value)
-            .unwrap_or(1.0)
+        self.cpu.forecast_value(host.0 as usize).unwrap_or(1.0)
     }
 
     /// Forecast bandwidth between two sites; `None` if never measured.

@@ -149,7 +149,7 @@ fn from_key(key: i64) -> f64 {
 
 /// The median of a sorted, non-empty window of keys: the middle value,
 /// or the mean of the middle two.
-fn median(v: &[i64]) -> f64 {
+pub(crate) fn median(v: &[i64]) -> f64 {
     let n = v.len();
     if n % 2 == 1 {
         from_key(v[n / 2])
@@ -160,7 +160,7 @@ fn median(v: &[i64]) -> f64 {
 
 /// Mean of a sorted window of keys after dropping `trim` values from
 /// each end; windows too short to outsize the tails are averaged whole.
-fn trimmed_mean(v: &[i64], trim: usize) -> f64 {
+pub(crate) fn trimmed_mean(v: &[i64], trim: usize) -> f64 {
     let t = if v.len() > 2 * trim { trim } else { 0 };
     let kept = &v[t..v.len() - t];
     kept.iter().map(|&k| from_key(k)).sum::<f64>() / kept.len() as f64
@@ -178,21 +178,36 @@ fn push_window(window: &mut VecDeque<f64>, sorted: &mut [i64], k: usize, value: 
 /// Slide the sorted window of [`order_key`]s `sorted[..len]` by one
 /// sample: evict `old` (a full window keeps its length) or, with
 /// `old == None`, grow to `len + 1` (`sorted` must have room).
+pub(crate) fn slide_sorted(sorted: &mut [i64], len: usize, old: Option<f64>, value: f64) {
+    let Some(old) = old else {
+        let value = order_key(value);
+        let at = sorted[..len].partition_point(|&x| x < value);
+        sorted.copy_within(at..len, at + 1);
+        sorted[at] = value;
+        return;
+    };
+    evict_insert(&mut sorted[..len], order_key(old), order_key(value));
+}
+
+/// [`slide_sorted`] for a full window of a fixed length `N`: evict `old`
+/// and insert `value`. The searches run over a constant length, which
+/// the compiler unrolls; this is the fused battery's steady-state slide.
+pub(crate) fn slide_full<const N: usize>(sorted: &mut [i64; N], old: f64, value: f64) {
+    evict_insert(sorted, order_key(old), order_key(value));
+}
+
+/// Replace the key `old` in the sorted `sorted` by the key `value`,
+/// keeping it sorted.
 ///
 /// The evict and the insert are one `copy_within` over the elements
 /// between the two positions, not a remove followed by an insert.
 /// Equal keys are equal bits, so whichever copy of `old` is evicted, the
 /// result is exactly the keys of the window sorted from scratch under
 /// [`f64::total_cmp`].
-fn slide_sorted(sorted: &mut [i64], len: usize, old: Option<f64>, value: f64) {
-    let value = order_key(value);
-    let at = sorted[..len].partition_point(|&x| x < value);
-    let Some(old) = old.map(order_key) else {
-        sorted.copy_within(at..len, at + 1);
-        sorted[at] = value;
-        return;
-    };
-    let gone = sorted[..len].partition_point(|&x| x < old);
+#[inline(always)]
+fn evict_insert(sorted: &mut [i64], old: i64, value: i64) {
+    let at = sorted.partition_point(|&x| x < value);
+    let gone = sorted.partition_point(|&x| x < old);
     debug_assert_eq!(sorted[gone], old, "evicted value is in the sorted window");
     // `old` at or after the insertion point: shift `at..gone` right and
     // write at `at`. Before it: shift `gone + 1..at` left over `old` and
@@ -276,9 +291,10 @@ impl Predictor for TrimmedMean {
     }
 }
 
-/// The standard NWS-style predictor battery used by [`crate::ensemble`].
-/// (`Send + Sync`, so an `NwsService` can be moved to or shared with
-/// another thread.)
+/// The standard NWS-style predictor battery, one boxed predictor each:
+/// the reference the fused battery of [`crate::ensemble`] reproduces bit
+/// for bit (`tests/prop_forecast.rs`). `Send + Sync`, so a battery can
+/// move to another thread.
 pub fn standard_battery() -> Vec<Box<dyn Predictor + Send + Sync>> {
     vec![
         Box::new(LastValue::default()),
@@ -297,7 +313,8 @@ pub fn standard_battery() -> Vec<Box<dyn Predictor + Send + Sync>> {
 }
 
 /// Names of [`standard_battery`]'s predictors, in battery order: the
-/// names [`StandardBattery`]'s forecasts are reported under.
+/// names the fused battery's forecasts are reported under
+/// ([`crate::ensemble`]).
 pub(crate) const STANDARD_NAMES: [&str; STANDARD_LEN] = [
     "last_value",
     "running_mean",
@@ -315,108 +332,6 @@ pub(crate) const STANDARD_NAMES: [&str; STANDARD_LEN] = [
 
 /// Number of predictors in the standard battery.
 pub(crate) const STANDARD_LEN: usize = 12;
-
-/// Window lengths of the standard battery's sliding means and medians.
-const WINDOWS: [usize; 3] = [5, 21, 51];
-/// Smoothing factors of the standard battery's exponential smoothers.
-const ALPHAS: [f64; 3] = [0.05, 0.2, 0.5];
-/// Samples the ring keeps: the longest window.
-const RING: usize = 51;
-/// The trimmed mean's tails; it reads the 21-sample sorted window.
-const TRIM: usize = 3;
-
-/// [`standard_battery`] fused into one concrete struct: the production
-/// battery of every [`crate::Ensemble::standard`] series.
-///
-/// One 51-slot ring holds the last 51 samples; the value a window of
-/// length `k` evicts is the one `k` slots back, read before the new
-/// sample overwrites the oldest slot. Three sorted windows (5, 21, 51)
-/// serve the medians, and the trimmed mean reads the 21-window the median
-/// keeps. Every predictor keeps its boxed twin's arithmetic in the same
-/// order, so each forecast is bit-identical to the boxed battery's
-/// (pinned by `tests/prop_forecast.rs`).
-#[derive(Debug, Clone)]
-pub(crate) struct StandardBattery {
-    ring: [f64; RING],
-    /// Samples absorbed; the next one lands in `ring[n % RING]`.
-    n: u64,
-    /// [`RunningMean`]'s sum.
-    sum: f64,
-    /// [`SlidingMean`]'s window sums, by [`WINDOWS`] entry.
-    win_sums: [f64; 3],
-    /// The three windows' sorted [`order_key`]s, by [`WINDOWS`] entry.
-    sorted5: [i64; 5],
-    sorted21: [i64; 21],
-    sorted51: [i64; 51],
-    /// [`ExpSmoothing`]'s states, by [`ALPHAS`] entry.
-    smooth: [f64; 3],
-}
-
-impl Default for StandardBattery {
-    fn default() -> Self {
-        StandardBattery {
-            ring: [0.0; RING],
-            n: 0,
-            sum: 0.0,
-            win_sums: [0.0; 3],
-            sorted5: [0; 5],
-            sorted21: [0; 21],
-            sorted51: [0; 51],
-            smooth: [0.0; 3],
-        }
-    }
-}
-
-impl StandardBattery {
-    /// An empty battery: no predictor forecasts until the first update.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb `value` and return every predictor's next forecast, in
-    /// [`STANDARD_NAMES`] order.
-    pub(crate) fn update(&mut self, value: f64) -> [f64; STANDARD_LEN] {
-        let n = self.n;
-        let head = (n % RING as u64) as usize;
-        // A window of length `k` holds `before(k)` samples now and
-        // `after(k)` once this one lands; a full one evicts `k` slots back.
-        let before = |k: usize| n.min(k as u64) as usize;
-        let after = |k: usize| (n + 1).min(k as u64) as usize;
-        let old = WINDOWS.map(|k| (n >= k as u64).then(|| self.ring[(head + RING - k) % RING]));
-        let mut out = [0.0; STANDARD_LEN];
-
-        out[0] = value;
-        self.sum += value;
-        out[1] = self.sum / (n + 1) as f64;
-        for (i, &k) in WINDOWS.iter().enumerate() {
-            self.win_sums[i] += value;
-            if let Some(o) = old[i] {
-                self.win_sums[i] -= o;
-            }
-            out[2 + i] = self.win_sums[i] / after(k) as f64;
-        }
-        slide_sorted(&mut self.sorted5, before(5), old[0], value);
-        slide_sorted(&mut self.sorted21, before(21), old[1], value);
-        slide_sorted(&mut self.sorted51, before(51), old[2], value);
-        out[5] = median(&self.sorted5[..after(5)]);
-        out[6] = median(&self.sorted21[..after(21)]);
-        out[7] = median(&self.sorted51[..after(51)]);
-        for (i, &alpha) in ALPHAS.iter().enumerate() {
-            let s = &mut self.smooth[i];
-            *s = if n == 0 {
-                value
-            } else {
-                alpha * value + (1.0 - alpha) * *s
-            };
-            out[8 + i] = *s;
-        }
-        out[11] = trimmed_mean(&self.sorted21[..after(21)], TRIM);
-
-        self.ring[head] = value;
-        self.n = n + 1;
-        out
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,10 @@
 //! ascending and equal a naive recount: the hosts whose served forecast
 //! bits differ from the bits the last capture served. The wide grid's
 //! 140 hosts span three `u64` words of the dirty-host bitset, and its
-//! scripts favour the hosts at the word edges.
+//! scripts favour the hosts at the word edges. CPU observations arrive
+//! one host at a time (`observe_cpu`) and as whole-grid rounds
+//! (`observe_cpu_all`), which rewrite each bitset word in one pass; the
+//! recount is also checked right after every such round.
 
 use grads_nws::{ForecastSnapshot, NwsService};
 use grads_sim::prelude::*;
@@ -44,20 +47,38 @@ fn grid(hosts_per_cluster: &[usize]) -> Grid {
 /// always-dirty path.
 #[derive(Debug, Clone)]
 enum Op {
-    Cpu { host: u32, v: u8 },
-    Bandwidth { a: u8, b: u8, v: u8 },
-    Latency { a: u8, b: u8, v: u8 },
+    Cpu {
+        host: u32,
+        v: u8,
+    },
+    /// One `observe_cpu_all` round over every host of the grid.
+    CpuAll {
+        v: Vec<u8>,
+    },
+    Bandwidth {
+        a: u8,
+        b: u8,
+        v: u8,
+    },
+    Latency {
+        a: u8,
+        b: u8,
+        v: u8,
+    },
     Capture,
 }
 
-/// Steps over a grid of `n_clusters` clusters, CPU hosts drawn from `host`.
+/// Steps over a grid of `n_hosts` hosts in `n_clusters` clusters, single
+/// CPU observations on hosts drawn from `host`.
 fn ops(
+    n_hosts: usize,
     n_clusters: u8,
     host: impl Strategy<Value = u32> + 'static,
     len: std::ops::Range<usize>,
 ) -> impl Strategy<Value = Vec<Op>> {
     let op = prop_oneof![
         4 => (host, 0u8..4).prop_map(|(host, v)| Op::Cpu { host, v }),
+        1 => proptest::collection::vec(0u8..4, n_hosts).prop_map(|v| Op::CpuAll { v }),
         2 => (0..n_clusters, 0..n_clusters, 0u8..4)
             .prop_map(|(a, b, v)| Op::Bandwidth { a, b, v }),
         2 => (0..n_clusters, 0..n_clusters, 0u8..4)
@@ -90,6 +111,16 @@ fn check_script(g: &Grid, ops: Vec<Op>) -> Result<(), TestCaseError> {
     for (step, o) in ops.into_iter().chain([Op::Capture]).enumerate() {
         match o {
             Op::Cpu { host, v } => nws.observe_cpu(HostId(host), palette(v)),
+            Op::CpuAll { v } => {
+                let avail: Vec<f64> = v.into_iter().map(palette).collect();
+                nws.observe_cpu_all(&avail);
+                prop_assert_eq!(
+                    nws.dirty_hosts(),
+                    recount(&nws, &captured),
+                    "step {}: batch round",
+                    step
+                );
+            }
             Op::Bandwidth { a, b, v } => nws.observe_bandwidth(
                 ClusterId(a as u32),
                 ClusterId(b as u32),
@@ -140,7 +171,12 @@ proptest! {
 
     #[test]
     fn delta_capture_chain_equals_full_capture(
-        ops in ops(SMALL.len() as u8, 0..SMALL.iter().sum::<usize>() as u32, 1..120),
+        ops in ops(
+            SMALL.iter().sum(),
+            SMALL.len() as u8,
+            0..SMALL.iter().sum::<usize>() as u32,
+            1..120,
+        ),
     ) {
         check_script(&grid(&SMALL), ops)?;
     }
@@ -149,7 +185,7 @@ proptest! {
     /// words, with half the CPU observations on the hosts at word edges.
     #[test]
     fn delta_capture_chain_spans_bitset_words(
-        ops in ops(WIDE.len() as u8, prop_oneof![
+        ops in ops(WIDE.iter().sum(), WIDE.len() as u8, prop_oneof![
             1 => (0..6usize).prop_map(|i| [0, 63, 64, 127, 128, 139][i]),
             1 => 0..WIDE.iter().sum::<usize>() as u32,
         ], 1..300),

@@ -1,12 +1,126 @@
-//! Property-based tests of the forecasting ensemble.
+//! Property-based tests of the forecasting ensemble, and of the fused
+//! battery behind every production series against [`BoxedEnsemble`], a
+//! test-local ensemble over boxed predictors that shares no code with it.
 
 use grads_nws::predictors::{
     standard_battery, ExpSmoothing, LastValue, Predictor, RunningMean, SlidingMean, SlidingMedian,
     TrimmedMean,
 };
-use grads_nws::Ensemble;
+use grads_nws::{Ensemble, Forecast, NwsService};
+use grads_sim::prelude::HostId;
 use proptest::prelude::*;
 use std::collections::VecDeque;
+
+/// One predictor's outstanding forecast and error record.
+struct Tracked {
+    next: Option<f64>,
+    abs_err_sum: f64,
+    sq_err_sum: f64,
+    n_scored: u64,
+}
+
+impl Tracked {
+    /// Score the outstanding forecast against `value`, then make `next`
+    /// the outstanding one.
+    fn absorb(&mut self, value: f64, next: Option<f64>) {
+        if let Some(pred) = self.next {
+            let e = pred - value;
+            self.abs_err_sum += e.abs();
+            self.sq_err_sum += e * e;
+            self.n_scored += 1;
+        }
+        self.next = next;
+    }
+
+    /// Mean absolute error so far; `+inf` while unscored.
+    fn mae(&self) -> f64 {
+        if self.n_scored > 0 {
+            self.abs_err_sum / self.n_scored as f64
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// NWS dynamic predictor selection over any boxed battery, each
+/// predictor scored on its own count: the reference the fused
+/// [`Ensemble`] and the service's CPU bank must match bit for bit.
+struct BoxedEnsemble {
+    predictors: Vec<Box<dyn Predictor + Send + Sync>>,
+    tracked: Vec<Tracked>,
+    last: Option<f64>,
+}
+
+impl BoxedEnsemble {
+    fn new(predictors: Vec<Box<dyn Predictor + Send + Sync>>) -> Self {
+        let tracked = predictors
+            .iter()
+            .map(|p| Tracked {
+                next: p.predict(),
+                abs_err_sum: 0.0,
+                sq_err_sum: 0.0,
+                n_scored: 0,
+            })
+            .collect();
+        BoxedEnsemble {
+            predictors,
+            tracked,
+            last: None,
+        }
+    }
+
+    fn update(&mut self, value: f64) {
+        for (t, p) in self.tracked.iter_mut().zip(&mut self.predictors) {
+            p.update(value);
+            t.absorb(value, p.predict());
+        }
+        self.last = Some(value);
+    }
+
+    /// The forecasting predictor with the lowest MAE as `(mae, index,
+    /// forecast)`: a plain first-wins argmin, ties to the earlier entry
+    /// (a NaN MAE compares as never `>=`, so it takes the lead).
+    fn select(&self) -> Option<(f64, usize, f64)> {
+        let mut best: Option<(f64, usize, f64)> = None;
+        for (i, t) in self.tracked.iter().enumerate() {
+            let Some(pred) = t.next else { continue };
+            let mae = t.mae();
+            match best {
+                Some((bmae, _, _)) if mae >= bmae => {}
+                _ => best = Some((mae, i, pred)),
+            }
+        }
+        best
+    }
+
+    fn forecast_value(&self) -> Option<f64> {
+        self.select().map(|(_, _, value)| value)
+    }
+
+    fn forecast(&self) -> Option<Forecast> {
+        self.select().map(|(mae, i, value)| Forecast {
+            value,
+            mae: if mae.is_finite() { mae } else { 0.0 },
+            predictor: self.predictors[i].name(),
+        })
+    }
+
+    fn scores(&self) -> Vec<(String, f64, f64)> {
+        self.tracked
+            .iter()
+            .zip(&self.predictors)
+            .map(|(t, p)| {
+                let n = t.n_scored as f64;
+                let (mae, rmse) = if t.n_scored > 0 {
+                    (t.abs_err_sum / n, (t.sq_err_sum / n).sqrt())
+                } else {
+                    (f64::NAN, f64::NAN)
+                };
+                (p.name(), mae, rmse)
+            })
+            .collect()
+    }
+}
 
 fn series() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..100.0, 1..120)
@@ -157,6 +271,68 @@ fn bits(v: Option<f64>) -> Option<u64> {
     v.map(f64::to_bits)
 }
 
+/// A forecast as `(value bits, MAE bits, predictor name)`.
+fn forecast_bits(f: Option<Forecast>) -> Option<(u64, u64, String)> {
+    f.map(|f| (f.value.to_bits(), f.mae.to_bits(), f.predictor))
+}
+
+/// Every predictor's `(name, MAE bits, RMSE bits)`.
+fn score_bits(scores: Vec<(String, f64, f64)>) -> Vec<(String, u64, u64)> {
+    scores
+        .into_iter()
+        .map(|(name, mae, rmse)| (name, mae.to_bits(), rmse.to_bits()))
+        .collect()
+}
+
+/// CPU availability samples: in-range values with many duplicates,
+/// signed zeros, NaNs of both signs, infinities, subnormals and values
+/// outside `[0, 1]` (the service clamps them on the way in).
+fn cpu_value() -> impl Strategy<Value = f64> {
+    const ODD: [f64; 11] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 4.0,
+        1.5,
+        -0.25,
+        3.0,
+        f64::MAX,
+    ];
+    prop_oneof![
+        10 => (0..6usize).prop_map(|i| ALPHABET[i]),
+        8 => 0.0f64..1.0,
+        1 => (0..ODD.len()).prop_map(|i| ODD[i]),
+    ]
+}
+
+/// One step of a CPU-bank script.
+#[derive(Debug, Clone)]
+enum BankOp {
+    /// `observe_cpu_all` over hosts `0..values.len()`.
+    All(Vec<f64>),
+    /// `observe_cpu` on one host, possibly past every batch.
+    One(u32, f64),
+}
+
+/// A host count in 1..=200 (the dirty-host bitset spans up to four
+/// words) and a script of batch rounds, most over every host, mixed with
+/// single observations on ids up to 64 past the batches, so some hosts
+/// are never measured. The longer scripts fill all three windows.
+fn bank_script() -> impl Strategy<Value = (usize, Vec<BankOp>)> {
+    (1usize..=200).prop_flat_map(|hosts| {
+        let len = prop_oneof![3 => Just(hosts), 1 => 1..=hosts];
+        let all = len.prop_flat_map(|n| proptest::collection::vec(cpu_value(), n));
+        let op = prop_oneof![
+            6 => all.prop_map(BankOp::All),
+            1 => (0..hosts as u32 + 64, cpu_value()).prop_map(|(h, v)| BankOp::One(h, v)),
+        ];
+        (Just(hosts), proptest::collection::vec(op, 1..200))
+    })
+}
+
 #[test]
 fn oracle_battery_mirrors_the_standard_battery() {
     let names = |b: Vec<Box<dyn Predictor + Send + Sync>>| -> Vec<String> {
@@ -283,28 +459,19 @@ proptest! {
     #[test]
     fn fused_battery_matches_boxed_battery_bitwise(vals in long_series()) {
         let mut fused = Ensemble::standard();
-        let mut boxed = Ensemble::new(standard_battery());
-        let forecast_bits = |e: &Ensemble| {
-            e.forecast()
-                .map(|f| (f.value.to_bits(), f.mae.to_bits(), f.predictor))
-        };
-        let score_bits = |e: &Ensemble| -> Vec<(String, u64, u64)> {
-            e.scores()
-                .into_iter()
-                .map(|(name, mae, rmse)| (name, mae.to_bits(), rmse.to_bits()))
-                .collect()
-        };
-        prop_assert_eq!(score_bits(&fused), score_bits(&boxed));
+        let mut boxed = BoxedEnsemble::new(standard_battery());
+        prop_assert_eq!(score_bits(fused.scores()), score_bits(boxed.scores()));
         for (i, &v) in vals.iter().enumerate() {
             fused.update(v);
             boxed.update(v);
-            prop_assert_eq!(forecast_bits(&fused), forecast_bits(&boxed), "step {}", i);
+            prop_assert_eq!(forecast_bits(fused.forecast()), forecast_bits(boxed.forecast()), "step {}", i);
             prop_assert_eq!(
                 bits(fused.forecast_value()),
                 bits(boxed.forecast_value()),
                 "value, step {}", i
             );
-            prop_assert_eq!(score_bits(&fused), score_bits(&boxed), "scores, step {}", i);
+            prop_assert_eq!(bits(fused.last_measurement()), bits(boxed.last), "last, step {}", i);
+            prop_assert_eq!(score_bits(fused.scores()), score_bits(boxed.scores()), "scores, step {}", i);
         }
     }
 
@@ -317,7 +484,7 @@ proptest! {
         vals in proptest::collection::vec(alphabet(), 1..160),
     ) {
         let mut e = Ensemble::standard();
-        let mut mirror = Ensemble::new(oracle_battery());
+        let mut mirror = BoxedEnsemble::new(oracle_battery());
         let mut oracles = oracle_battery();
         for (i, &v) in vals.iter().enumerate() {
             e.update(v);
@@ -341,6 +508,73 @@ proptest! {
             prop_assert_eq!(f.mae.to_bits(), mae.to_bits(), "mae, step {}", i);
             prop_assert_eq!(&f.predictor, &oracles[j].name(), "step {}", i);
             prop_assert_eq!(Some(f), mirror.forecast(), "oracle ensemble, step {}", i);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The service's CPU bank serves bitwise what one [`BoxedEnsemble`]
+    /// per host serves, after every batch round and every single
+    /// observation, on every host including the never-measured ones:
+    /// `forecast_cpu` (value bits, MAE bits, name),
+    /// `forecast_cpu_or_idle` and `last_cpu_measurement`. With delta
+    /// tracking on, the dirty hosts are exactly those whose served bits
+    /// differ from the idle baseline (nothing is ever captured).
+    #[test]
+    fn cpu_bank_matches_boxed_ensembles_bitwise(
+        (hosts, script) in bank_script(),
+        tracked in (0u8..2).prop_map(|b| b == 1),
+    ) {
+        let span = hosts + 64;
+        let mut nws = NwsService::new();
+        if tracked {
+            nws.enable_delta_tracking();
+        }
+        let mut want: Vec<Option<BoxedEnsemble>> = (0..span).map(|_| None).collect();
+        let observe = |want: &mut [Option<BoxedEnsemble>], h: usize, v: f64| {
+            want[h]
+                .get_or_insert_with(|| BoxedEnsemble::new(standard_battery()))
+                .update(v.clamp(0.0, 1.0));
+        };
+        for (step, op) in script.into_iter().enumerate() {
+            match op {
+                BankOp::All(values) => {
+                    nws.observe_cpu_all(&values);
+                    for (h, &v) in values.iter().enumerate() {
+                        observe(&mut want, h, v);
+                    }
+                }
+                BankOp::One(h, v) => {
+                    nws.observe_cpu(HostId(h), v);
+                    observe(&mut want, h as usize, v);
+                }
+            }
+            let mut dirty = Vec::new();
+            for (h, e) in want.iter().enumerate() {
+                let host = HostId(h as u32);
+                let served = nws.forecast_cpu_or_idle(host);
+                prop_assert_eq!(
+                    forecast_bits(nws.forecast_cpu(host)),
+                    forecast_bits(e.as_ref().and_then(BoxedEnsemble::forecast)),
+                    "forecast, step {} host {}", step, h
+                );
+                prop_assert_eq!(
+                    served.to_bits(),
+                    e.as_ref().and_then(BoxedEnsemble::forecast_value).unwrap_or(1.0).to_bits(),
+                    "served, step {} host {}", step, h
+                );
+                prop_assert_eq!(
+                    bits(nws.last_cpu_measurement(host)),
+                    bits(e.as_ref().and_then(|e| e.last)),
+                    "last, step {} host {}", step, h
+                );
+                if tracked && served.to_bits() != 1.0f64.to_bits() {
+                    dirty.push(host);
+                }
+            }
+            prop_assert_eq!(nws.dirty_hosts(), dirty, "dirty hosts, step {}", step);
         }
     }
 }

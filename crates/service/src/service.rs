@@ -6,8 +6,9 @@
 //! 1. retires finished jobs (freeing their slots, charging host-seconds,
 //!    detecting SLO misses against the *actual* finish time);
 //! 2. pulls newly-submitted jobs into the queue;
-//! 3. feeds the NWS one CPU-availability observation per host — the
-//!    service's own occupancy shows up in the forecasts, closing the
+//! 3. feeds the NWS one CPU-availability observation per host, as one
+//!    batch (`NwsService::observe_cpu_all`) — the service's own
+//!    occupancy shows up in the forecasts, closing the
 //!    load → forecast → admission feedback loop — and captures **one**
 //!    [`ForecastSnapshot`] that every decision in the round reads. The
 //!    capture is incremental (only hosts observed since the last round
@@ -323,10 +324,12 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
     // of the dirty-set baseline bookkeeping.
     let mut nws = NwsService::new();
     nws.enable_delta_tracking();
-    for i in 0..n_hosts {
-        for j in 0..6u64 {
-            nws.observe_cpu(HostId(i as u32), 0.55 + 0.4 * jitter(i, j));
+    let mut avail = vec![0.0; n_hosts];
+    for j in 0..6u64 {
+        for (i, a) in avail.iter_mut().enumerate() {
+            *a = 0.55 + 0.4 * jitter(i, j);
         }
+        nws.observe_cpu_all(&avail);
     }
 
     let mut pending = jobs.into_iter().peekable();
@@ -447,11 +450,11 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
 
         // 3. Observe the grid's weather (occupancy-coupled) and freeze
         // one snapshot for every decision this round.
-        for (i, &free) in free_cores.iter().enumerate().take(n_hosts) {
+        for (i, (a, &free)) in avail.iter_mut().zip(&free_cores).enumerate() {
             let free_frac = free as f64 / grid.hosts()[i].cores.max(1) as f64;
-            let avail = (0.35 + 0.6 * free_frac) * (0.7 + 0.3 * jitter(i, rounds));
-            nws.observe_cpu(HostId(i as u32), avail);
+            *a = (0.35 + 0.6 * free_frac) * (0.7 + 0.3 * jitter(i, rounds));
         }
+        nws.observe_cpu_all(&avail);
         // The capture is incremental (bit-identical to a full capture —
         // the delta-capture contract) and the persistent index is
         // repaired from the same dirty set.
