@@ -105,11 +105,13 @@ fn bench_forecasting(c: &mut Criterion) {
     });
 }
 
-/// A service's CPU observations: a table of 1024 rounds of 256 host
-/// availabilities, and a tracked service whose 256 series are warmed
-/// past the longest (51-sample) window by the table's first 64 rounds.
+/// Hosts per round of the NWS observation rows.
+const HOSTS: usize = 256;
+
+/// A service's CPU observations: a table of 1024 rounds of [`HOSTS`]
+/// availabilities, and a tracked service whose series are warmed past
+/// the longest (51-sample) window by the table's first 64 rounds.
 fn warmed_cpu_table() -> (Vec<f64>, NwsService) {
-    const HOSTS: usize = 256;
     const ROUNDS: usize = 1024;
     let mut rng = StdRng::seed_from_u64(11);
     let table: Vec<f64> = (0..HOSTS * ROUNDS)
@@ -131,7 +133,7 @@ fn warmed_cpu_table() -> (Vec<f64>, NwsService) {
 /// rounds through the batch call (the service's path).
 fn bench_observe_cpu_tracked(c: &mut Criterion) {
     let (table, mut nws) = warmed_cpu_table();
-    let mut rounds = table.chunks(256).cycle();
+    let mut rounds = table.chunks(HOSTS).cycle();
     c.bench_function("nws_observe_cpu_tracked_256", |b| {
         b.iter(|| {
             let round = rounds.next().expect("cycle is endless");
@@ -141,7 +143,7 @@ fn bench_observe_cpu_tracked(c: &mut Criterion) {
         })
     });
     let (table, mut nws) = warmed_cpu_table();
-    let mut rounds = table.chunks(256).cycle();
+    let mut rounds = table.chunks(HOSTS).cycle();
     c.bench_function("nws_observe_cpu_all_256", |b| {
         b.iter(|| nws.observe_cpu_all(rounds.next().expect("cycle is endless")))
     });

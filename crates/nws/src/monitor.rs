@@ -37,9 +37,8 @@ fn pair(a: ClusterId, b: ClusterId) -> (ClusterId, ClusterId) {
 /// for each series (`cpu_clean` indexed by `HostId`, [`IDLE_BITS`] past
 /// its end). A series is **dirty** iff the forecast it serves right now
 /// (its winner, cached at update time) differs bitwise from that
-/// baseline — so an observation whose ensemble
-/// output lands back on the clean bits *removes* the series from the
-/// dirty set again. Never-captured series compare against the sentinel
+/// baseline — so an observation whose served forecast lands back on the
+/// clean bits *removes* the series from the dirty set again. Never-captured series compare against the sentinel
 /// the snapshot serves for them ([`IDLE_BITS`] / [`NONE_BITS`]).
 #[derive(Default)]
 pub(crate) struct DeltaTrack {
