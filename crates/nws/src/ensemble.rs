@@ -163,9 +163,9 @@ pub(crate) fn observe(row: &mut Row, lane: &mut Lane, value: f64) -> f64 {
 #[inline(always)]
 fn median5(ring: &[f64; RING], head: usize, n: u64, value: f64) -> f64 {
     let back = |k: usize| order_key(ring[(head + RING - k) % RING]);
-    let mut p = [0i64; 5];
     if n < 4 {
         let len = n as usize + 1;
+        let mut p = [0i64; 5];
         for (k, slot) in p[..len - 1].iter_mut().enumerate() {
             *slot = back(k + 1);
         }
@@ -173,7 +173,7 @@ fn median5(ring: &[f64; RING], head: usize, n: u64, value: f64) -> f64 {
         p[..len].sort_unstable();
         return median(&p[..len]);
     }
-    p = [back(4), back(3), back(2), back(1), order_key(value)];
+    let mut p = [back(4), back(3), back(2), back(1), order_key(value)];
     for (i, j) in [(0, 1), (3, 4), (0, 3), (1, 4), (1, 2), (2, 3), (1, 2)] {
         (p[i], p[j]) = (p[i].min(p[j]), p[i].max(p[j]));
     }
