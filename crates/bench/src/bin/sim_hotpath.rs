@@ -14,7 +14,9 @@
 //!   flow machinery (activate/done events, rate solve, mailbox).
 //! * **spawn storm** — thousands of short-lived processes; measures the
 //!   spawn/start/exit bookkeeping (mapping and unmapping each coroutine
-//!   stack dominates, but name interning shows up here too).
+//!   stack dominates, but name interning shows up here too). The
+//!   processes are all alive at once, so the per-thread stack pool
+//!   saves nothing here: it keeps only 64 stacks when they finish.
 //! * **cancel storm** — compute actions on a loaded host whose external
 //!   load toggles at dense cadence, re-stamping every action each time.
 //!   Each re-stamp replaces a pending completion event in the indexed

@@ -28,8 +28,17 @@
 //! here) with `MAP_NORESERVE`: only the pages a process touches become
 //! resident. One `PROT_NONE` guard page sits below it; running into it
 //! kills the OS process with `SIGSEGV` (std's "has overflowed its stack"
-//! message only covers OS thread stacks). A stack is mapped when its
-//! coroutine first runs and unmapped as soon as its body returns.
+//! message only covers OS thread stacks).
+//!
+//! Each thread keeps a pool of up to [`POOL_CAP`] finished stacks. A
+//! coroutine's first resume takes a stack from the pool, and maps a new
+//! one only when the pool is empty. When its body returns or panics, the
+//! stack goes back to the pool, or is unmapped if the pool is full. So a
+//! run that spawns many short processes maps about as many stacks as it
+//! has processes alive at once, not one per spawn. A pooled stack keeps
+//! the pages its last body touched resident. A stack still suspended
+//! when its coroutine is dropped is leaked and never pooled. The pool
+//! unmaps its stacks when its thread exits.
 //!
 //! # Lifecycle
 //!
@@ -38,11 +47,11 @@
 //! kernel. A coroutine is dropped in one of three states:
 //!
 //! * **unstarted** — its body is dropped without running;
-//! * **finished** — its stack is already gone;
+//! * **finished** — its stack is already back in the pool;
 //! * **suspended** — its stack still holds live frames. It is never
 //!   resumed again and its stack is leaked, not freed under those frames.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ffi::{c_int, c_void};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,6 +69,11 @@ pub(crate) const STACK_SIZE: usize = 2 << 20;
 
 /// The guard page below each stack.
 const GUARD: usize = 4096;
+
+/// Finished stacks one thread keeps for reuse: enough for the 64
+/// processes of an all-to-all round, few enough that their resident
+/// pages stay small.
+pub(crate) const POOL_CAP: usize = 64;
 
 const PROT_NONE: c_int = 0;
 const PROT_READ: c_int = 1;
@@ -82,16 +96,29 @@ extern "C" {
     fn munmap(addr: *mut c_void, len: usize) -> c_int;
 }
 
+thread_local! {
+    /// Finished stacks waiting for this thread's next first resume.
+    /// Dropped, and so unmapped, when the thread exits.
+    static POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
+
 #[cfg(test)]
 thread_local! {
     /// Stacks mapped by this thread and not yet unmapped.
     static MAPPED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Stacks this thread has mapped and not unmapped (leaked ones included).
+/// Stacks this thread has mapped and not unmapped (leaked and pooled
+/// ones included).
 #[cfg(test)]
 pub(crate) fn mapped_stacks() -> usize {
     MAPPED.with(Cell::get)
+}
+
+/// Stacks in this thread's pool.
+#[cfg(test)]
+pub(crate) fn pooled_stacks() -> usize {
+    POOL.with_borrow(Vec::len)
 }
 
 /// One mapped coroutine stack with its guard page; unmapped on drop.
@@ -100,6 +127,26 @@ struct Stack {
 }
 
 impl Stack {
+    /// A stack from this thread's pool, or a newly mapped one.
+    fn take() -> Stack {
+        POOL.try_with(|p| p.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_else(Stack::new)
+    }
+
+    /// Return a stack no frame is live on to this thread's pool; unmap
+    /// it when the pool is full (or already gone at thread exit).
+    fn recycle(self) {
+        let mut spare = Some(self);
+        let _ = POOL.try_with(|p| {
+            let mut p = p.borrow_mut();
+            if p.len() < POOL_CAP {
+                p.extend(spare.take());
+            }
+        });
+    }
+
     fn new() -> Stack {
         let len = STACK_SIZE + GUARD;
         // SAFETY: an anonymous private mapping at an address of the
@@ -299,7 +346,7 @@ pub(crate) enum Resumed {
     /// The body called [`Link::suspend`].
     Suspended,
     /// The body returned (`Ok`) or panicked (`Err` with the payload). Its
-    /// stack is already unmapped.
+    /// stack is already back in the pool.
     Finished(std::thread::Result<()>),
 }
 
@@ -351,15 +398,16 @@ impl<S> Coroutine<S> {
         self.started
     }
 
-    /// Run the body until it suspends or finishes. The first call maps
-    /// the stack; the call that sees the body finish unmaps it.
+    /// Run the body until it suspends or finishes. The first call takes
+    /// a stack from the pool (mapping one if it is empty); the call that
+    /// sees the body finish returns the stack to the pool.
     ///
     /// # Panics
     ///
     /// If the body has already finished.
     pub(crate) fn resume(&mut self) -> Resumed {
         if !self.started {
-            let stack = Stack::new();
+            let stack = Stack::take();
             let sp = stack.prime(entry::<S> as *const (), self.inner.as_ptr() as *const ());
             self.inner().link.sp.set(sp);
             self.stack = Some(stack);
@@ -373,7 +421,8 @@ impl<S> Coroutine<S> {
         match self.inner().outcome.take() {
             None => Resumed::Suspended,
             Some(outcome) => {
-                self.stack = None;
+                // No frame is live on it: `entry` never runs again.
+                self.stack.take().expect("checked above").recycle();
                 Resumed::Finished(outcome)
             }
         }
@@ -402,7 +451,7 @@ unsafe extern "C" fn entry<S>(inner: *const Inner<S>) -> ! {
     let outcome = catch_unwind(AssertUnwindSafe(|| body(&inner.link)));
     inner.outcome.set(Some(outcome));
     inner.link.suspend();
-    // `resume` unmaps a finished coroutine's stack and never returns here.
+    // `resume` recycles a finished coroutine's stack and never returns here.
     std::process::abort()
 }
 
@@ -422,27 +471,107 @@ mod tests {
         )
     }
 
+    /// Stacks this thread has mapped that are not in its pool: live or
+    /// leaked ones.
+    fn unpooled() -> usize {
+        mapped_stacks() - pooled_stacks()
+    }
+
+    /// Assert the exact stack count: `mapped == live + pooled`, where
+    /// `live` counts the stacks (running, suspended or leaked) beyond the
+    /// `base` that were unpooled when the test began, and the pool is
+    /// within its cap.
+    #[track_caller]
+    fn assert_stacks(base: usize, live: usize) {
+        let pooled = pooled_stacks();
+        assert!(pooled <= POOL_CAP, "the pool holds {pooled} > {POOL_CAP}");
+        assert_eq!(mapped_stacks(), base + live + pooled);
+    }
+
+    /// Run `f` on a fresh thread, whose stack pool starts empty.
+    fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::spawn(f).join().expect("test thread panicked")
+    }
+
     #[test]
-    fn resume_alternates_with_suspend_and_frees_the_stack_on_return() {
-        let before = mapped_stacks();
+    fn resume_alternates_with_suspend_and_pools_the_stack_on_return() {
+        let base = unpooled();
+        let pooled = pooled_stacks();
         let mut co = counter();
         assert!(!co.started());
+        assert_stacks(base, 0);
         assert_eq!(
-            mapped_stacks(),
-            before,
-            "nothing is mapped before the first resume"
+            pooled_stacks(),
+            pooled,
+            "nothing is taken before the first resume"
         );
         for n in 1..=3 {
             assert!(matches!(co.resume(), Resumed::Suspended));
             assert_eq!(co.shared().get(), n);
-            assert_eq!(mapped_stacks(), before + 1);
+            assert_stacks(base, 1);
         }
         assert!(matches!(co.resume(), Resumed::Finished(Ok(()))));
-        assert_eq!(
-            mapped_stacks(),
-            before,
-            "a finished coroutine unmaps its stack"
+        assert_stacks(base, 0);
+        assert!(
+            pooled_stacks() >= 1,
+            "a finished coroutine's stack goes back to the pool"
         );
+    }
+
+    #[test]
+    fn sequential_spawns_reuse_one_stack() {
+        let (mapped, pooled) = on_fresh_thread(|| {
+            let mut counts = Vec::new();
+            for _ in 0..10 {
+                let mut co = counter();
+                while let Resumed::Suspended = co.resume() {}
+                assert_eq!(co.shared().get(), 3);
+                counts.push((mapped_stacks(), pooled_stacks()));
+            }
+            counts.into_iter().unzip::<_, _, Vec<_>, Vec<_>>()
+        });
+        assert_eq!(mapped, vec![1; 10], "one stack serves every run");
+        assert_eq!(pooled, vec![1; 10]);
+    }
+
+    #[test]
+    fn a_panicked_body_s_stack_is_pooled_and_its_reuse_runs_cleanly() {
+        on_fresh_thread(|| {
+            let mut bad = Coroutine::new((), Box::new(|_| panic!("inside")));
+            assert!(matches!(bad.resume(), Resumed::Finished(Err(_))));
+            assert_eq!((mapped_stacks(), pooled_stacks()), (1, 1));
+            let mut co = counter();
+            for n in 1..=3 {
+                assert!(matches!(co.resume(), Resumed::Suspended));
+                assert_eq!(co.shared().get(), n);
+                assert_eq!((mapped_stacks(), pooled_stacks()), (1, 0));
+            }
+            assert!(matches!(co.resume(), Resumed::Finished(Ok(()))));
+            assert_eq!((mapped_stacks(), pooled_stacks()), (1, 1));
+        });
+    }
+
+    #[test]
+    fn a_stack_leaked_while_suspended_is_never_pooled() {
+        on_fresh_thread(|| {
+            let mut co = counter();
+            assert!(matches!(co.resume(), Resumed::Suspended));
+            drop(co);
+            assert_eq!(
+                (mapped_stacks(), pooled_stacks()),
+                (1, 0),
+                "leaked, not pooled"
+            );
+            let mut next = counter();
+            assert!(matches!(next.resume(), Resumed::Suspended));
+            assert_eq!(
+                mapped_stacks(),
+                2,
+                "the next coroutine maps a stack of its own"
+            );
+            while let Resumed::Suspended = next.resume() {}
+            assert_eq!((mapped_stacks(), pooled_stacks()), (2, 1));
+        });
     }
 
     #[test]
@@ -544,11 +673,12 @@ mod tests {
             let _held = held;
             ctx.recv(mail_key(&[1])); // nothing is ever sent
         });
-        let before = mapped_stacks();
+        let base = unpooled();
         let report = eng.run();
         assert_eq!(report.unfinished, vec!["waiter".to_string()]);
         assert_eq!(Arc::strong_count(&token), 1, "the kill unwound the process");
-        assert_eq!(mapped_stacks(), before, "the unwound stack was unmapped");
+        // The unwound stack went back to the pool (or was unmapped).
+        assert_stacks(base, 0);
     }
 
     #[test]
@@ -614,16 +744,21 @@ mod tests {
     }
 
     #[test]
-    fn a_spawn_storm_leaves_no_stack_mapped() {
+    fn a_spawn_storm_leaves_only_pooled_stacks_mapped() {
         let (grid, h) = one_host();
         let mut eng = Engine::new(grid);
         for _ in 0..10_000 {
             eng.spawn("w", h, |ctx| ctx.compute(1e3));
         }
-        let before = mapped_stacks();
+        let base = unpooled();
         let report = eng.run();
         assert_eq!(report.completed.len(), 10_000);
-        assert_eq!(mapped_stacks(), before);
+        assert_stacks(base, 0);
+        assert_eq!(
+            pooled_stacks(),
+            POOL_CAP,
+            "10 000 finished stacks fill the pool; the rest are unmapped"
+        );
     }
 
     /// Holds the process's `Ctx` and makes a blocking call when dropped,
@@ -658,24 +793,33 @@ mod tests {
                 let _held = held;
                 ctx.recv(mail_key(&[2]));
             });
-            let before = mapped_stacks();
+            let base = unpooled();
             let report = eng.run();
-            (report, before, mapped_stacks(), Arc::strong_count(&token))
+            let pooled = pooled_stacks();
+            (
+                report,
+                base,
+                mapped_stacks(),
+                pooled,
+                Arc::strong_count(&token),
+            )
         })
         .join()
         .unwrap();
-        let (report, before, after, count) = outcome;
+        let (report, base, mapped, pooled, count) = outcome;
         assert_eq!(
             report.unfinished,
             vec!["stuck".to_string(), "after".to_string()]
         );
         assert_eq!(report.died, vec!["dead".to_string()]);
         assert_eq!(count, 1, "processes after the stuck one are still unwound");
+        assert!(pooled <= POOL_CAP);
         assert_eq!(
-            after,
-            before + 2,
-            "the two stuck stacks are leaked, not freed"
+            mapped,
+            base + 2 + pooled,
+            "the two stuck stacks are leaked, neither freed nor pooled"
         );
+        assert_eq!(pooled, 1, "the unwound \"after\" stack is pooled");
     }
 
     #[test]

@@ -40,6 +40,7 @@ use crate::sharing::{cpu_share, FairScratch};
 use crate::topology::{Grid, HostId, LinkId};
 use crate::trace::{Trace, TraceKind, TraceRecord};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
@@ -97,18 +98,71 @@ impl RunReport {
 
 /// Completion time of `remaining` work progressing at `rate` from `now`.
 ///
-/// Debug builds assert the fp assumption the coalesced flush rests on
-/// (see [`Engine::must_flush_before`]): live work (`remaining > 0`) never
-/// stamps its completion at or before `now`.
+/// Live work (`remaining > 0`) always lands strictly after `now`, the
+/// invariant the coalesced flush rests on (see
+/// [`Engine::must_flush_before`]): when `remaining / rate` is below half
+/// an ulp of `now`, the sum rounds back to `now`, and the completion is
+/// stamped at `now.next_up()` instead.
 #[inline]
 fn due_at(now: f64, remaining: f64, rate: f64) -> f64 {
     let t = now + remaining / rate;
-    debug_assert!(
-        remaining <= 0.0 || t > now,
-        "live re-stamp at or before now: now={now:e} remaining={remaining:e} rate={rate:e}"
-    );
+    if remaining > 0.0 && t <= now {
+        return now.next_up();
+    }
     t
 }
+
+/// Fx-style multiply-rotate hasher for the route interning maps. Their
+/// keys are host and link ids the grid builder assigns densely from 0,
+/// never values chosen outside the program, and neither map is iterated,
+/// so no output depends on the hash; SipHash's collision resistance buys
+/// nothing there and costs several times as much per lookup.
+#[derive(Default)]
+struct RouteHasher(u64);
+
+impl RouteHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for RouteHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    /// The multiply leaves its best-mixed bits at the top; rotate them
+    /// into the low bits the table indexes by.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A route interning map under [`RouteHasher`].
+type RouteMap<K> = HashMap<K, u32, BuildHasherDefault<RouteHasher>>;
 
 struct CpuAction {
     host: usize,
@@ -365,13 +419,13 @@ pub struct Engine {
     /// Churn notifications absorbed into a shared same-instant solve.
     coalesced_absorbed: u64,
     routes_tbl: Vec<RouteEntry>,
-    route_ids: HashMap<(u32, u32), u32>,
+    route_ids: RouteMap<(u32, u32)>,
     /// Route interning dedups by content: host pairs whose routes traverse
     /// the identical link list (every pair in the same cluster pair, for
     /// the standard topologies) share one route id, which is what makes
     /// the per-route-class aggregated solve collapse all-to-all traffic
     /// from O(P²) flows to O(clusters²) solver classes.
-    route_contents: HashMap<(Box<[u32]>, u64), u32>,
+    route_contents: RouteMap<(Box<[u32]>, u64)>,
     /// Per-link capacity, hoisted out of the solve loops.
     link_caps: Vec<f64>,
     /// Live CPU action ids per host; the length doubles as the action count
@@ -467,8 +521,8 @@ impl Engine {
             solves: 0,
             coalesced_absorbed: 0,
             routes_tbl: Vec::new(),
-            route_ids: HashMap::new(),
-            route_contents: HashMap::new(),
+            route_ids: RouteMap::default(),
+            route_contents: RouteMap::default(),
             link_caps,
             host_actions: vec![Vec::new(); nhosts],
             link_flows: vec![Vec::new(); nlinks],
@@ -814,14 +868,12 @@ impl Engine {
             // Deferred-recompute flush: solve the pending burst before its
             // rates become observable. The solve may push the event the
             // next peek selects, so it runs before the peek.
-            if self.pending_churn > 0
-                && self.must_flush_before(self.events.peek().map(|ev| (ev.t, ev.class)))
-            {
+            if self.pending_churn > 0 && self.must_flush_before(self.events.peek()) {
                 self.flush_rates();
             }
             match self.events.peek() {
                 None => break,
-                Some(ev) if ev.t > tmax => break,
+                Some((t, _)) if t > tmax => break,
                 Some(_) => {}
             }
             let ev = self.events.pop().expect("peeked event");
@@ -970,11 +1022,11 @@ impl Engine {
     ///   [`EventKind::FlowDone`].
     ///
     /// The second point leans on floating point: `now + remaining / rate`
-    /// could in principle round down to `now` when the quotient is below
-    /// half an ulp of `now`, which would let an eager solve pop that
-    /// completion earlier within the instant than the deferred solve does.
-    /// Every live re-stamp goes through [`due_at`], which asserts in debug
-    /// builds that this never happens (DESIGN.md, "Coalesced
+    /// rounds down to `now` when the quotient is below half an ulp of
+    /// `now`, which would let an eager solve pop that completion earlier
+    /// within the instant than the deferred solve does. Every live
+    /// re-stamp goes through [`due_at`], which stamps such a completion
+    /// one ulp after `now` instead (DESIGN.md, "Coalesced
     /// recomputation").
     #[inline]
     fn must_flush_before(&self, peeked: Option<(f64, u8)>) -> bool {
@@ -1719,6 +1771,23 @@ mod tests {
         b.local_link(c, 1e6, 0.01);
         let hs = b.add_hosts(c, 2, &HostSpec::with_speed(100.0));
         (b.build().unwrap(), hs[0], hs[1])
+    }
+
+    #[test]
+    fn a_sub_ulp_live_residual_lands_one_ulp_after_now() {
+        // A flow left with 1.9e-13 B at 5e7 B/s at now = 1.157e-4 s: the
+        // quotient (3.8e-21 s) is under half an ulp of now (2^-66 s).
+        let (now, remaining, rate) = (1.157e-4, 1.9e-13, 5e7);
+        assert_eq!(
+            now + remaining / rate,
+            now,
+            "the plain sum rounds back to now"
+        );
+        assert_eq!(due_at(now, remaining, rate), now.next_up());
+        // Finished work stays at now; anything the sum resolves is kept.
+        assert_eq!(due_at(now, 0.0, rate), now);
+        assert_eq!(due_at(now, 1e-6, rate), now + 1e-6 / rate);
+        assert_eq!(due_at(1.0, 1.0, 2.0), 1.5);
     }
 
     #[test]

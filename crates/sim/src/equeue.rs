@@ -9,12 +9,16 @@
 //! leaves cancelled events in place and discards them at pop time — the
 //! randomized push/cancel property test below holds it to that model bit
 //! for bit.
+//!
+//! The heap array holds only 32-byte [`Node`]s: the order packed into
+//! integers plus the handle. Payloads ([`EventKind`]) sit in a slab
+//! indexed by handle and never move while the heap reorders.
 
 use crate::process::ProcId;
 use crate::topology::HostId;
 
 /// What a scheduled kernel event does when it fires.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum EventKind {
     Start(ProcId),
     HostFail { host: HostId },
@@ -53,7 +57,8 @@ pub(crate) fn class_key(kind: &EventKind) -> (u8, u64) {
     }
 }
 
-#[derive(Debug)]
+/// An event as the kernel pushes and pops it.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Event {
     pub(crate) t: f64,
     pub(crate) class: u8,
@@ -62,59 +67,67 @@ pub(crate) struct Event {
     pub(crate) kind: EventKind,
 }
 
-impl Event {
-    /// `true` when `self` fires strictly before `other` in the kernel's
-    /// total order `(t, class, key, seq)`.
-    #[inline]
-    pub(crate) fn fires_before(&self, other: &Event) -> bool {
-        self.t
-            .total_cmp(&other.t)
-            .then_with(|| self.class.cmp(&other.class))
-            .then_with(|| self.key.cmp(&other.key))
-            .then_with(|| self.seq.cmp(&other.seq))
-            .is_lt()
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t
-            && self.class == other.class
-            && self.key == other.key
-            && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    // Reversed so that BinaryHeap pops the earliest (t, class, key, seq).
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .t
-            .total_cmp(&self.t)
-            .then_with(|| other.class.cmp(&self.class))
-            .then_with(|| other.key.cmp(&self.key))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Handle value meaning "no pending event".
 pub(crate) const NO_HANDLE: u32 = u32::MAX;
 
-/// A binary min-heap of [`Event`]s that tracks every element's position
+/// Bits of a node's `ck` word below the class: keys must fit in them.
+const KEY_BITS: u32 = 61;
+
+/// `t`'s rank in the [`f64::total_cmp`] order as an integer (the bit flip
+/// `total_cmp` applies); the flip is its own inverse.
+#[inline]
+fn order_key(t: f64) -> i64 {
+    let bits = t.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The time whose [`order_key`] is `k`.
+#[inline]
+fn from_order_key(k: i64) -> f64 {
+    f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// One heap slot: an event's `(t, class, key, seq)` packed so that the
+/// kernel's total order is the integer tuple order on `(t, ck, seq)`.
+#[derive(Clone, Copy)]
+struct Node {
+    /// [`order_key`] of the event time.
+    t: i64,
+    /// `class << KEY_BITS | key`.
+    ck: u64,
+    seq: u64,
+    handle: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 32);
+
+impl Node {
+    /// `true` when `self` fires strictly before `other`.
+    #[inline(always)]
+    fn before(&self, other: &Node) -> bool {
+        (self.t, self.ck, self.seq) < (other.t, other.ck, other.seq)
+    }
+}
+
+/// Children per heap node.
+const ARITY: usize = 4;
+
+/// A 4-ary min-heap of events that tracks every element's position
 /// through a stable `u32` handle, so any pending event can be removed in
 /// O(log n) without disturbing the pop order of the rest.
+///
+/// Sifts carry the moving node in a register and shift the nodes it
+/// passes into the hole, writing one `pos` entry per level.
 #[derive(Default)]
 pub(crate) struct IndexedHeap {
-    /// `(event, handle)` pairs in binary-heap order.
-    heap: Vec<(Event, u32)>,
+    /// Nodes in heap order.
+    heap: Vec<Node>,
     /// Handle → current index in `heap`, or [`NO_HANDLE`] when the
     /// handle's event has been popped or removed.
     pos: Vec<u32>,
+    /// Handle → payload of its pending event (stale once the handle is
+    /// free).
+    kinds: Vec<EventKind>,
     /// Recycled handles.
     free: Vec<u32>,
 }
@@ -129,42 +142,73 @@ impl IndexedHeap {
         self.heap.is_empty()
     }
 
+    /// Pack `ev`'s order under `handle`.
+    ///
+    /// # Panics
+    ///
+    /// If the class or key does not fit its bits: a truncated key would
+    /// silently reorder events.
+    #[inline]
+    fn node(ev: &Event, handle: u32) -> Node {
+        assert!(
+            ev.class < 8 && ev.key >> KEY_BITS == 0,
+            "event class {} / key {} exceed the heap's packing",
+            ev.class,
+            ev.key
+        );
+        Node {
+            t: order_key(ev.t),
+            ck: (ev.class as u64) << KEY_BITS | ev.key,
+            seq: ev.seq,
+            handle,
+        }
+    }
+
     /// Push an event, returning its handle (stable until pop/remove).
     pub(crate) fn push(&mut self, ev: Event) -> u32 {
         let h = match self.free.pop() {
-            Some(h) => h,
+            Some(h) => {
+                self.kinds[h as usize] = ev.kind;
+                h
+            }
             None => {
                 self.pos.push(NO_HANDLE);
+                self.kinds.push(ev.kind);
                 (self.pos.len() - 1) as u32
             }
         };
+        let node = Self::node(&ev, h);
         let i = self.heap.len();
-        self.heap.push((ev, h));
-        self.pos[h as usize] = i as u32;
-        self.sift_up(i);
+        self.heap.push(node);
+        self.sift_up(i, node);
         h
     }
 
-    /// The earliest pending event, if any.
-    pub(crate) fn peek(&self) -> Option<&Event> {
-        self.heap.first().map(|(e, _)| e)
+    /// Time and class of the earliest pending event, if any.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<(f64, u8)> {
+        self.heap
+            .first()
+            .map(|n| (from_order_key(n.t), (n.ck >> KEY_BITS) as u8))
     }
 
     /// Pop the earliest pending event. Its handle is recycled.
     pub(crate) fn pop(&mut self) -> Option<Event> {
-        if self.heap.is_empty() {
-            return None;
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        if !self.heap.is_empty() {
+            self.sift_down(0, last);
         }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let (ev, h) = self.heap.pop().expect("non-empty heap");
+        let h = top.handle;
         self.pos[h as usize] = NO_HANDLE;
         self.free.push(h);
-        if !self.heap.is_empty() {
-            self.pos[self.heap[0].1 as usize] = 0;
-            self.sift_down(0);
-        }
-        Some(ev)
+        Some(Event {
+            t: from_order_key(top.t),
+            class: (top.ck >> KEY_BITS) as u8,
+            key: top.ck & ((1 << KEY_BITS) - 1),
+            seq: top.seq,
+            kind: self.kinds[h as usize],
+        })
     }
 
     /// Remove the event behind `handle`. Returns `false` if the handle is
@@ -177,18 +221,13 @@ impl IndexedHeap {
         if i == NO_HANDLE {
             return false;
         }
-        let i = i as usize;
-        let last = self.heap.len() - 1;
-        self.heap.swap(i, last);
-        self.heap.pop();
         self.pos[handle as usize] = NO_HANDLE;
         self.free.push(handle);
-        if i <= last && i < self.heap.len() {
-            self.pos[self.heap[i].1 as usize] = i as u32;
-            // The swapped-in element may violate the heap property in
-            // either direction relative to its new position.
-            self.sift_down(i);
-            self.sift_up(self.pos[self.heap_index_of_recheck(i)] as usize);
+        let last = self.heap.pop().expect("a pending handle has a node");
+        let i = i as usize;
+        if i < self.heap.len() {
+            // The last node refills the hole; it may belong above or below.
+            self.resift(i, last);
         }
         true
     }
@@ -197,9 +236,9 @@ impl IndexedHeap {
     /// with a single sift — the fast path for the kernel's re-stamp pattern
     /// (cancel an entity's completion event, immediately schedule its
     /// successor). The new time is usually close to the old one, so the
-    /// sift terminates after a step or two, versus a full `remove` + `push`
-    /// (three sifts plus swap bookkeeping). Falls back to a plain push if
-    /// the handle is not pending. Returns the (possibly fresh) handle.
+    /// sift terminates after a step or two, versus a full `remove` + `push`.
+    /// Falls back to a plain push if the handle is not pending. Returns
+    /// the (possibly fresh) handle.
     pub(crate) fn replace(&mut self, handle: u32, ev: Event) -> u32 {
         if handle == NO_HANDLE {
             return self.push(ev);
@@ -208,64 +247,71 @@ impl IndexedHeap {
         if i == NO_HANDLE {
             return self.push(ev);
         }
-        let i = i as usize;
-        self.heap[i].0 = ev;
-        // Decrease-or-increase key: sift_up moves it if it now fires
-        // earlier than its parent; otherwise sift_down from wherever it
-        // sits handles the later-firing case.
-        self.sift_up(i);
-        self.sift_down(self.pos[handle as usize] as usize);
+        let node = Self::node(&ev, handle);
+        self.kinds[handle as usize] = ev.kind;
+        self.resift(i as usize, node);
         handle
     }
 
-    /// After a sift_down from `i`, the element that started at `i` may
-    /// have stayed put and still need sifting up. Track it by handle.
-    fn heap_index_of_recheck(&self, i: usize) -> usize {
-        self.heap[i].1 as usize
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let p = (i - 1) / 2;
-            if self.heap[i].0.fires_before(&self.heap[p].0) {
-                self.swap_nodes(i, p);
-                i = p;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let l = 2 * i + 1;
-            let r = l + 1;
-            let mut m = i;
-            if l < self.heap.len() && self.heap[l].0.fires_before(&self.heap[m].0) {
-                m = l;
-            }
-            if r < self.heap.len() && self.heap[r].0.fires_before(&self.heap[m].0) {
-                m = r;
-            }
-            if m == i {
-                break;
-            }
-            self.swap_nodes(i, m);
-            i = m;
-        }
-    }
-
+    /// Place `node` into the hole at `i`, sifting whichever way it belongs.
     #[inline]
-    fn swap_nodes(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a].1 as usize] = a as u32;
-        self.pos[self.heap[b].1 as usize] = b as u32;
+    fn resift(&mut self, i: usize, node: Node) {
+        if i > 0 && node.before(&self.heap[(i - 1) / ARITY]) {
+            self.sift_up(i, node);
+        } else {
+            self.sift_down(i, node);
+        }
+    }
+
+    /// Move the hole at `i` up until `node` fits, then place it.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize, node: Node) {
+        while i > 0 {
+            let p = (i - 1) / ARITY;
+            let parent = self.heap[p];
+            if !node.before(&parent) {
+                break;
+            }
+            self.heap[i] = parent;
+            self.pos[parent.handle as usize] = i as u32;
+            i = p;
+        }
+        self.heap[i] = node;
+        self.pos[node.handle as usize] = i as u32;
+    }
+
+    /// Move the hole at `i` down until `node` fits, then place it.
+    #[inline]
+    fn sift_down(&mut self, mut i: usize, node: Node) {
+        let n = self.heap.len();
+        loop {
+            let first = ARITY * i + 1;
+            if first >= n {
+                break;
+            }
+            let mut c = first;
+            for k in first + 1..(first + ARITY).min(n) {
+                if self.heap[k].before(&self.heap[c]) {
+                    c = k;
+                }
+            }
+            let child = self.heap[c];
+            if !child.before(&node) {
+                break;
+            }
+            self.heap[i] = child;
+            self.pos[child.handle as usize] = i as u32;
+            i = c;
+        }
+        self.heap[i] = node;
+        self.pos[node.handle as usize] = i as u32;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
 
     fn ev(t: f64, seq: u64) -> Event {
         Event {
@@ -277,6 +323,37 @@ mod tests {
                 id: seq as usize,
                 gen: 1,
             },
+        }
+    }
+
+    /// The oracle's view of an event: ordered by `(t, class, key, seq)`
+    /// through `total_cmp` and plain field compares (no packing), reversed
+    /// so that `BinaryHeap` pops the earliest.
+    struct Model(Event);
+
+    impl Model {
+        fn order(&self, other: &Self) -> Ordering {
+            let (a, b) = (&self.0, &other.0);
+            a.t.total_cmp(&b.t)
+                .then_with(|| a.class.cmp(&b.class))
+                .then_with(|| a.key.cmp(&b.key))
+                .then_with(|| a.seq.cmp(&b.seq))
+        }
+    }
+    impl PartialEq for Model {
+        fn eq(&self, other: &Self) -> bool {
+            self.order(other).is_eq()
+        }
+    }
+    impl Eq for Model {}
+    impl PartialOrd for Model {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Model {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other.order(self)
         }
     }
 
@@ -321,11 +398,70 @@ mod tests {
         assert_eq!(h.len(), 0);
     }
 
-    /// Randomized push/cancel scripts: the indexed heap's pop sequence is
-    /// identical to a plain `BinaryHeap` that stale-marks cancelled events
-    /// and discards them at pop time — the queue oracle.
+    #[test]
+    fn peek_reports_time_and_class_of_the_next_pop() {
+        let mut h = IndexedHeap::default();
+        assert_eq!(h.peek(), None);
+        h.push(Event {
+            t: 2.5,
+            class: 4,
+            key: 9,
+            seq: 0,
+            kind: EventKind::SleepDone(ProcId(9)),
+        });
+        h.push(ev(3.0, 1));
+        assert_eq!(h.peek(), Some((2.5, 4)));
+        let e = h.pop().expect("two events queued");
+        assert_eq!((e.t, e.class, e.key, e.seq), (2.5, 4, 9, 0));
+        assert!(matches!(e.kind, EventKind::SleepDone(ProcId(9))));
+        assert_eq!(h.peek(), Some((3.0, 6)));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the heap's packing")]
+    fn a_key_past_the_packing_limit_is_refused() {
+        let mut h = IndexedHeap::default();
+        let mut e = ev(1.0, 0);
+        e.key = 1 << KEY_BITS;
+        h.push(e);
+    }
+
+    /// Randomized push/replace/cancel/pop scripts: the indexed heap's pop
+    /// sequence is identical to a plain `BinaryHeap` that stale-marks
+    /// cancelled events and discards them at pop time — the queue oracle.
+    ///
+    /// Each script runs 6 000 operations biased toward pushes, so the heap
+    /// grows thousands deep and the sifts cross many levels. Re-stamps and
+    /// cancels sometimes target the root and the last slot on purpose.
+    /// Times are drawn from a few values so ties exercise the class, key
+    /// and seq tie-breaks, and include ±0.0, ±inf and NaN; keys include
+    /// the largest that packs.
     #[test]
     fn matches_stale_mark_model_on_random_scripts() {
+        const TIMES: [f64; 20] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -1.5,
+            0.25,
+            1.0,
+            2.0,
+            3.0,
+            4.0,
+            5.0,
+            6.0,
+            7.0,
+            8.0,
+            1e-300,
+            -1e-300,
+            1e300,
+            f64::MIN_POSITIVE,
+        ];
+        const KEYS: [u64; 4] = [0, 1, (1 << KEY_BITS) - 2, (1 << KEY_BITS) - 1];
+
         let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut next = move || {
             // xorshift64* — deterministic, no external RNG dep.
@@ -334,85 +470,111 @@ mod tests {
             rng ^= rng >> 27;
             rng.wrapping_mul(0x2545_f491_4f6c_dd1d)
         };
+        let mk = |r: u64, seq: u64| Event {
+            t: TIMES[((r >> 8) % TIMES.len() as u64) as usize],
+            class: ((r >> 16) % 8) as u8,
+            key: KEYS[((r >> 32) % 4) as usize],
+            seq,
+            kind: EventKind::CpuDone {
+                id: seq as usize,
+                gen: 1,
+            },
+        };
+        let bits = |e: &Event| (e.t.to_bits(), e.class, e.key, e.seq);
 
-        for round in 0..50u64 {
+        let mut deepest = 0;
+        for round in 0..12u64 {
             let mut indexed = IndexedHeap::default();
-            let mut model: std::collections::BinaryHeap<Event> =
-                std::collections::BinaryHeap::new();
-            let mut cancelled: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            // (seq, indexed-handle) pairs still live in both queues.
-            let mut live: Vec<(u64, u32)> = Vec::new();
-            let mut seq = round * 10_000;
+            let mut model = std::collections::BinaryHeap::new();
+            let mut cancelled = std::collections::HashSet::new();
+            // seq → indexed handle, for events still live in both queues.
+            let mut handle_of = std::collections::HashMap::new();
+            // Seqs of live events, for random picks.
+            let mut live: Vec<u64> = Vec::new();
+            let mut seq = round * 100_000;
 
-            for _ in 0..400 {
+            for step in 0..6_000u64 {
                 let r = next();
-                if r % 6 == 1 && !live.is_empty() {
-                    // Re-stamp a random live event: in-place replace on the
-                    // indexed heap, cancel-then-fresh-push on the model —
-                    // the kernel's restamp_ev pattern.
-                    let i = (r >> 8) as usize % live.len();
-                    let (old_s, h) = live[i];
-                    let t = (r >> 8) % 16;
-                    let class = ((r >> 16) % 8) as u8;
-                    let key = (r >> 32) % 4;
-                    let mk = |s: u64| Event {
-                        t: t as f64,
-                        class,
-                        key,
-                        seq: s,
-                        kind: EventKind::CpuDone {
-                            id: s as usize,
-                            gen: 1,
-                        },
-                    };
-                    let h2 = indexed.replace(h, mk(seq));
+                let op = r % 16;
+                // Every third script stops pushing after 4 000 steps, so
+                // the heap also drains back through its depth.
+                let draining = step > 4_000 && round % 3 == 0;
+                if live.is_empty() || (op < 9 && !draining) {
+                    // Push the same event into both queues.
+                    let e = mk(next(), seq);
+                    handle_of.insert(seq, indexed.push(e));
+                    model.push(Model(e));
+                    live.push(seq);
+                    seq += 1;
+                } else if op < 11 {
+                    // Re-stamp a live event: in-place replace on the indexed
+                    // heap, cancel-then-fresh-push on the model — the
+                    // kernel's restamp_ev pattern. Every fourth targets the
+                    // root or the node in the last slot.
+                    let old = pick(&indexed, &live, r);
+                    let h = handle_of.remove(&old).expect("live seq has a handle");
+                    let e = mk(next(), seq);
+                    let h2 = indexed.replace(h, e);
                     assert_eq!(h, h2, "replace of a live handle keeps it");
-                    cancelled.insert(old_s);
-                    model.push(mk(seq));
-                    live[i] = (seq, h2);
+                    cancelled.insert(old);
+                    model.push(Model(e));
+                    forget(&mut live, old);
+                    live.push(seq);
+                    handle_of.insert(seq, h2);
                     seq += 1;
-                } else if r % 3 != 0 || live.is_empty() {
-                    // Push the same event into both queues. Times collide
-                    // often (16 buckets) to stress the tie-break order.
-                    let t = (r >> 8) % 16;
-                    let class = ((r >> 16) % 8) as u8;
-                    let key = (r >> 32) % 4;
-                    let mk = |s: u64| Event {
-                        t: t as f64,
-                        class,
-                        key,
-                        seq: s,
-                        kind: EventKind::CpuDone {
-                            id: s as usize,
-                            gen: 1,
-                        },
+                } else if op < 13 {
+                    // Pop from both; the model skips stale-marked events.
+                    let a = indexed.pop().expect("live events are queued");
+                    let b = loop {
+                        let Model(e) = model.pop().expect("model holds every live event");
+                        if !cancelled.remove(&e.seq) {
+                            break e;
+                        }
                     };
-                    let h = indexed.push(mk(seq));
-                    model.push(mk(seq));
-                    live.push((seq, h));
-                    seq += 1;
+                    assert_eq!(
+                        bits(&a),
+                        bits(&b),
+                        "round {round} step {step}: pop diverged"
+                    );
+                    handle_of.remove(&a.seq);
+                    forget(&mut live, a.seq);
                 } else {
-                    // Cancel a random live event: O(log n) removal on the
-                    // indexed heap, stale-marking on the model.
-                    let i = (r >> 8) as usize % live.len();
-                    let (s, h) = live.swap_remove(i);
+                    // Cancel a live event: O(log n) removal on the indexed
+                    // heap, stale-marking on the model.
+                    let s = pick(&indexed, &live, r);
+                    let h = handle_of.remove(&s).expect("live seq has a handle");
                     assert!(indexed.remove(h), "live handle must remove");
+                    assert!(!indexed.remove(h), "a removed handle is dead");
                     cancelled.insert(s);
+                    forget(&mut live, s);
                 }
+                assert_eq!(indexed.len(), live.len());
+                deepest = deepest.max(indexed.len());
             }
 
             // Drain both; the model discards stale events at pop time.
-            let mut a = Vec::new();
-            while let Some(e) = indexed.pop() {
-                a.push((e.t.to_bits(), e.class, e.key, e.seq));
+            let a: Vec<_> = std::iter::from_fn(|| indexed.pop())
+                .map(|e| bits(&e))
+                .collect();
+            let b: Vec<_> = std::iter::from_fn(|| model.pop())
+                .filter(|Model(e)| !cancelled.contains(&e.seq))
+                .map(|Model(e)| bits(&e))
+                .collect();
+            assert_eq!(a, b, "round {round}: drained sequences diverged");
+        }
+        assert!(deepest >= 1_000, "scripts reach a deep heap ({deepest})");
+
+        fn forget(live: &mut Vec<u64>, s: u64) {
+            let i = live.iter().position(|&x| x == s).expect("seq is live");
+            live.swap_remove(i);
+        }
+        /// A live seq: the root's or the last slot's on every fourth draw.
+        fn pick(h: &IndexedHeap, live: &[u64], r: u64) -> u64 {
+            match (r >> 40) % 8 {
+                0 => h.heap[0].seq,
+                1 => h.heap[h.heap.len() - 1].seq,
+                _ => live[(r >> 8) as usize % live.len()],
             }
-            let mut b = Vec::new();
-            while let Some(e) = model.pop() {
-                if !cancelled.contains(&e.seq) {
-                    b.push((e.t.to_bits(), e.class, e.key, e.seq));
-                }
-            }
-            assert_eq!(a, b, "round {round}: pop sequences diverged");
         }
     }
 
