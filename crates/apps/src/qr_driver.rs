@@ -33,7 +33,7 @@ use grads_contract::{
 use grads_mpi::{host_labels, launch_from_traced};
 use grads_nws::{CpuSensor, ForecastSnapshot, ForecastSource, NwsService, SharedSnapshot};
 use grads_obs::{DecisionAction, DecisionKind, Obs, Recorder, WorldTag};
-use grads_perf::{PrefixAgg, PrefixPredictor, TreeBcastPrefix};
+use grads_perf::{ceil_log2, PrefixAgg, PrefixPredictor, TreeBcastPrefix};
 use grads_reschedule::{
     MigrationDecision, MigrationRescheduler, OverheadPolicy, Reschedulable, ReschedulerMode,
 };
@@ -103,7 +103,7 @@ impl QrCop {
         let t_comp = self.cfg.charged_flops() / aggregate_rate(slots, grid, src);
         let t_comm = match slots.iter().find(|&&h| h != slots[0]) {
             Some(&other) if slots.len() > 1 => {
-                let legs = (slots.len() as f64).log2().ceil() + 1.0;
+                let legs = ceil_log2(slots.len()) as f64 + 1.0;
                 legs * src.transfer_time(grid, slots[0], other, 4.0 * n * n)
             }
             _ => 0.0,

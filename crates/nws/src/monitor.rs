@@ -381,14 +381,9 @@ impl NwsService {
             return 0.0;
         }
         let (sc, dc) = (grid.host(src).cluster, grid.host(dst).cluster);
-        let route = grid.route(src, dst);
-        let static_bw = route
-            .links
-            .iter()
-            .map(|&l| grid.link(l).bandwidth)
-            .fold(f64::INFINITY, f64::min);
+        let (static_bw, static_lat) = grid.route_static(src, dst);
         let bw = self.bandwidth_value(sc, dc).unwrap_or(static_bw).max(1.0);
-        let lat = self.latency_value(sc, dc).unwrap_or(route.latency);
+        let lat = self.latency_value(sc, dc).unwrap_or(static_lat);
         lat + bytes / bw
     }
 }

@@ -271,13 +271,8 @@ impl ForecastSource for ForecastSnapshot {
                 // At least one fallback needed: compute the static route
                 // once (the live service does this unconditionally; the
                 // result is identical either way).
-                let route = grid.route(src, dst);
-                let static_bw = route
-                    .links
-                    .iter()
-                    .map(|&l| grid.link(l).bandwidth)
-                    .fold(f64::INFINITY, f64::min);
-                (bw_fc.unwrap_or(static_bw), lat_fc.unwrap_or(route.latency))
+                let (static_bw, static_lat) = grid.route_static(src, dst);
+                (bw_fc.unwrap_or(static_bw), lat_fc.unwrap_or(static_lat))
             }
         };
         lat + bytes / bw.max(1.0)

@@ -55,6 +55,14 @@ pub trait PrefixPredictor {
     fn predict(&self, agg: &PrefixAgg) -> f64;
 }
 
+/// ⌈log₂ k⌉ for `k ≥ 1`, as the bit length of `k − 1`: the depth of a
+/// binomial broadcast tree over `k` ranks. Equal to
+/// `(k as f64).log2().ceil()` for every `k` up to 2²⁰ (pinned by a test),
+/// without the libm `log2` and `ceil` calls.
+pub fn ceil_log2(k: usize) -> u32 {
+    usize::BITS - (k - 1).leading_zeros()
+}
+
 /// Perfectly parallel model: `flops / Σ effective_speed`. The simplest
 /// §3.2 `ecost` shape — fixed work spread over the aggregate rate.
 #[derive(Debug, Clone, Copy)]
@@ -106,7 +114,8 @@ impl<'a> TreeBcastPrefix<'a> {
 
     /// The whole-prefix closure equivalent of this model, for reference
     /// paths and A/B identity checks: bit-identical to the incremental
-    /// scoring on any prefix.
+    /// scoring on any prefix. It keeps the float `log2().ceil()` depth as
+    /// an oracle independent of [`ceil_log2`].
     pub fn reference<S: ForecastSource + ?Sized>(
         hosts: &[HostId],
         grid: &Grid,
@@ -155,7 +164,7 @@ impl PrefixPredictor for TreeBcastPrefix<'_> {
         let t_comp = self.flops / (agg.k as f64 * agg.min_speed).max(1.0);
         let t_comm = match self.leg {
             Some(leg) if agg.k > 1 => {
-                let legs = (agg.k as f64).log2().ceil() + 1.0;
+                let legs = ceil_log2(agg.k) as f64 + 1.0;
                 legs * leg
             }
             _ => 0.0,
@@ -255,6 +264,14 @@ mod tests {
                 assert_eq!(got.to_bits(), live.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn ceil_log2_matches_float_depth() {
+        for k in 2..=1usize << 20 {
+            assert_eq!(ceil_log2(k) as f64, (k as f64).log2().ceil(), "k = {k}");
+        }
+        assert_eq!(ceil_log2(1), 0);
     }
 
     #[test]

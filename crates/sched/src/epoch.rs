@@ -286,7 +286,7 @@ impl SnapshotIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::CandidateWalk;
+    use crate::walk::{CandidateWalk, WalkScratch};
     use grads_nws::NwsService;
     use grads_perf::{PrefixAgg, PrefixPredictor, TreeBcastPrefix};
     use grads_sim::topology::{GridBuilder, HostSpec};
@@ -454,7 +454,9 @@ mod tests {
         let idx = SnapshotIndex::build(&grid, &snap);
         let n = 24u32;
         // Deterministic pseudo-random eligibility patterns; the last
-        // trial has every host eligible.
+        // trial has every host eligible. One scratch serves every
+        // selection, as in the service's mapping plan.
+        let mut scratch = WalkScratch::default();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -482,8 +484,15 @@ mod tests {
                     inner: TreeBcastPrefix::new(&grid, &snap, flops, bytes),
                     seen: Vec::new(),
                 };
-                let indexed =
-                    CandidateWalk::select_from_index(&idx, &bits, &counts, min_p, max_p, &mut pred);
+                let indexed = CandidateWalk::select_from_index(
+                    &idx,
+                    &bits,
+                    &counts,
+                    min_p,
+                    max_p,
+                    &mut pred,
+                    &mut scratch,
+                );
                 match (&fresh, &indexed) {
                     (Some(a), Some(b)) => {
                         assert_eq!(a.hosts, b.hosts, "trial {trial} {min_p}..={max_p}");

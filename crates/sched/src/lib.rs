@@ -34,7 +34,7 @@ pub use economy::{
 };
 pub use heuristics::{makespan, map_tasks, Heuristic, Placement};
 pub use mpi_sched::{candidate_sets, select_mpi_resources, MpiPredictor, ResourceChoice};
-pub use walk::{select_mpi_resources_fast, CandidateWalk, ClusterPrefixes};
+pub use walk::{select_mpi_resources_fast, CandidateWalk, ClusterPrefixes, WalkScratch};
 pub use workflow::{
     evaluate_placement, schedule_greedy_ecost, schedule_heft, schedule_random,
     schedule_round_robin, Schedule, WorkflowScheduler,

@@ -146,9 +146,10 @@ impl CandidateWalk {
     /// without touching its order (the retention rule of
     /// [`CandidateWalk::new`]); otherwise the first `min(max_procs,
     /// avail)` hosts of its persistent order that are set in `eligible`
-    /// are collected into one reused buffer and scored there —
+    /// are collected into `scratch` and scored there —
     /// `O(procs + skipped hosts)` per cluster instead of `O(H log H)`.
-    /// A new leader's buffer is swapped aside, not copied.
+    /// A new leader's buffer is swapped aside, not copied, and only the
+    /// winning prefix is copied out.
     ///
     /// `elig_counts[ci]` must be the number of eligible hosts in cluster
     /// `ci` (service drivers maintain it `O(1)` per admit/complete).
@@ -170,18 +171,15 @@ impl CandidateWalk {
         min_procs: usize,
         max_procs: usize,
         pred: &mut P,
+        scratch: &mut WalkScratch,
     ) -> Option<ResourceChoice> {
         assert!(min_procs >= 1, "a candidate prefix needs at least one host");
         if min_procs > max_procs {
             return None;
         }
-        let empty = || ClusterPrefixes {
-            cluster: ClusterId(0),
-            hosts: Vec::new(),
-            speeds: Vec::new(),
-        };
-        // `buf` is the cluster being scored; `lead` holds the leader's.
-        let (mut buf, mut lead) = (empty(), empty());
+        // `buf` is the cluster being scored; `lead` holds this call's
+        // leader once `best` is set (whatever it held before is unread).
+        let WalkScratch { buf, lead } = scratch;
         let mut best: Option<(usize, f64)> = None;
         for (order, &avail) in index.clusters().iter().zip(elig_counts) {
             if avail < min_procs {
@@ -201,23 +199,44 @@ impl CandidateWalk {
                 }
             }
             debug_assert_eq!(buf.hosts.len(), take, "elig_counts out of sync with bitset");
-            let (k, t) = best_in_cluster(&buf, min_procs, max_procs, pred);
+            let (k, t) = best_in_cluster(buf, min_procs, max_procs, pred);
             match best {
                 Some((_, bt)) if bt <= t => {}
                 _ => {
                     best = Some((k, t));
-                    std::mem::swap(&mut buf, &mut lead);
+                    std::mem::swap(buf, lead);
                 }
             }
         }
-        best.map(|(k, predicted)| {
-            lead.hosts.truncate(k);
-            ResourceChoice {
-                hosts: lead.hosts,
-                predicted,
-                cluster: lead.cluster,
-            }
+        best.map(|(k, predicted)| ResourceChoice {
+            hosts: lead.hosts[..k].to_vec(),
+            predicted,
+            cluster: lead.cluster,
         })
+    }
+}
+
+/// Reusable buffers for [`CandidateWalk::select_from_index`]: the
+/// cluster being scored and the current leader. A caller that keeps one
+/// across selections (the service's mapping plan) scores without
+/// allocating once the buffers have grown to its largest prefix.
+#[derive(Debug, Clone)]
+pub struct WalkScratch {
+    buf: ClusterPrefixes,
+    lead: ClusterPrefixes,
+}
+
+impl Default for WalkScratch {
+    fn default() -> Self {
+        let empty = || ClusterPrefixes {
+            cluster: ClusterId(0),
+            hosts: Vec::new(),
+            speeds: Vec::new(),
+        };
+        WalkScratch {
+            buf: empty(),
+            lead: empty(),
+        }
     }
 }
 

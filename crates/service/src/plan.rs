@@ -28,7 +28,9 @@
 use grads_nws::ForecastSnapshot;
 use grads_obs::Obs;
 use grads_perf::TreeBcastPrefix;
-use grads_sched::{CandidateWalk, HostBitset, RepairReport, ResourceChoice, SnapshotIndex};
+use grads_sched::{
+    CandidateWalk, HostBitset, RepairReport, ResourceChoice, SnapshotIndex, WalkScratch,
+};
 use grads_sim::prelude::*;
 
 use crate::workload::Job;
@@ -45,6 +47,8 @@ pub struct MappingPlan {
     /// Grid-wide free-host count — the `eligible.len()` of the rebuilt
     /// path, without the scan.
     free_hosts: usize,
+    /// The candidate walk's buffers, reused by every [`MappingPlan::map`].
+    walk: WalkScratch,
     // `svc.epoch.*` counter state, published once at end of run.
     elig_updates: u64,
     index_repairs: u64,
@@ -75,6 +79,7 @@ impl MappingPlan {
             elig_count,
             cluster_of,
             free_hosts,
+            walk: WalkScratch::default(),
             elig_updates: 0,
             index_repairs: 0,
             index_rebuilds: 0,
@@ -142,6 +147,7 @@ impl MappingPlan {
             job.procs,
             job.procs,
             &mut TreeBcastPrefix::new(grid, snap, job.flops, job.bcast_bytes),
+            &mut self.walk,
         )
     }
 
@@ -188,7 +194,9 @@ mod tests {
     }
 
     /// The plan's mapping equals the fresh walk across an admit/retire
-    /// sequence.
+    /// sequence. The sequence includes a job whose winning cluster
+    /// differs from the previous job's longer winner, so the reused walk
+    /// scratch holds a longer leader from another cluster when it starts.
     #[test]
     fn plan_map_matches_fresh_walk_through_occupancy_churn() {
         let (grid, nws) = setup();
@@ -201,9 +209,12 @@ mod tests {
             job(2, 5e11, 1e6),
             job(3, 2e12, 1.5e7),
             job(4, 8e12, 3e7),
+            job(3, 2e12, 1.5e7),
             job(1, 1e11, 0.0),
         ];
         let mut occupied: Vec<Vec<HostId>> = Vec::new();
+        let mut prev: Option<(ClusterId, usize)> = None;
+        let mut switched_after_longer = false;
         for (step, j) in jobs.iter().enumerate() {
             let eligible: Vec<HostId> = (0..48u32)
                 .map(HostId)
@@ -230,6 +241,10 @@ mod tests {
             }
             // Admit: occupy the chosen hosts.
             if let Some(c) = got {
+                if let Some((cluster, len)) = prev {
+                    switched_after_longer |= cluster != c.cluster && len > c.hosts.len();
+                }
+                prev = Some((c.cluster, c.hosts.len()));
                 for &h in &c.hosts {
                     free_cores[h.0 as usize] -= 1;
                     if free_cores[h.0 as usize] == 0 {
@@ -239,6 +254,10 @@ mod tests {
                 occupied.push(c.hosts);
             }
         }
+        assert!(
+            switched_after_longer,
+            "no job switched cluster after a longer leader"
+        );
         // Retire everything and re-map: still identical to fresh.
         for hosts in occupied.drain(..) {
             for h in hosts {

@@ -216,10 +216,18 @@ struct Flow {
 
 /// An interned route: resolved once per (src, dst) pair, then shared by
 /// every flow on that pair instead of cloning a `Vec<LinkId>` per flow and
-/// per recompute.
+/// per recompute. Its links are `Engine::route_arena[self.span()]`.
+#[derive(Clone, Copy)]
 struct RouteEntry {
-    links: Box<[u32]>,
+    start: u32,
+    len: u32,
     latency: f64,
+}
+
+impl RouteEntry {
+    fn span(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,7 +355,6 @@ struct RateScratch {
     flow_mark: EpochMap,
     comp_link_mark: EpochMap,
     link_local: EpochMap,
-    route_tmp: Vec<u32>,
     /// Per component flow (sorted by id): index of its route class.
     class_of: Vec<u32>,
     /// Per route class: member-flow count (the solver's multiplicity).
@@ -419,12 +426,12 @@ pub struct Engine {
     /// Churn notifications absorbed into a shared same-instant solve.
     coalesced_absorbed: u64,
     routes_tbl: Vec<RouteEntry>,
+    /// Every interned route's links, back to back in intern order.
+    route_arena: Vec<u32>,
     route_ids: RouteMap<(u32, u32)>,
-    /// Route interning dedups by content: host pairs whose routes traverse
-    /// the identical link list (every pair in the same cluster pair, for
-    /// the standard topologies) share one route id, which is what makes
-    /// the per-route-class aggregated solve collapse all-to-all traffic
-    /// from O(P²) flows to O(clusters²) solver classes.
+    /// Route interning dedups by content (link list + latency bits).
+    /// Hosts have private NIC uplinks, so distinct host pairs never share
+    /// a list; what collapses is every same-host (empty) route grid-wide.
     route_contents: RouteMap<(Box<[u32]>, u64)>,
     /// Per-link capacity, hoisted out of the solve loops.
     link_caps: Vec<f64>,
@@ -521,6 +528,7 @@ impl Engine {
             solves: 0,
             coalesced_absorbed: 0,
             routes_tbl: Vec::new(),
+            route_arena: Vec::new(),
             route_ids: RouteMap::default(),
             route_contents: RouteMap::default(),
             link_caps,
@@ -913,7 +921,7 @@ impl Engine {
                 .expect("active flow indexed");
             let moved = f.size - f.remaining;
             if moved > 0.0 {
-                for &l in self.routes_tbl[f.route as usize].links.iter() {
+                for &l in &self.route_arena[self.routes_tbl[f.route as usize].span()] {
                     self.link_bytes[l as usize] += moved;
                 }
             }
@@ -1136,8 +1144,8 @@ impl Engine {
                     continue;
                 }
                 let route = self.flows[id].as_ref().expect("checked above").route as usize;
-                for k in 0..self.routes_tbl[route].links.len() {
-                    let l = self.routes_tbl[route].links[k] as usize;
+                for k in self.routes_tbl[route].span() {
+                    let l = self.route_arena[k] as usize;
                     if !self.scratch.comp_link_mark.contains(l) {
                         self.scratch.comp_link_mark.set(l, 0);
                         self.scratch.link_stack.push(l as u32);
@@ -1186,7 +1194,7 @@ impl Engine {
                 s.flow_mark.set(fid as usize, 0);
                 s.comp_flows.push(fid);
                 let f = self.flows[fid as usize].as_ref().expect("indexed flow");
-                for &l2 in self.routes_tbl[f.route as usize].links.iter() {
+                for &l2 in &self.route_arena[self.routes_tbl[f.route as usize].span()] {
                     if !s.comp_link_mark.contains(l2 as usize) {
                         s.comp_link_mark.set(l2 as usize, 0);
                         s.link_stack.push(l2);
@@ -1238,7 +1246,7 @@ impl Engine {
             s.route_class.set(f.route as usize, c);
             s.class_of.push(c);
             s.class_mult.push(1);
-            let links = &self.routes_tbl[f.route as usize].links;
+            let links = &self.route_arena[self.routes_tbl[f.route as usize].span()];
             s.offsets
                 .push((s.links_flat.len() as u32, links.len() as u32));
             for &l in links.iter() {
@@ -1527,35 +1535,35 @@ impl Engine {
         self.mailboxes.get_or_insert(key).waiting.push_back(pid);
     }
 
-    /// Interned route lookup: resolves each (src, dst) pair once and shares
-    /// the link list for every subsequent flow.
     /// Intern the route for a host pair, deduplicating by *content*
     /// (link list + latency): every pair sharing one physical path maps to
     /// a single route id, which is what [`Self::solve_component`] groups
     /// route classes by. Hosts have private NIC uplinks, so distinct pairs
     /// stay distinct; the dedup collapses repeated lookups of one pair,
-    /// and all same-host (empty-route) transfers grid-wide.
+    /// and all same-host (empty-route) transfers grid-wide. A new pair's
+    /// link list is allocated once, as its content key; a new route
+    /// appends a copy of it to the shared arena.
     fn route_id(&mut self, src: HostId, dst: HostId) -> u32 {
         if let Some(&id) = self.route_ids.get(&(src.0, dst.0)) {
             return id;
         }
-        let mut links = std::mem::take(&mut self.scratch.route_tmp);
-        links.clear();
-        let latency = self.grid.route_links_into(src, dst, &mut links);
-        let content = (links[..].into(), latency.to_bits());
+        let links: Box<[u32]> = self.grid.route_links(src, dst).map(|l| l.0).collect();
+        let latency = self.grid.route_static(src, dst).1;
+        let content = (links, latency.to_bits());
         let id = match self.route_contents.get(&content) {
             Some(&id) => id,
             None => {
                 let id = self.routes_tbl.len() as u32;
                 self.routes_tbl.push(RouteEntry {
-                    links: content.0.clone(),
+                    start: self.route_arena.len() as u32,
+                    len: content.0.len() as u32,
                     latency,
                 });
+                self.route_arena.extend_from_slice(&content.0);
                 self.route_contents.insert(content, id);
                 id
             }
         };
-        self.scratch.route_tmp = links;
         self.route_ids.insert((src.0, dst.0), id);
         id
     }
@@ -1629,15 +1637,15 @@ impl Engine {
                 let f = self.flows[id].as_mut().expect("flow exists at activate");
                 f.active = true;
                 let route = f.route as usize;
-                let instant = self.routes_tbl[route].links.is_empty() || f.remaining <= 0.0;
+                let instant = self.routes_tbl[route].len == 0 || f.remaining <= 0.0;
                 if instant {
                     self.finish_flow(id);
                 } else {
                     let f = self.flows[id].as_mut().expect("flow exists at activate");
                     f.act_idx = self.active_flows.len() as u32;
                     self.active_flows.push(id as u32);
-                    for k in 0..self.routes_tbl[route].links.len() {
-                        let l = self.routes_tbl[route].links[k] as usize;
+                    for k in self.routes_tbl[route].span() {
+                        let l = self.route_arena[k] as usize;
                         self.link_flows[l].push(id as u32);
                         if !self.dirty_link_mark.contains(l) {
                             self.dirty_link_mark.set(l, 0);
@@ -1652,8 +1660,8 @@ impl Engine {
                     let f = self.flows[id].as_ref().expect("validated by run loop");
                     (f.route as usize, f.act_idx as usize, f.size)
                 };
-                for k in 0..self.routes_tbl[route].links.len() {
-                    let l = self.routes_tbl[route].links[k] as usize;
+                for k in self.routes_tbl[route].span() {
+                    let l = self.route_arena[k] as usize;
                     // The whole transfer is credited at completion; the
                     // accrual sweep no longer touches link counters.
                     self.link_bytes[l] += size;
@@ -2517,7 +2525,7 @@ mod tests {
         // Every same-host transfer grid-wide shares the one empty route.
         let loop0 = eng.route_id(ha[0], ha[0]);
         assert_eq!(loop0, eng.route_id(hb[2], hb[2]));
-        assert!(eng.routes_tbl[loop0 as usize].links.is_empty());
+        assert_eq!(eng.routes_tbl[loop0 as usize].len, 0);
     }
 
     /// A daemon that sleeps `dt` forever, or panics on step `panic_at`,

@@ -158,8 +158,11 @@ pub struct Grid {
     hosts: Vec<Host>,
     clusters: Vec<Cluster>,
     links: Vec<Link>,
-    /// Cache of cluster-to-cluster link paths (by BFS hop count).
-    cluster_paths: HashMap<(ClusterId, ClusterId), Vec<LinkId>>,
+    /// Minimum-hop WAN link path for every ordered cluster pair, dense
+    /// `clusters × clusters` at `src * clusters + dst`: empty within a
+    /// cluster, `None` for a pair the builder found disconnected (only
+    /// possible when one of the two clusters has no hosts).
+    cluster_paths: Vec<Option<Box<[LinkId]>>>,
 }
 
 impl Grid {
@@ -209,7 +212,8 @@ impl Grid {
             .map(|i| ClusterId(i as u32))
     }
 
-    /// Resolve the route between two hosts.
+    /// Resolve the route between two hosts: [`Grid::route_links`]
+    /// collected, with [`Grid::route_static`]'s latency.
     ///
     /// Same-host routes are empty with zero latency. Intra-cluster routes
     /// traverse both host uplinks. Inter-cluster routes additionally traverse
@@ -219,52 +223,73 @@ impl Grid {
     /// Panics if the clusters are not connected (the builder validates
     /// connectivity, so this cannot happen for a built grid).
     pub fn route(&self, src: HostId, dst: HostId) -> Route {
-        if src == dst {
-            return Route {
-                links: Vec::new(),
-                latency: 0.0,
-            };
+        Route {
+            links: self.route_links(src, dst).collect(),
+            latency: self.route_static(src, dst).1,
         }
-        let (sc, dc) = (self.host(src).cluster, self.host(dst).cluster);
-        let mut links = vec![self.host(src).uplink_tx];
-        if sc != dc {
-            let path = self
-                .cluster_paths
-                .get(&(sc, dc))
-                .expect("clusters disconnected: builder validation should prevent this");
-            links.extend_from_slice(path);
-        }
-        links.push(self.host(dst).uplink_rx);
-        let latency = links.iter().map(|l| self.link(*l).latency).sum();
-        Route { links, latency }
     }
 
-    /// Allocation-light variant of [`Grid::route`]: appends the route's link
-    /// indices (as raw `u32`s) to `out` and returns the total one-way
-    /// latency. The kernel uses this to build its interned route table
-    /// without cloning `Vec<LinkId>` per lookup.
+    /// The links of the route from `src` to `dst`, in order: `src`'s
+    /// transmit uplink, the minimum-hop WAN path between the two cluster
+    /// switches (empty within a cluster), then `dst`'s receive uplink.
+    /// Empty when `src == dst`. Allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if the clusters are not connected, like [`Grid::route`].
+    pub fn route_links(
+        &self,
+        src: HostId,
+        dst: HostId,
+    ) -> impl Iterator<Item = LinkId> + Clone + '_ {
+        let (s, d) = (self.host(src), self.host(dst));
+        let (ends, wan): (Option<(LinkId, LinkId)>, &[LinkId]) = if src == dst {
+            (None, &[])
+        } else {
+            let n = self.clusters.len();
+            let path = self.cluster_paths[s.cluster.0 as usize * n + d.cluster.0 as usize]
+                .as_deref()
+                .expect("clusters disconnected: builder validation should prevent this");
+            (Some((s.uplink_tx, d.uplink_rx)), path)
+        };
+        let tx = ends.map(|e| e.0);
+        let rx = ends.map(|e| e.1);
+        tx.into_iter().chain(wan.iter().copied()).chain(rx)
+    }
+
+    /// The static `(bandwidth, latency)` of the route from `src` to
+    /// `dst`: the bottleneck capacity, folded over [`Grid::route_links`]
+    /// in link order with `fold(INFINITY, f64::min)`, and the one-way
+    /// latency summed with `.sum()` in the same order. `(INFINITY, 0.0)`
+    /// when `src == dst`. This is the one formula every static-route
+    /// consumer uses (the kernel's route table, the NWS fallback, the
+    /// forecast snapshot); the fold order fixes its bits. Allocates
+    /// nothing.
+    ///
+    /// # Panics
+    /// Panics if the clusters are not connected, like [`Grid::route`].
+    pub fn route_static(&self, src: HostId, dst: HostId) -> (f64, f64) {
+        if src == dst {
+            // An empty `.sum()` is −0.0; a same-host route has +0.0.
+            return (f64::INFINITY, 0.0);
+        }
+        let links = self.route_links(src, dst);
+        let bandwidth = links
+            .clone()
+            .map(|l| self.link(l).bandwidth)
+            .fold(f64::INFINITY, f64::min);
+        let latency = links.map(|l| self.link(l).latency).sum();
+        (bandwidth, latency)
+    }
+
+    /// Appends the route's link indices (as raw `u32`s) to `out` and
+    /// returns the total one-way latency, like [`Grid::route`] without a
+    /// fresh vector.
     ///
     /// # Panics
     /// Panics if the clusters are not connected, like [`Grid::route`].
     pub fn route_links_into(&self, src: HostId, dst: HostId, out: &mut Vec<u32>) -> f64 {
-        if src == dst {
-            return 0.0;
-        }
-        let (sc, dc) = (self.host(src).cluster, self.host(dst).cluster);
-        let start = out.len();
-        out.push(self.host(src).uplink_tx.0);
-        if sc != dc {
-            let path = self
-                .cluster_paths
-                .get(&(sc, dc))
-                .expect("clusters disconnected: builder validation should prevent this");
-            out.extend(path.iter().map(|l| l.0));
-        }
-        out.push(self.host(dst).uplink_rx.0);
-        out[start..]
-            .iter()
-            .map(|&l| self.link(LinkId(l)).latency)
-            .sum()
+        out.extend(self.route_links(src, dst).map(|l| l.0));
+        self.route_static(src, dst).1
     }
 
     /// Hosts of a given cluster, by name.
@@ -421,7 +446,8 @@ impl GridBuilder {
         }
         // BFS from every cluster over the WAN graph.
         let n = self.clusters.len();
-        let mut cluster_paths = HashMap::new();
+        let mut cluster_paths: Vec<Option<Box<[LinkId]>>> = vec![None; n * n];
+        let mut path = Vec::new();
         for s in 0..n {
             let src = ClusterId(s as u32);
             let mut prev: Vec<Option<(ClusterId, LinkId)>> = vec![None; n];
@@ -439,9 +465,6 @@ impl GridBuilder {
                 }
             }
             for d in 0..n {
-                if d == s {
-                    continue;
-                }
                 if !seen[d] {
                     if !self.clusters[s].hosts.is_empty() && !self.clusters[d].hosts.is_empty() {
                         return Err(TopologyError::Disconnected(
@@ -451,8 +474,8 @@ impl GridBuilder {
                     }
                     continue;
                 }
-                // Reconstruct path s -> d.
-                let mut path = Vec::new();
+                // Reconstruct path s -> d, then copy it out at its length.
+                path.clear();
                 let mut cur = ClusterId(d as u32);
                 while cur.0 as usize != s {
                     let (p, l) = prev[cur.0 as usize].expect("BFS predecessor");
@@ -460,7 +483,7 @@ impl GridBuilder {
                     cur = p;
                 }
                 path.reverse();
-                cluster_paths.insert((src, ClusterId(d as u32)), path);
+                cluster_paths[s * n + d] = Some(path[..].into());
             }
         }
         Ok(Grid {
@@ -640,6 +663,111 @@ mod tests {
         let ucsd = g.hosts_of("UCSD")[0];
         let r = g.route(ucsd, utk0);
         assert!(r.latency > 0.030 && r.latency < 0.032);
+    }
+
+    /// The vec-then-push route of the hash-map topology: `src`'s uplink,
+    /// a minimum-hop WAN path found by a fresh BFS in adjacency order,
+    /// `dst`'s uplink; bandwidth folded and latency summed over the list.
+    fn oracle_route(g: &Grid, src: HostId, dst: HostId) -> (Vec<LinkId>, f64, f64) {
+        if src == dst {
+            return (Vec::new(), f64::INFINITY, 0.0);
+        }
+        let (sc, dc) = (g.host(src).cluster, g.host(dst).cluster);
+        let mut prev: Vec<Option<(ClusterId, LinkId)>> = vec![None; g.clusters().len()];
+        let mut seen = vec![false; g.clusters().len()];
+        seen[sc.0 as usize] = true;
+        let mut queue = std::collections::VecDeque::from([sc]);
+        while let Some(c) = queue.pop_front() {
+            for &(peer, link) in &g.cluster(c).wan {
+                if !std::mem::replace(&mut seen[peer.0 as usize], true) {
+                    prev[peer.0 as usize] = Some((c, link));
+                    queue.push_back(peer);
+                }
+            }
+        }
+        let mut wan = Vec::new();
+        let mut cur = dc;
+        while cur != sc {
+            let (p, l) = prev[cur.0 as usize].expect("connected");
+            wan.push(l);
+            cur = p;
+        }
+        wan.reverse();
+        let mut links = vec![g.host(src).uplink_tx];
+        links.extend_from_slice(&wan);
+        links.push(g.host(dst).uplink_rx);
+        let bw = links
+            .iter()
+            .map(|&l| g.link(l).bandwidth)
+            .fold(f64::INFINITY, f64::min);
+        let lat = links.iter().map(|&l| g.link(l).latency).sum();
+        (links, bw, lat)
+    }
+
+    /// Every ordered host pair (same-host, intra- and inter-cluster) of
+    /// the paper testbed, an 8-cluster ring with multi-hop WAN paths, and
+    /// a 4 × 16 full WAN mesh: the link walker, `route`, `route_static`
+    /// and `route_links_into` all equal the oracle bit for bit.
+    #[test]
+    fn static_route_walker_matches_vec_built_route_bitwise() {
+        let ring = {
+            let mut b = GridBuilder::new();
+            let cl: Vec<ClusterId> = (0..8)
+                .map(|c| {
+                    let id = b.cluster(&format!("C{c}"));
+                    b.local_link(id, 1.0e9, 50e-6);
+                    b.add_hosts(id, 4, &HostSpec::with_speed(4.0e8 + 1.0e8 * c as f64));
+                    id
+                })
+                .collect();
+            for c in 0..8 {
+                b.connect(cl[c], cl[(c + 1) % 8], 5.0e7, 5e-3);
+            }
+            b.build().unwrap()
+        };
+        let mesh = {
+            let mut b = GridBuilder::new();
+            let cl: Vec<ClusterId> = (0..4)
+                .map(|c| {
+                    let id = b.cluster(&format!("C{c}"));
+                    b.local_link(id, 1.0e9, 50e-6);
+                    b.add_hosts(id, 16, &HostSpec::with_speed(1.0e9));
+                    id
+                })
+                .collect();
+            let mut k = 0.0;
+            for i in 0..4 {
+                for j in (i + 1)..4 {
+                    b.connect(cl[i], cl[j], 5.0e7 + 1.0e7 * k, 5e-3 + 3e-3 * k);
+                    k += 1.0;
+                }
+            }
+            b.build().unwrap()
+        };
+        let mut max_wan_hops = 0;
+        for g in [macrogrid_qr(), ring, mesh] {
+            let n = g.hosts().len() as u32;
+            for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (HostId(s), HostId(d)))) {
+                let (links, bw, lat) = oracle_route(&g, s, d);
+                max_wan_hops = max_wan_hops.max(links.len().saturating_sub(2));
+                assert_eq!(g.route_links(s, d).collect::<Vec<_>>(), links, "{s}->{d}");
+                let r = g.route(s, d);
+                assert_eq!(r.links, links);
+                assert_eq!(r.latency.to_bits(), lat.to_bits());
+                let (sbw, slat) = g.route_static(s, d);
+                assert_eq!(sbw.to_bits(), bw.to_bits(), "{s}->{d}");
+                assert_eq!(slat.to_bits(), lat.to_bits(), "{s}->{d}");
+                let mut raw = vec![7];
+                let into_lat = g.route_links_into(s, d, &mut raw);
+                assert_eq!(raw[0], 7, "appends, keeps what was there");
+                assert!(raw[1..].iter().copied().eq(links.iter().map(|l| l.0)));
+                assert_eq!(into_lat.to_bits(), lat.to_bits());
+            }
+        }
+        assert_eq!(
+            max_wan_hops, 4,
+            "the ring's farthest clusters are 4 hops apart"
+        );
     }
 
     #[test]
