@@ -15,6 +15,7 @@ use crate::qr::{restore, write_checkpoint, QrConfig, QrLocal};
 use crate::qr_driver::qr_step;
 use grads_mpi::launch_from;
 use grads_nws::{CpuSensor, NwsService};
+use grads_obs::Recorder;
 use grads_sim::prelude::*;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -186,8 +187,10 @@ pub fn run_ft_experiment(
             let ckpt_every = ecfg.ckpt_every_chunks.max(1);
             launch_from(
                 ctx,
+                &Recorder::disabled(),
                 &format!("qr-ft-e{epoch}"),
                 &hosts,
+                &[],
                 epoch,
                 move |rctx, comm| {
                     let restored = if srsw.has_checkpoint("A") {

@@ -14,6 +14,7 @@
 use grads_mpi::swap::SwapWorld;
 use grads_mpi::{launch_swap_world, Comm};
 use grads_nws::{CpuSensor, NwsService};
+use grads_obs::Obs;
 use grads_reschedule::{run_swap_rescheduler, SwapPolicy};
 use grads_sim::prelude::*;
 use parking_lot::Mutex;
@@ -333,9 +334,16 @@ pub fn run_nbody_experiment(
         let policy = ecfg.policy;
         let period = ecfg.resched_period;
         eng.spawn("swap-rescheduler", monitor_host, move |ctx| {
-            run_swap_rescheduler(ctx, &sw2, &grid2, &nws2, policy, period, &move || {
-                *done2.lock()
-            });
+            run_swap_rescheduler(
+                ctx,
+                &sw2,
+                &grid2,
+                &nws2,
+                policy,
+                period,
+                &move || *done2.lock(),
+                &Obs::disabled(),
+            );
         });
     }
 

@@ -16,6 +16,7 @@ use crate::qr::{restore, QrConfig, QrLocal};
 use crate::qr_driver::{qr_step, QrCop, QrRunning};
 use grads_mpi::launch_from;
 use grads_nws::{CpuSensor, ForecastSnapshot, NwsService};
+use grads_obs::Recorder;
 use grads_reschedule::{opportunistic_check, MigrationRescheduler, Reschedulable};
 use grads_sim::prelude::*;
 use grads_srs::{IbpStorage, Rss, Srs};
@@ -136,8 +137,10 @@ pub fn run_opportunistic_experiment(
             let history_w = history_m.clone();
             launch_from(
                 ctx,
+                &Recorder::disabled(),
                 &format!("qr-opp-e{epoch}"),
                 &hosts,
+                &[],
                 epoch,
                 move |rctx, comm| {
                     let restored = if srsw.has_checkpoint("A") {

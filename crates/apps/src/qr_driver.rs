@@ -28,9 +28,9 @@ use grads_binder::{
     prepare_and_bind, Breakdown, CompilationPackage, Cop, Gis, ManagerCosts, LOCAL_BINDER,
 };
 use grads_contract::{
-    run_contract_monitor_obs, Contract, ContractMonitor, DonePredicate, Response, ViolationHandler,
+    run_contract_monitor, Contract, ContractMonitor, DonePredicate, Response, ViolationHandler,
 };
-use grads_mpi::{host_labels, launch_from_traced};
+use grads_mpi::{host_labels, launch_from};
 use grads_nws::{CpuSensor, ForecastSnapshot, ForecastSource, NwsService, SharedSnapshot};
 use grads_obs::{DecisionAction, DecisionKind, Obs, Recorder, WorldTag};
 use grads_perf::{ceil_log2, PrefixAgg, PrefixPredictor, TreeBcastPrefix};
@@ -521,7 +521,7 @@ pub fn run_qr_experiment_with(
             let history_w = history_m.clone();
             let done_w = done_m.clone();
             let bd_w = breakdown_m.clone();
-            let (world, wtag) = launch_from_traced(
+            let world = launch_from(
                 ctx,
                 &ecfg.recorder,
                 &format!("qr-e{epoch}"),
@@ -592,7 +592,7 @@ pub fn run_qr_experiment_with(
             if incarnations > 1 {
                 // The restarted world is up: the migration actuation that
                 // began at the stop request is complete.
-                ecfg.recorder.bridge(prev_wtag, 0, t_stop, wtag);
+                ecfg.recorder.bridge(prev_wtag, 0, t_stop, world.tag);
                 ecfg.obs.event(
                     ctx.now(),
                     DecisionKind::ActuationComplete {
@@ -600,7 +600,7 @@ pub fn run_qr_experiment_with(
                     },
                 );
             }
-            prev_wtag = wtag;
+            prev_wtag = world.tag;
 
             // -------- contract + monitor --------
             let predicted_total = {
@@ -698,7 +698,7 @@ pub fn run_qr_experiment_with(
                 mgr_host,
                 move |mctx| {
                     let mut mon = ContractMonitor::new(mon_contract);
-                    run_contract_monitor_obs(
+                    run_contract_monitor(
                         mctx,
                         &stats,
                         &mut mon,

@@ -1,6 +1,6 @@
 //! Wall-clock microbenchmarks of the emulator substrate's hot paths.
 //!
-//! Four storms, each isolating one layer of the kernel:
+//! Three storms, each isolating one layer of the kernel:
 //!
 //! * **handoff ping-pong** — one process polling an empty mailbox with
 //!   `ctx.try_recv`: one request/grant pair per op and near-zero
@@ -12,11 +12,6 @@
 //! * **message ping-pong** — two processes bouncing a message back and
 //!   forth on a LAN. Every round trip is four kernel handoffs plus the
 //!   flow machinery (activate/done events, rate solve, mailbox).
-//! * **spawn storm** — thousands of short-lived processes; measures the
-//!   spawn/start/exit bookkeeping (mapping and unmapping each coroutine
-//!   stack dominates, but name interning shows up here too). The
-//!   processes are all alive at once, so the per-thread stack pool
-//!   saves nothing here: it keeps only 64 stacks when they finish.
 //! * **cancel storm** — compute actions on a loaded host whose external
 //!   load toggles at dense cadence, re-stamping every action each time.
 //!   Each re-stamp replaces a pending completion event in the indexed
@@ -25,7 +20,7 @@
 //! Writes the `sim_hotpath` section of `BENCH_sim.json` at the repo root.
 //!
 //! Usage: `cargo run --release -p grads-bench --bin sim_hotpath [rounds]`
-//! (default 30000 ping-pong rounds; storms scale accordingly).
+//! (default 30000 ping-pong rounds; the handoff row runs twice as many).
 
 use grads_bench::sweep::{json_num, json_obj, merge_bench_section};
 use grads_core::prelude::*;
@@ -105,22 +100,6 @@ fn ping_pong(rounds: usize) -> f64 {
     (4 * rounds) as f64 / wall
 }
 
-/// Spawn storm: `n` short-lived processes. Returns spawns/sec.
-fn spawn_storm(n: usize) -> f64 {
-    let (grid, hosts) = lan_pair();
-    let mut eng = Engine::new(grid);
-    for i in 0..n {
-        eng.spawn("w", hosts[i % 2], |ctx| {
-            ctx.compute(1e3);
-        });
-    }
-    let t0 = Instant::now();
-    let report = eng.run();
-    let wall = t0.elapsed().as_secs_f64();
-    assert_eq!(report.completed.len(), n);
-    n as f64 / wall
-}
-
 /// Cancel storm: `procs` long computes on one host, with external load
 /// toggling `toggles` times — every toggle re-stamps every action and
 /// replaces its pending completion event. Returns (applied events/sec,
@@ -174,11 +153,6 @@ fn main() {
     println!("\nmessage ping-pong ({rounds} round trips, 4 handoffs each):");
     println!("  coroutine switch           {ops:>12.0} ops/s");
 
-    let n_spawn = (rounds / 10).max(1000);
-    let sp = spawn_storm(n_spawn);
-    println!("\nspawn storm ({n_spawn} processes):");
-    println!("  coroutine stack            {sp:>12.0} spawns/s");
-
     let (procs, toggles) = (100, 2000);
     let (ev, n_ev) = cancel_storm(procs, toggles);
     println!("\ncancel storm ({procs} computes x {toggles} load toggles, {n_ev} events):");
@@ -199,8 +173,6 @@ fn main() {
             ("handoff_direct_per_s", json_num(ho_direct)),
             ("ping_pong_rounds", rounds.to_string()),
             ("ping_pong_direct_ops_per_s", json_num(ops)),
-            ("spawn_storm_procs", n_spawn.to_string()),
-            ("spawn_direct_per_s", json_num(sp)),
             ("cancel_storm_events", n_ev.to_string()),
             ("cancel_indexed_events_per_s", json_num(ev)),
         ]),

@@ -10,9 +10,10 @@
 //!
 //! Paper map: contracts and violation detection are §3's rescheduling
 //! substrate; the fuzzy-logic violation decision follows the Autopilot
-//! approach the paper builds on. Observability variants
-//! ([`run_contract_monitor_obs`]) additionally emit `grads-obs` decision
-//! events so the monitor → detect → decide → actuate path is measurable.
+//! approach the paper builds on. [`run_contract_monitor`] takes a
+//! `grads-obs` handle: an enabled one records the decision events that
+//! make the monitor → detect → decide → actuate path measurable, and a
+//! disabled one records nothing.
 
 #![warn(missing_docs)]
 
@@ -25,7 +26,5 @@ pub mod viewer;
 pub use actuator::{poll_period_controller, ActuatorBus, FuzzyController};
 pub use contract::{Contract, ContractMonitor, Outcome, Violation};
 pub use fuzzy::{violation_engine, FuzzyEngine, Membership};
-pub use monitor::{
-    run_contract_monitor, run_contract_monitor_obs, DonePredicate, Response, ViolationHandler,
-};
+pub use monitor::{run_contract_monitor, DonePredicate, Response, ViolationHandler};
 pub use viewer::{control_events, render_timeline, TimelineEvent};

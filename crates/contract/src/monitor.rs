@@ -39,36 +39,16 @@ pub type DonePredicate = Arc<dyn Fn() -> bool + Send + Sync>;
 /// violations go to `on_violation`; renegotiations and violations are also
 /// emitted on the trace (`"contract_violation"` / `"contract_renegotiated"`
 /// labels) for the figure harnesses.
-pub fn run_contract_monitor(
-    ctx: &mut Ctx,
-    stats: &[Arc<Mutex<RankStats>>],
-    monitor: &mut ContractMonitor,
-    period: f64,
-    done: DonePredicate,
-    on_violation: ViolationHandler,
-) {
-    run_contract_monitor_obs(
-        ctx,
-        stats,
-        monitor,
-        period,
-        done,
-        on_violation,
-        &Obs::disabled(),
-    );
-}
-
-/// [`run_contract_monitor`] with an observability sink attached.
 ///
-/// Identical monitoring behavior — the plain variant delegates here with a
-/// disabled handle — plus, when `obs` is enabled, a typed decision-event
-/// stream (`MonitorPoll`, `ContractEval`, `Renegotiated`,
-/// `ViolationDetected`, `Decision`) stamped with `ctx.now()` virtual times,
-/// and `contract.*` counters. Recording never sleeps, never reads time on
-/// its own, and never branches the control flow, so an obs-enabled run is
-/// bit-identical to a disabled one (see `tests/obs_determinism.rs`).
+/// An enabled `obs` also records a typed decision-event stream
+/// (`MonitorPoll`, `ContractEval`, `Renegotiated`, `ViolationDetected`,
+/// `Decision`) stamped with `ctx.now()` virtual times, and `contract.*`
+/// counters. Recording never sleeps, never reads time on its own, and
+/// never branches the control flow, so an obs-enabled run is
+/// bit-identical to one under [`Obs::disabled`] (see
+/// `tests/obs_determinism.rs`).
 #[allow(clippy::too_many_arguments)]
-pub fn run_contract_monitor_obs(
+pub fn run_contract_monitor(
     ctx: &mut Ctx,
     stats: &[Arc<Mutex<RankStats>>],
     monitor: &mut ContractMonitor,
@@ -184,7 +164,15 @@ mod tests {
                 violated2.lock().push(v.avg_ratio);
                 Response::Declined
             });
-            run_contract_monitor(ctx, &mstats, &mut mon, 0.25, done, handler);
+            run_contract_monitor(
+                ctx,
+                &mstats,
+                &mut mon,
+                0.25,
+                done,
+                handler,
+                &Obs::disabled(),
+            );
         });
         let r = eng.run();
         let vs = violated.lock();
@@ -216,7 +204,7 @@ mod tests {
             let mut mon = ContractMonitor::new(Contract::single_phase("iter", 1.0, 1.5, 0.5, 3));
             let pred: DonePredicate = Arc::new(move || *done.lock());
             let handler: ViolationHandler = Arc::new(|_, _| Response::Declined);
-            run_contract_monitor(ctx, &[], &mut mon, 0.5, pred, handler);
+            run_contract_monitor(ctx, &[], &mut mon, 0.5, pred, handler, &Obs::disabled());
         });
         let r = eng.run();
         assert_eq!(r.completed.len(), 2);
@@ -241,7 +229,15 @@ mod tests {
             let mut mon = ContractMonitor::new(Contract::single_phase("iter", 0.1, 1.5, 0.5, 2));
             let pred: DonePredicate = Arc::new(|| false); // never "done"
             let handler: ViolationHandler = Arc::new(|_, _| Response::Migrated);
-            run_contract_monitor(ctx, &[stats], &mut mon, 0.3, pred, handler);
+            run_contract_monitor(
+                ctx,
+                &[stats],
+                &mut mon,
+                0.3,
+                pred,
+                handler,
+                &Obs::disabled(),
+            );
             let t = ctx.now();
             ctx.trace("monitor_exit", t);
         });

@@ -21,8 +21,5 @@ pub mod world;
 
 pub use comm::{Comm, Mapping, DEFAULT_EAGER_THRESHOLD, INTERNAL_TAG_BASE};
 pub use dist::{BlockCyclic, RedistEntry};
-pub use swap::{launch_swap_world, launch_swap_world_traced, run_swappable, SwapError, SwapWorld};
-pub use world::{
-    host_labels, launch, launch_at, launch_at_traced, launch_from, launch_from_traced,
-    launch_traced, RankStats, World,
-};
+pub use swap::{launch_swap_world, run_swappable, SwapError, SwapWorld};
+pub use world::{host_labels, launch, launch_from, RankStats, World};

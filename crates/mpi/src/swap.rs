@@ -130,7 +130,7 @@ impl SwapWorld {
     }
 
     /// Attach a flight recorder to every slot of this world. Usually done
-    /// by [`launch_swap_world_traced`], which also registers the tracks.
+    /// by [`launch_swap_world`], which also registers the tracks.
     pub fn set_recorder(&mut self, rec: Recorder, wtag: WorldTag) {
         self.rec = rec;
         self.wtag = wtag;
@@ -411,7 +411,12 @@ pub fn run_swappable<S, FI, FS>(
 }
 
 /// Launch a swap world: one simulated process per physical slot, all
-/// running [`run_swappable`] with the given callbacks.
+/// running [`run_swappable`] with the given callbacks, wired into the
+/// engine's flight recorder. Each *physical slot* gets a track labelled
+/// with its host, so swap activity shows up as `SwappedOut`/`Migrating`
+/// intervals and swap-state handoff messages; the world's tag is
+/// [`SwapWorld::recorder`]'s. Under the engine's default disabled
+/// recorder nothing is recorded.
 pub fn launch_swap_world<S, FI, FS>(
     eng: &mut Engine,
     name: &str,
@@ -421,28 +426,6 @@ pub fn launch_swap_world<S, FI, FS>(
     init: FI,
     step: FS,
 ) -> SwapWorld
-where
-    S: Send + 'static,
-    FI: Fn(usize) -> S + Send + Sync + 'static,
-    FS: Fn(&mut Ctx, &mut Comm, &mut S) -> bool + Send + Sync + 'static,
-{
-    launch_swap_world_traced(eng, name, phys_hosts, n_active, state_bytes, init, step).0
-}
-
-/// [`launch_swap_world`], wired into the engine's flight recorder: one
-/// recorder track per *physical slot* (labelled with its host), so swap
-/// activity shows up as `SwappedOut`/`Migrating` intervals and swap-state
-/// handoff messages. With the engine's default disabled recorder this is
-/// exactly [`launch_swap_world`].
-pub fn launch_swap_world_traced<S, FI, FS>(
-    eng: &mut Engine,
-    name: &str,
-    phys_hosts: &[HostId],
-    n_active: usize,
-    state_bytes: f64,
-    init: FI,
-    step: FS,
-) -> (SwapWorld, WorldTag)
 where
     S: Send + 'static,
     FI: Fn(usize) -> S + Send + Sync + 'static,
@@ -470,7 +453,7 @@ where
         });
         rec.bind_pid(pid.0, wtag, phys);
     }
-    (sw, wtag)
+    sw
 }
 
 #[cfg(test)]

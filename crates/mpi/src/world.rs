@@ -71,6 +71,9 @@ pub struct World {
     pub stats: Vec<Arc<Mutex<RankStats>>>,
     /// Process ids of the ranks.
     pub procs: Vec<ProcId>,
+    /// Flight-recorder tag of the world's tracks ([`WorldTag::NONE`]
+    /// under a disabled recorder).
+    pub tag: WorldTag,
 }
 
 /// Shared stats cells plus per-rank `(communicator, entry point)` pairs.
@@ -118,85 +121,44 @@ where
 }
 
 /// Launch a world from outside the simulation (before `Engine::run`),
-/// starting at virtual time `t`.
-pub fn launch_at<F>(eng: &mut Engine, t: f64, name: &str, hosts: &[HostId], f: F) -> World
-where
-    F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
-{
-    launch_at_traced(eng, t, name, hosts, f).0
-}
-
-/// [`launch_at`], wired into the engine's flight recorder: registers one
-/// track per rank (labelled with its host) and binds rank pids so the
-/// kernel stamps lifecycle edges. With the engine's default disabled
-/// recorder this is exactly [`launch_at`]; the returned tag is
+/// starting at virtual time 0, wired into the engine's flight recorder:
+/// one track per rank, labelled with its host, and rank pids bound so
+/// the kernel stamps lifecycle edges. Under the engine's default
+/// disabled recorder nothing is recorded and the tag is
 /// [`WorldTag::NONE`].
-pub fn launch_at_traced<F>(
-    eng: &mut Engine,
-    t: f64,
-    name: &str,
-    hosts: &[HostId],
-    f: F,
-) -> (World, WorldTag)
-where
-    F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
-{
-    let rec = eng.recorder().clone();
-    let wtag = rec.register_world(name, &host_labels(eng.grid(), hosts));
-    let id = next_world_id();
-    let (stats, parts) = build_rank_closures(id, 0, hosts, Arc::new(f), &rec, wtag);
-    let mut procs = Vec::with_capacity(hosts.len());
-    for (rank, (mut comm, f)) in parts.into_iter().enumerate() {
-        let pid = eng.spawn_delayed(t, &format!("{name}-{rank}"), hosts[rank], move |ctx| {
-            f(ctx, &mut comm)
-        });
-        rec.bind_pid(pid.0, wtag, rank);
-        procs.push(pid);
-    }
-    (
-        World {
-            id,
-            name: name.to_string(),
-            hosts: hosts.to_vec(),
-            stats,
-            procs,
-        },
-        wtag,
-    )
-}
-
-/// Launch a world starting at virtual time 0.
 pub fn launch<F>(eng: &mut Engine, name: &str, hosts: &[HostId], f: F) -> World
 where
     F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
 {
-    launch_at(eng, 0.0, name, hosts, f)
-}
-
-/// [`launch`], wired into the engine's flight recorder (see
-/// [`launch_at_traced`]).
-pub fn launch_traced<F>(eng: &mut Engine, name: &str, hosts: &[HostId], f: F) -> (World, WorldTag)
-where
-    F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
-{
-    launch_at_traced(eng, 0.0, name, hosts, f)
+    let rec = eng.recorder().clone();
+    let tag = rec.register_world(name, &host_labels(eng.grid(), hosts));
+    let id = next_world_id();
+    let (stats, parts) = build_rank_closures(id, 0, hosts, Arc::new(f), &rec, tag);
+    let mut procs = Vec::with_capacity(hosts.len());
+    for (rank, (mut comm, f)) in parts.into_iter().enumerate() {
+        let pid = eng.spawn(&format!("{name}-{rank}"), hosts[rank], move |ctx| {
+            f(ctx, &mut comm)
+        });
+        rec.bind_pid(pid.0, tag, rank);
+        procs.push(pid);
+    }
+    World {
+        id,
+        name: name.to_string(),
+        hosts: hosts.to_vec(),
+        stats,
+        procs,
+        tag,
+    }
 }
 
 /// Launch a world from inside the simulation (e.g. the application manager
 /// or a restart after migration). `epoch` distinguishes message keys of
-/// successive incarnations of a migrated application.
-pub fn launch_from<F>(ctx: &mut Ctx, name: &str, hosts: &[HostId], epoch: u64, f: F) -> World
-where
-    F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
-{
-    launch_from_traced(ctx, &Recorder::disabled(), name, hosts, &[], epoch, f).0
-}
-
-/// [`launch_from`], wired into a flight recorder. In-simulation spawners
-/// have no engine access, so the caller passes the recorder handle and
-/// the per-rank host labels (`labels[r]` serves rank `r`; see
-/// [`host_labels`]) explicitly.
-pub fn launch_from_traced<F>(
+/// successive incarnations of a migrated application. In-simulation
+/// spawners have no engine access, so the caller passes the flight
+/// recorder and the per-rank host labels (`labels[r]` serves rank `r`;
+/// see [`host_labels`]); a disabled recorder takes empty labels.
+pub fn launch_from<F>(
     ctx: &mut Ctx,
     rec: &Recorder,
     name: &str,
@@ -204,31 +166,29 @@ pub fn launch_from_traced<F>(
     labels: &[String],
     epoch: u64,
     f: F,
-) -> (World, WorldTag)
+) -> World
 where
     F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
 {
-    let wtag = rec.register_world(name, labels);
+    let tag = rec.register_world(name, labels);
     let id = next_world_id();
-    let (stats, parts) = build_rank_closures(id, epoch, hosts, Arc::new(f), rec, wtag);
+    let (stats, parts) = build_rank_closures(id, epoch, hosts, Arc::new(f), rec, tag);
     let mut procs = Vec::with_capacity(hosts.len());
     for (rank, (mut comm, f)) in parts.into_iter().enumerate() {
         let pid = ctx.spawn(&format!("{name}-{rank}"), hosts[rank], move |cctx| {
             f(cctx, &mut comm)
         });
-        rec.bind_pid(pid.0, wtag, rank);
+        rec.bind_pid(pid.0, tag, rank);
         procs.push(pid);
     }
-    (
-        World {
-            id,
-            name: name.to_string(),
-            hosts: hosts.to_vec(),
-            stats,
-            procs,
-        },
-        wtag,
-    )
+    World {
+        id,
+        name: name.to_string(),
+        hosts: hosts.to_vec(),
+        stats,
+        procs,
+        tag,
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! * two recorder-enabled runs of the same script produce bit-identical
 //!   [`Timeline`]s and byte-identical Chrome-trace exports.
 
-use grads_mpi::launch_traced;
+use grads_mpi::launch;
 use grads_obs::{RankState, Recorder, Timeline};
 use grads_sim::prelude::*;
 use grads_sim::topology::{GridBuilder, HostSpec};
@@ -67,7 +67,7 @@ fn run_script_rec(n: usize, ops: &[Op], rec: Recorder) -> (Timeline, String, f64
     let mut eng = Engine::new(b.build().unwrap());
     eng.set_recorder(rec.clone());
     let script = ops.to_vec();
-    launch_traced(&mut eng, "prop", &hs, move |ctx, comm| {
+    launch(&mut eng, "prop", &hs, move |ctx, comm| {
         let me = comm.rank();
         let size = comm.size();
         for (i, op) in script.iter().enumerate() {

@@ -18,6 +18,11 @@
 //!   timestamp, from which [`decision_chains`] reconstructs the
 //!   monitor → detect → decide → actuate latency breakdown end-to-end.
 //!
+//! Every JSON export (the metrics snapshot, the flight recorder's
+//! [`Timeline`] and the service's job spans) goes through one writer:
+//! one string escaper, one number formatter and the [`ChromeTrace`]
+//! framing.
+//!
 //! ## Determinism contract
 //!
 //! Recording **must not perturb the simulation**: no sleeps, no virtual
@@ -34,10 +39,12 @@
 
 #![warn(missing_docs)]
 
+mod json;
 pub mod metrics;
 pub mod span;
 pub mod timeline;
 
+pub use json::ChromeTrace;
 pub use metrics::{Histogram, MetricsSnapshot, Registry, HISTOGRAM_LE};
 pub use span::{
     chain_table_header, chain_table_row, decision_chains, DecisionAction, DecisionChain,

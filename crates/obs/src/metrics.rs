@@ -8,6 +8,7 @@
 //! happens in call order — so two runs that record the same values in the
 //! same order produce bit-identical snapshots and byte-identical JSON.
 
+use crate::json::{push_number, push_string};
 use std::collections::BTreeMap;
 
 /// Histogram bucket upper bounds (`le` semantics, log-decade spacing).
@@ -198,23 +199,23 @@ impl MetricsSnapshot {
             out.push_str(&v.to_string())
         });
         out.push_str("},\n  \"gauges\": {");
-        push_entries(&mut out, &self.gauges, |out, v| push_f64(out, *v));
+        push_entries(&mut out, &self.gauges, |out, v| push_number(out, *v));
         out.push_str("},\n  \"histograms\": {");
         push_entries(&mut out, &self.histograms, |out, h| {
             out.push_str("{\"count\": ");
             out.push_str(&h.count.to_string());
             out.push_str(", \"sum\": ");
-            push_f64(out, h.sum);
+            push_number(out, h.sum);
             out.push_str(", \"min\": ");
-            push_f64(out, h.min);
+            push_number(out, h.min);
             out.push_str(", \"max\": ");
-            push_f64(out, h.max);
+            push_number(out, h.max);
             out.push_str(", \"le\": [");
             for (i, le) in HISTOGRAM_LE.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                push_f64(out, *le);
+                push_number(out, *le);
             }
             out.push_str(", null], \"buckets\": [");
             for (i, b) in h.buckets.iter().enumerate() {
@@ -244,38 +245,12 @@ fn push_entries<V>(
             out.push(',');
         }
         out.push_str("\n    ");
-        push_json_str(out, k);
+        push_string(out, k);
         out.push_str(": ");
         push_val(out, v);
     }
     if !entries.is_empty() {
         out.push_str("\n  ");
-    }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// JSON has no NaN/Infinity; non-finite values (which a correct run never
-/// records) serialize as `null` rather than corrupting the document.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
     }
 }
 

@@ -21,6 +21,7 @@
 //! time (they are appended in completion order, which can interleave only
 //! across tracks, never within one).
 
+use crate::json::{push_string, ChromeTrace};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1090,50 +1091,19 @@ impl Timeline {
     /// microseconds of virtual time. Byte-deterministic for equal
     /// timelines.
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push_ev = |out: &mut String, body: &str| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str("\n ");
-            out.push_str(body);
-        };
+        let mut trace = ChromeTrace::default();
         for w in &self.worlds {
-            push_ev(
-                &mut out,
-                &format!(
-                    "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-                    w.tag.0,
-                    json_str(&w.name)
-                ),
-            );
+            trace.process_name(w.tag.0.into(), &w.name);
         }
         for t in &self.tracks {
             let label = format!("rank {} @ {}", t.rank, t.host);
-            push_ev(
-                &mut out,
-                &format!(
-                    "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                    t.world.0,
-                    t.rank,
-                    json_str(&label)
-                ),
-            );
+            trace.thread_name(t.world.0.into(), t.rank as u64, &label);
         }
         for t in &self.tracks {
+            let track = (t.world.0.into(), t.rank as u64);
             for iv in &t.intervals {
-                let mut body = format!(
-                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"cat\":\"state\",\"name\":\"{}\",\"ts\":",
-                    t.world.0,
-                    t.rank,
-                    iv.detail.unwrap_or(iv.state.name())
-                );
-                push_us(&mut body, iv.t0);
-                body.push_str(",\"dur\":");
-                push_us(&mut body, iv.t1 - iv.t0);
-                body.push('}');
-                push_ev(&mut out, &body);
+                let name = iv.detail.unwrap_or(iv.state.name());
+                trace.complete(track, "state", name, (iv.t0, iv.t1), None);
             }
         }
         // Per-hop internals nest inside their enclosing state slices on
@@ -1141,40 +1111,28 @@ impl Timeline {
         // unless the recorder was created with internals, so traces from
         // plain recorders are byte-identical to what they always were.
         for t in &self.tracks {
+            let track = (t.world.0.into(), t.rank as u64);
             for h in &t.hops {
                 let dir = match h.state {
                     RankState::SendBlocked => "send",
                     RankState::RecvBlocked => "recv",
                     s => s.name(),
                 };
-                let mut body = format!(
-                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"cat\":\"hop\",\"name\":\"{}:{}\",\"ts\":",
-                    t.world.0,
-                    t.rank,
-                    h.detail.unwrap_or("hop"),
-                    dir
-                );
-                push_us(&mut body, h.t0);
-                body.push_str(",\"dur\":");
-                push_us(&mut body, h.t1 - h.t0);
-                body.push('}');
-                push_ev(&mut out, &body);
+                let name = format!("{}:{dir}", h.detail.unwrap_or("hop"));
+                trace.complete(track, "hop", &name, (h.t0, h.t1), None);
             }
         }
-        out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"worlds\":[");
+        let mut worlds = String::from("{\"worlds\":[");
         for (i, w) in self.worlds.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                worlds.push(',');
             }
-            out.push_str(&format!(
-                "{{\"pid\":{},\"name\":{},\"ranks\":{}}}",
-                w.tag.0,
-                json_str(&w.name),
-                w.n_ranks
-            ));
+            worlds.push_str(&format!("{{\"pid\":{},\"name\":", w.tag.0));
+            push_string(&mut worlds, &w.name);
+            worlds.push_str(&format!(",\"ranks\":{}}}", w.n_ranks));
         }
-        out.push_str("]}}");
-        out
+        worlds.push_str("]}");
+        trace.finish(&worlds)
     }
 
     /// Deterministic text summary: per-rank wait-state table per world,
@@ -1397,36 +1355,6 @@ impl PathSegment {
             SegKind::Transfer { .. } => "Transfer",
             SegKind::Bridge { .. } => "Migrating",
         }
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Seconds → microseconds with shortest round-trip formatting (JSON has no
-/// NaN/Infinity; a correct run never records them, but render `null`
-/// rather than corrupt the document).
-fn push_us(out: &mut String, seconds: f64) {
-    let us = seconds * 1e6;
-    if us.is_finite() {
-        out.push_str(&format!("{us}"));
-    } else {
-        out.push_str("null");
     }
 }
 

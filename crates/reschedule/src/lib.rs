@@ -10,9 +10,9 @@
 //! * [`swap_policy`] — process-swapping policies (greedy / worst-first /
 //!   never) and the periodic in-simulation swap rescheduler.
 //!
-//! Both deciders have `_obs` variants that stream `grads-obs` decision
-//! events and `reschedule.*`/`swap.*` counters without changing behavior,
-//! so the §3 monitor → rescheduler path can be profiled end-to-end.
+//! Both deciders take a `grads-obs` handle that streams decision events
+//! and `reschedule.*`/`swap.*` counters without changing behavior, so the
+//! §3 monitor → rescheduler path can be profiled end-to-end.
 
 #![warn(missing_docs)]
 
@@ -23,6 +23,4 @@ pub use migrate::{
     opportunistic_check, MigrationDecision, MigrationRescheduler, OverheadPolicy, Reschedulable,
     ReschedulerMode,
 };
-pub use swap_policy::{
-    plan_pack, plan_swaps, run_swap_rescheduler, run_swap_rescheduler_obs, PlannedSwap, SwapPolicy,
-};
+pub use swap_policy::{plan_pack, plan_swaps, run_swap_rescheduler, PlannedSwap, SwapPolicy};

@@ -161,27 +161,15 @@ pub fn plan_pack(
 /// swaps under `policy`, and actuate them on the swap world. Exits when
 /// `done()` turns true. Swap actuations are traced as
 /// `("swap", logical rank)`.
-pub fn run_swap_rescheduler(
-    ctx: &mut Ctx,
-    sw: &SwapWorld,
-    grid: &Grid,
-    nws: &Arc<Mutex<NwsService>>,
-    policy: SwapPolicy,
-    period: f64,
-    done: &(dyn Fn() -> bool + Send + Sync),
-) {
-    run_swap_rescheduler_obs(ctx, sw, grid, nws, policy, period, done, &Obs::disabled());
-}
-
-/// [`run_swap_rescheduler`] with an observability sink: identical swap
-/// behavior (the plain variant delegates here with a disabled handle),
-/// plus `swap.*` counters (decision rounds, planned and actuated swaps)
-/// and `Decision`/`ActuationStarted` events with `DecisionAction::Swap`
-/// stamped at `ctx.now()`. Swap completion happens asynchronously at the
-/// application's next swap point, so no `ActuationComplete` is recorded
-/// here.
+///
+/// An enabled `obs` also records `swap.*` counters (decision rounds,
+/// planned and actuated swaps) and `Decision`/`ActuationStarted` events
+/// with `DecisionAction::Swap` stamped at `ctx.now()`; swap behavior is
+/// the same under [`Obs::disabled`]. Swap completion happens
+/// asynchronously at the application's next swap point, so no
+/// `ActuationComplete` is recorded here.
 #[allow(clippy::too_many_arguments)]
-pub fn run_swap_rescheduler_obs(
+pub fn run_swap_rescheduler(
     ctx: &mut Ctx,
     sw: &SwapWorld,
     grid: &Grid,

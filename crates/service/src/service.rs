@@ -301,9 +301,8 @@ pub fn run_service_experiment(cfg: ServiceConfig) -> ServiceResult {
     let out: Arc<Mutex<Option<ServiceResult>>> = Arc::new(Mutex::new(None));
     let out2 = out.clone();
     let cfg2 = cfg.clone();
-    let grid2 = grid.clone();
     eng.spawn("svc-dispatcher", HostId(0), move |ctx| {
-        let r = dispatcher(ctx, &grid2, &cfg2);
+        let r = dispatcher(ctx, &grid, &cfg2);
         *out2.lock() = Some(r);
     });
     let report = eng.run_until(cfg.t_max * 1.2);

@@ -17,6 +17,7 @@
 //! is readable in `chrome://tracing` / `ui.perfetto.dev` without a
 //! decoder ring.
 
+use grads_obs::ChromeTrace;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -158,37 +159,20 @@ impl SpanLog {
             .map(|s| s.tenant + 1)
             .max()
             .unwrap_or(0);
-        let pid_of = |tenant: u32| -> u32 {
-            if tenant == MARKET_TENANT {
-                n_tenants
+        // (pid, tid) of a span's row.
+        let track = |s: &JobSpan| -> (u64, u64) {
+            if s.tenant == MARKET_TENANT {
+                (n_tenants.into(), 0)
             } else {
-                tenant
+                (s.tenant.into(), s.job.into())
             }
         };
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push_ev = |out: &mut String, body: &str| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str("\n ");
-            out.push_str(body);
-        };
+        let mut trace = ChromeTrace::default();
         for t in 0..n_tenants {
-            push_ev(
-                &mut out,
-                &format!(
-                    "{{\"ph\":\"M\",\"pid\":{t},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"tenant {t}\"}}}}"
-                ),
-            );
+            trace.process_name(t.into(), &format!("tenant {t}"));
         }
         if spans.iter().any(|s| s.tenant == MARKET_TENANT) {
-            push_ev(
-                &mut out,
-                &format!(
-                    "{{\"ph\":\"M\",\"pid\":{n_tenants},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"market\"}}}}"
-                ),
-            );
+            trace.process_name(n_tenants.into(), "market");
         }
         // One thread_name per distinct (tenant, job) row, first-seen order.
         let mut named: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
@@ -199,58 +183,21 @@ impl SpanLog {
                 } else {
                     format!("job {}", s.job)
                 };
-                let tid = if s.tenant == MARKET_TENANT { 0 } else { s.job };
-                push_ev(
-                    &mut out,
-                    &format!(
-                        "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                        pid_of(s.tenant),
-                        tid,
-                        label
-                    ),
-                );
+                let (pid, tid) = track(s);
+                trace.thread_name(pid, tid, &label);
             }
         }
         for s in &spans {
-            let tid = if s.tenant == MARKET_TENANT { 0 } else { s.job };
             let name = match s.detail {
                 Some(d) => format!("{}:{}", s.phase.name(), d),
                 None => s.phase.name().to_string(),
             };
-            let mut body = format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"cat\":\"job\",\"name\":\"{}\",\"ts\":",
-                pid_of(s.tenant),
-                tid,
-                name
-            );
-            push_us(&mut body, s.t0);
-            body.push_str(",\"dur\":");
-            push_us(&mut body, s.t1 - s.t0);
-            body.push_str(",\"args\":{\"v\":");
-            push_num(&mut body, s.value);
-            body.push_str("}}");
-            push_ev(&mut out, &body);
+            trace.complete(track(s), "job", &name, (s.t0, s.t1), Some(s.value));
         }
-        out.push_str(&format!(
-            "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"tenants\":{n_tenants},\"spans\":{}}}}}",
+        trace.finish(&format!(
+            "{{\"tenants\":{n_tenants},\"spans\":{}}}",
             spans.len()
-        ));
-        out
-    }
-}
-
-/// Seconds → microseconds, shortest round-trip formatting; non-finite
-/// values render `null` (JSON has no NaN/Infinity).
-fn push_us(out: &mut String, seconds: f64) {
-    push_num(out, seconds * 1e6);
-}
-
-/// Shortest round-trip float formatting; non-finite values render `null`.
-fn push_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
+        ))
     }
 }
 

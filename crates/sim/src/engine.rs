@@ -112,11 +112,11 @@ fn due_at(now: f64, remaining: f64, rate: f64) -> f64 {
     t
 }
 
-/// Fx-style multiply-rotate hasher for the route interning maps. Their
-/// keys are host and link ids the grid builder assigns densely from 0,
-/// never values chosen outside the program, and neither map is iterated,
-/// so no output depends on the hash; SipHash's collision resistance buys
-/// nothing there and costs several times as much per lookup.
+/// Fx-style multiply-rotate hasher for the route interning map. Its keys
+/// are host ids the grid builder assigns densely from 0, never values
+/// chosen outside the program, and the map is not iterated, so no output
+/// depends on the hash; SipHash's collision resistance buys nothing there
+/// and costs several times as much per lookup.
 #[derive(Default)]
 struct RouteHasher(u64);
 
@@ -425,14 +425,11 @@ pub struct Engine {
     solves: u64,
     /// Churn notifications absorbed into a shared same-instant solve.
     coalesced_absorbed: u64,
+    /// Interned routes; route 0 is the empty same-host route.
     routes_tbl: Vec<RouteEntry>,
     /// Every interned route's links, back to back in intern order.
     route_arena: Vec<u32>,
     route_ids: RouteMap<(u32, u32)>,
-    /// Route interning dedups by content (link list + latency bits).
-    /// Hosts have private NIC uplinks, so distinct host pairs never share
-    /// a list; what collapses is every same-host (empty) route grid-wide.
-    route_contents: RouteMap<(Box<[u32]>, u64)>,
     /// Per-link capacity, hoisted out of the solve loops.
     link_caps: Vec<f64>,
     /// Live CPU action ids per host; the length doubles as the action count
@@ -527,10 +524,13 @@ impl Engine {
             pending_churn: 0,
             solves: 0,
             coalesced_absorbed: 0,
-            routes_tbl: Vec::new(),
+            routes_tbl: vec![RouteEntry {
+                start: 0,
+                len: 0,
+                latency: 0.0,
+            }],
             route_arena: Vec::new(),
             route_ids: RouteMap::default(),
-            route_contents: RouteMap::default(),
             link_caps,
             host_actions: vec![Vec::new(); nhosts],
             link_flows: vec![Vec::new(); nlinks],
@@ -1535,35 +1535,29 @@ impl Engine {
         self.mailboxes.get_or_insert(key).waiting.push_back(pid);
     }
 
-    /// Intern the route for a host pair, deduplicating by *content*
-    /// (link list + latency): every pair sharing one physical path maps to
-    /// a single route id, which is what [`Self::solve_component`] groups
-    /// route classes by. Hosts have private NIC uplinks, so distinct pairs
-    /// stay distinct; the dedup collapses repeated lookups of one pair,
-    /// and all same-host (empty-route) transfers grid-wide. A new pair's
-    /// link list is allocated once, as its content key; a new route
-    /// appends a copy of it to the shared arena.
+    /// Intern the route for a host pair. Every same-host transfer
+    /// grid-wide takes the empty route 0, reserved in [`Engine::new`]
+    /// with `Grid::route_static`'s same-host latency `+0.0`. Hosts have
+    /// private NIC uplinks, so two non-empty routes share their links
+    /// only when they join the same host pair: one id per ordered pair is
+    /// exactly the route class [`Self::solve_component`] groups by. A new
+    /// pair appends its links straight to the shared arena.
     fn route_id(&mut self, src: HostId, dst: HostId) -> u32 {
+        if src == dst {
+            return 0;
+        }
         if let Some(&id) = self.route_ids.get(&(src.0, dst.0)) {
             return id;
         }
-        let links: Box<[u32]> = self.grid.route_links(src, dst).map(|l| l.0).collect();
-        let latency = self.grid.route_static(src, dst).1;
-        let content = (links, latency.to_bits());
-        let id = match self.route_contents.get(&content) {
-            Some(&id) => id,
-            None => {
-                let id = self.routes_tbl.len() as u32;
-                self.routes_tbl.push(RouteEntry {
-                    start: self.route_arena.len() as u32,
-                    len: content.0.len() as u32,
-                    latency,
-                });
-                self.route_arena.extend_from_slice(&content.0);
-                self.route_contents.insert(content, id);
-                id
-            }
-        };
+        let id = self.routes_tbl.len() as u32;
+        let start = self.route_arena.len() as u32;
+        self.route_arena
+            .extend(self.grid.route_links(src, dst).map(|l| l.0));
+        self.routes_tbl.push(RouteEntry {
+            start,
+            len: self.route_arena.len() as u32 - start,
+            latency: self.grid.route_static(src, dst).1,
+        });
         self.route_ids.insert((src.0, dst.0), id);
         id
     }
@@ -2501,12 +2495,12 @@ mod tests {
         );
     }
 
-    /// Content-deduplicated route interning: repeated lookups of one pair
-    /// and all same-host (empty) routes share an id, while distinct pairs
-    /// stay distinct — hosts have private NIC uplinks, so their routes
-    /// really are different links.
+    /// Route interning keys by host pair: one id per ordered pair, the
+    /// reserved empty route 0 for every same-host pair, and, because hosts
+    /// have private NIC uplinks, distinct ids exactly for distinct link
+    /// lists: one id per pair is one route class per physical path.
     #[test]
-    fn route_interning_dedups_by_content() {
+    fn route_interning_keys_by_host_pair() {
         let mut b = GridBuilder::new();
         let c0 = b.cluster("A");
         b.local_link(c0, 1e8, 1e-4);
@@ -2515,17 +2509,36 @@ mod tests {
         b.local_link(c1, 1e8, 1e-4);
         let hb = b.add_hosts(c1, 3, &HostSpec::with_speed(100.0));
         b.connect(c0, c1, 1e7, 0.02);
-        let mut eng = Engine::new(b.build().unwrap());
-        // Same pair → same id (concurrent same-pair transfers share a
-        // route class with multiplicity > 1).
-        assert_eq!(eng.route_id(ha[0], hb[0]), eng.route_id(ha[0], hb[0]));
-        // Distinct pairs → distinct ids: src/dst NIC links differ.
-        assert_ne!(eng.route_id(ha[0], hb[0]), eng.route_id(ha[0], hb[1]));
-        assert_ne!(eng.route_id(ha[0], hb[0]), eng.route_id(ha[1], hb[0]));
-        // Every same-host transfer grid-wide shares the one empty route.
-        let loop0 = eng.route_id(ha[0], ha[0]);
-        assert_eq!(loop0, eng.route_id(hb[2], hb[2]));
-        assert_eq!(eng.routes_tbl[loop0 as usize].len, 0);
+        let grid = b.build().unwrap();
+        let mut eng = Engine::new(grid.clone());
+        let hosts: Vec<HostId> = ha.iter().chain(&hb).copied().collect();
+        let mut seen: HashMap<Vec<u32>, u32> = HashMap::new();
+        for &s in &hosts {
+            for &d in &hosts {
+                let id = eng.route_id(s, d);
+                assert_eq!(id, eng.route_id(s, d), "one id per pair");
+                let r = eng.routes_tbl[id as usize];
+                let links: Vec<u32> = grid.route_links(s, d).map(|l| l.0).collect();
+                assert_eq!(eng.route_arena[r.span()], links[..]);
+                let latency = grid.route_static(s, d).1;
+                assert_eq!(r.latency.to_bits(), latency.to_bits());
+                if s == d {
+                    assert_eq!((id, r.len), (0, 0), "same-host pairs take route 0");
+                }
+                assert_eq!(
+                    *seen.entry(links).or_insert(id),
+                    id,
+                    "equal links, equal id"
+                );
+            }
+        }
+        let n = hosts.len();
+        assert_eq!(
+            seen.len(),
+            n * (n - 1) + 1,
+            "distinct pairs, distinct links"
+        );
+        assert_eq!(eng.routes_tbl.len(), seen.len());
     }
 
     /// A daemon that sleeps `dt` forever, or panics on step `panic_at`,

@@ -9,6 +9,7 @@ use grads_core::apps::jacobi::{jacobi_step, JacobiConfig, JacobiState};
 use grads_core::contract::render_timeline;
 use grads_core::mpi::launch_swap_world;
 use grads_core::nws::{CpuSensor, NwsService};
+use grads_core::obs::Obs;
 use grads_core::reschedule::{run_swap_rescheduler, SwapPolicy};
 use grads_core::sim::prelude::*;
 use grads_core::sim::topology::GridBuilder;
@@ -76,6 +77,7 @@ fn main() {
                 SwapPolicy::Greedy { factor: 2.0 },
                 10.0,
                 &move || *done2.lock(),
+                &Obs::disabled(),
             );
         });
     }
