@@ -20,6 +20,7 @@ use grads_sim::prelude::*;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 /// N-body application configuration.
@@ -99,8 +100,19 @@ pub fn initial_state(cfg: &NbodyConfig, p: usize, rank: usize) -> NbodyState {
     }
 }
 
+/// Target bodies per pass of the force kernel over the bodies.
+const LANES: usize = 4;
+
 /// Accelerations on bodies `[lo, hi)` from all bodies (softened direct
 /// sum).
+///
+/// Lane-blocked: each pass over the bodies accumulates `LANES` target
+/// bodies at once, so the lane loops compile to packed arithmetic. Every
+/// lane runs the scalar sequence over the same `j` order, and Rust never
+/// contracts to FMA, so each acceleration is bitwise that of the plain
+/// per-body loop (DESIGN.md, "lane-blocked force kernel"). A slice whose
+/// length is not a multiple of `LANES` pads its last block with the last
+/// body and stores only the real lanes.
 pub fn accelerations(
     pos: &[[f64; 3]],
     mass: &[f64],
@@ -109,27 +121,77 @@ pub fn accelerations(
     softening: f64,
 ) -> Vec<[f64; 3]> {
     let eps2 = softening * softening;
+    let n = pos.len();
     let mut acc = vec![[0.0f64; 3]; hi - lo];
-    for i in lo..hi {
-        let pi = pos[i];
-        let mut a = [0.0f64; 3];
-        for (j, pj) in pos.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            let dx = pj[0] - pi[0];
-            let dy = pj[1] - pi[1];
-            let dz = pj[2] - pi[2];
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            let inv_r3 = 1.0 / (r2 * r2.sqrt());
-            let f = mass[j] * inv_r3;
-            a[0] += f * dx;
-            a[1] += f * dy;
-            a[2] += f * dz;
+    for (b, out) in acc.chunks_mut(LANES).enumerate() {
+        let i0 = lo + b * LANES;
+        let idx: [usize; LANES] = std::array::from_fn(|k| (i0 + k).min(hi - 1));
+        let mut blk = LaneBlock {
+            idx,
+            p: [0, 1, 2].map(|d| idx.map(|i| pos[i][d])),
+            a: [[0.0; LANES]; 3],
+        };
+        // Every lane's own body lies in `i0..end`; only that stretch
+        // needs the diagonal select.
+        let end = (i0 + LANES).min(n);
+        blk.pass::<false>(pos, mass, 0..i0, eps2);
+        blk.pass::<true>(pos, mass, i0..end, eps2);
+        blk.pass::<false>(pos, mass, end..n, eps2);
+        for (k, a) in out.iter_mut().enumerate() {
+            *a = blk.a.map(|ad| ad[k]);
         }
-        acc[i - lo] = a;
     }
     acc
+}
+
+/// `LANES` target bodies of the force kernel: their indices, positions
+/// and acceleration accumulators, one `[f64; LANES]` per axis.
+struct LaneBlock {
+    idx: [usize; LANES],
+    p: [[f64; LANES]; 3],
+    a: [[f64; LANES]; 3],
+}
+
+impl LaneBlock {
+    /// Accumulate the pull of bodies `js`, in order. With `DIAGONAL`, a
+    /// lane's own body (`j == idx[k]`) keeps its accumulator through a
+    /// select, not a 0/1 mask: with zero softening that term is
+    /// `inf · 0 = NaN`. The select is `select_unpredictable`, because a
+    /// branch would sink each lane's arithmetic into a block of its own
+    /// and unpack the lanes.
+    #[inline(always)]
+    fn pass<const DIAGONAL: bool>(
+        &mut self,
+        pos: &[[f64; 3]],
+        mass: &[f64],
+        js: std::ops::Range<usize>,
+        eps2: f64,
+    ) {
+        let [px, py, pz] = &self.p;
+        let [ax, ay, az] = &mut self.a;
+        for j in js {
+            let [xj, yj, zj] = pos[j];
+            let mj = mass[j];
+            for k in 0..LANES {
+                let dx = xj - px[k];
+                let dy = yj - py[k];
+                let dz = zj - pz[k];
+                let r2 = dx * dx + dy * dy + dz * dz + eps2;
+                let inv_r3 = 1.0 / (r2 * r2.sqrt());
+                let f = mj * inv_r3;
+                if DIAGONAL {
+                    let own = j == self.idx[k];
+                    ax[k] = select_unpredictable(own, ax[k], ax[k] + f * dx);
+                    ay[k] = select_unpredictable(own, ay[k], ay[k] + f * dy);
+                    az[k] = select_unpredictable(own, az[k], az[k] + f * dz);
+                } else {
+                    ax[k] += f * dx;
+                    ay[k] += f * dy;
+                    az[k] += f * dz;
+                }
+            }
+        }
+    }
 }
 
 /// Total energy (kinetic + potential) of a full state snapshot. For tests:
@@ -197,11 +259,8 @@ pub fn nbody_step(ctx: &mut Ctx, comm: &mut Comm, cfg: &NbodyConfig, st: &mut Nb
                 );
             }
         }
-        for _ in 0..p - 1 {
-            // Receive from every peer; source order is fixed for
-            // determinism (recv blocks per-source).
-            // We must receive per-source because keys are (src, dst, tag).
-        }
+        // Receive from every peer; source order is fixed for determinism
+        // (recv blocks per-source).
         for r in 0..p {
             if r == comm.rank() {
                 continue;
@@ -451,16 +510,115 @@ mod tests {
             v
         };
         let p1 = run(1);
-        let p3 = run(3);
-        assert_eq!(p1.len(), p3.len());
-        for (a, b) in p1.iter().zip(&p3) {
-            for k in 0..3 {
-                assert!(
-                    (a[k] - b[k]).abs() < 1e-12,
-                    "trajectory divergence: {a:?} vs {b:?}"
+        for p in [2, 3, 4, 5, 7] {
+            let pp = run(p);
+            assert_eq!(p1.len(), pp.len());
+            for (a, b) in p1.iter().zip(&pp) {
+                assert_eq!(
+                    a.map(f64::to_bits),
+                    b.map(f64::to_bits),
+                    "trajectory divergence at p = {p}: {a:?} vs {b:?}"
                 );
             }
         }
+    }
+
+    /// The per-body loop the lane-blocked kernel replaced: its bitwise
+    /// oracle.
+    fn accelerations_scalar(
+        pos: &[[f64; 3]],
+        mass: &[f64],
+        lo: usize,
+        hi: usize,
+        softening: f64,
+    ) -> Vec<[f64; 3]> {
+        let eps2 = softening * softening;
+        let mut acc = vec![[0.0f64; 3]; hi - lo];
+        for i in lo..hi {
+            let pi = pos[i];
+            let mut a = [0.0f64; 3];
+            for (j, pj) in pos.iter().enumerate() {
+                if j == i {
+                    continue;
+                }
+                let dx = pj[0] - pi[0];
+                let dy = pj[1] - pi[1];
+                let dz = pj[2] - pi[2];
+                let r2 = dx * dx + dy * dy + dz * dz + eps2;
+                let inv_r3 = 1.0 / (r2 * r2.sqrt());
+                let f = mass[j] * inv_r3;
+                a[0] += f * dx;
+                a[1] += f * dy;
+                a[2] += f * dz;
+            }
+            acc[i - lo] = a;
+        }
+        acc
+    }
+
+    /// Compare the lane kernel with the oracle on every slice of every
+    /// partition over 1..=8 ranks (tails of 0–3 bodies). A target in
+    /// `nan_targets` must read NaN on both sides (NaN payloads are not
+    /// pinned, so their bits are not compared); every other target must
+    /// match bitwise.
+    fn assert_lanes_match_scalar(
+        pos: &[[f64; 3]],
+        mass: &[f64],
+        softening: f64,
+        nan_targets: &[usize],
+    ) {
+        let n = pos.len();
+        for p in 1..=8 {
+            for r in 0..p {
+                let (lo, hi) = slice_of(n, p, r);
+                let lanes = accelerations(pos, mass, lo, hi, softening);
+                let scalar = accelerations_scalar(pos, mass, lo, hi, softening);
+                assert_eq!(lanes.len(), scalar.len());
+                for (i, (a, b)) in (lo..hi).zip(lanes.iter().zip(&scalar)) {
+                    let at = format!("n {n}, eps {softening}, slice {lo}..{hi}, body {i}");
+                    if nan_targets.contains(&i) {
+                        assert!(
+                            a.iter().chain(b).all(|v| v.is_nan()),
+                            "{at}: {a:?} vs {b:?}"
+                        );
+                    } else {
+                        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_scalar_loop_bitwise() {
+        for n in [1, 5, 30, 96] {
+            let cfg = NbodyConfig {
+                n_bodies: n,
+                ..Default::default()
+            };
+            let st = initial_state(&cfg, 1, 0);
+            for softening in [1e-2, 0.0] {
+                assert_lanes_match_scalar(&st.pos, &st.mass, softening, &[]);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_scalar_loop_with_coincident_bodies() {
+        let cfg = NbodyConfig {
+            n_bodies: 30,
+            ..Default::default()
+        };
+        let mut st = initial_state(&cfg, 1, 0);
+        // Bodies 3 and 4 straddle a lane block of the full slice; 29
+        // sits on 0 from the far end.
+        st.pos[4] = st.pos[3];
+        st.pos[29] = st.pos[0];
+        // Softened, a coincident pair pulls with exactly zero.
+        assert_lanes_match_scalar(&st.pos, &st.mass, 1e-2, &[]);
+        // Unsoftened, the pair's own term is `inf · 0 = NaN` on both
+        // sides, while every body's diagonal is skipped bitwise.
+        assert_lanes_match_scalar(&st.pos, &st.mass, 0.0, &[0, 3, 4, 29]);
     }
 
     #[test]

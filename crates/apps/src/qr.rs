@@ -155,7 +155,6 @@ impl QrLocal {
 /// Run the factorization on one rank, from `start_step`, until completion
 /// or an SRS stop request. Charges nominal-scale flops and bytes to the
 /// emulator; the numerics are real.
-#[allow(clippy::needless_range_loop)] // elimination loops read clearest indexed
 pub fn run_qr_rank(
     ctx: &mut Ctx,
     comm: &mut Comm,
@@ -166,7 +165,6 @@ pub fn run_qr_rank(
 ) -> QrOutcome {
     let n = cfg.n_real;
     let p = comm.size();
-    let fscale = cfg.flop_scale();
     let bscale = cfg.byte_scale();
     let iter_t0 = ctx.now();
     let mut iter_start = iter_t0;
@@ -194,74 +192,16 @@ pub fn run_qr_rank(
             }
         }
         let owner = local.dist.owner(k);
-        let m = n - k; // reflector length
-        let (w, tau, alpha);
-        if comm.rank() == owner {
-            // Compute the Householder reflector from the pivot column.
-            let lc = local.dist.local_index(k);
-            let col = &mut local.a[lc * n..(lc + 1) * n];
-            let x = &col[k..n];
-            let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-            let x0 = x[0];
-            let a_val = if x0 >= 0.0 { -norm } else { norm };
-            let v0 = x0 - a_val;
-            let mut wv = vec![1.0; m];
-            if v0.abs() > 0.0 && norm > 0.0 {
-                for i in 1..m {
-                    wv[i] = x[i] / v0;
-                }
-            } else {
-                for i in 1..m {
-                    wv[i] = 0.0;
-                }
-            }
-            let wnorm2: f64 = wv.iter().map(|v| v * v).sum();
-            let t = if norm > 0.0 { 2.0 / wnorm2 } else { 0.0 };
-            // Store R diagonal and the reflector below it.
-            col[k] = a_val;
-            col[k + 1..k + m].copy_from_slice(&wv[1..]);
-            comm.compute(ctx, (4 * m) as f64 * fscale);
-            w = wv;
-            tau = t;
-            alpha = a_val;
-        } else {
-            w = Vec::new();
-            tau = 0.0;
-            alpha = 0.0;
-        }
+        let reflector =
+            (comm.rank() == owner).then(|| householder_reflector(ctx, comm, cfg, local, k));
         // Broadcast (w, tau) from the owner.
-        let bytes = 8.0 * (m as f64 + 2.0) * bscale;
-        let (w, tau, _alpha) = if p > 1 {
-            comm.bcast_t(
-                ctx,
-                owner,
-                bytes,
-                (comm.rank() == owner).then_some((w, tau, alpha)),
-            )
+        let bytes = 8.0 * ((n - k) as f64 + 2.0) * bscale;
+        let (w, tau) = if p > 1 {
+            comm.bcast_t(ctx, owner, bytes, reflector)
         } else {
-            (w, tau, alpha)
+            reflector.expect("a single rank owns every column")
         };
-        local.tau[k] = tau;
-        // Update trailing local columns (global index > k).
-        let mut updated = 0usize;
-        let ncols = local.ncols();
-        for lc in 0..ncols {
-            let g = local.dist.global_index(local.rank, lc);
-            if g <= k {
-                continue;
-            }
-            let col = &mut local.a[lc * n..(lc + 1) * n];
-            let mut s = 0.0;
-            for i in 0..m {
-                s += w[i] * col[k + i];
-            }
-            s *= tau;
-            for i in 0..m {
-                col[k + i] -= s * w[i];
-            }
-            updated += 1;
-        }
-        comm.compute(ctx, (4 * m * updated) as f64 * fscale);
+        apply_reflector(ctx, comm, cfg, local, k, &w, tau);
         // Sensor: report per-step time as the monitored phase, batched to
         // keep sensor volume sane.
         if (k + 1) % cfg.poll_every.max(1) == 0 {
@@ -271,6 +211,73 @@ pub fn run_qr_rank(
         }
     }
     QrOutcome::Completed
+}
+
+/// Step `k`'s Householder reflector, computed by the owner of pivot
+/// column `k`: stores R's diagonal entry and the reflector below it in
+/// the column, charges the flops, and returns `(w, tau)` with `w[0] = 1`.
+pub(crate) fn householder_reflector(
+    ctx: &mut Ctx,
+    comm: &mut Comm,
+    cfg: &QrConfig,
+    local: &mut QrLocal,
+    k: usize,
+) -> (Vec<f64>, f64) {
+    let n = cfg.n_real;
+    let m = n - k; // reflector length
+    let lc = local.dist.local_index(k);
+    let col = &mut local.a[lc * n..(lc + 1) * n];
+    let x = &col[k..n];
+    let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
+    let x0 = x[0];
+    let alpha = if x0 >= 0.0 { -norm } else { norm };
+    let v0 = x0 - alpha;
+    let mut w = vec![1.0; m];
+    if v0.abs() > 0.0 && norm > 0.0 {
+        for (wi, xi) in w[1..].iter_mut().zip(&x[1..]) {
+            *wi = xi / v0;
+        }
+    } else {
+        w[1..].fill(0.0);
+    }
+    let wnorm2: f64 = w.iter().map(|v| v * v).sum();
+    let tau = if norm > 0.0 { 2.0 / wnorm2 } else { 0.0 };
+    col[k] = alpha;
+    col[k + 1..].copy_from_slice(&w[1..]);
+    comm.compute(ctx, (4 * m) as f64 * cfg.flop_scale());
+    (w, tau)
+}
+
+/// Apply step `k`'s reflector `(w, tau)` to this rank's trailing local
+/// columns (global index > `k`), record `tau`, and charge the flops.
+pub(crate) fn apply_reflector(
+    ctx: &mut Ctx,
+    comm: &mut Comm,
+    cfg: &QrConfig,
+    local: &mut QrLocal,
+    k: usize,
+    w: &[f64],
+    tau: f64,
+) {
+    let n = cfg.n_real;
+    local.tau[k] = tau;
+    let mut updated = 0usize;
+    for lc in 0..local.ncols() {
+        if local.dist.global_index(local.rank, lc) <= k {
+            continue;
+        }
+        let col = &mut local.a[lc * n + k..(lc + 1) * n];
+        let mut s = 0.0;
+        for (wi, ci) in w.iter().zip(col.iter()) {
+            s += wi * ci;
+        }
+        s *= tau;
+        for (ci, wi) in col.iter_mut().zip(w) {
+            *ci -= s * wi;
+        }
+        updated += 1;
+    }
+    comm.compute(ctx, (4 * (n - k) * updated) as f64 * cfg.flop_scale());
 }
 
 /// Write the full application checkpoint: matrix, tau, and progress, then

@@ -23,7 +23,7 @@
 //!   by the batch's expected fraction of total work, making every report
 //!   an estimate of the whole run's duration.
 
-use crate::qr::{restore, QrConfig, QrLocal};
+use crate::qr::{apply_reflector, householder_reflector, restore, QrConfig, QrLocal};
 use grads_binder::{
     prepare_and_bind, Breakdown, CompilationPackage, Cop, Gis, ManagerCosts, LOCAL_BINDER,
 };
@@ -823,9 +823,8 @@ fn run_chunk(
     ChunkOutcome::Progressed(end)
 }
 
-/// One elimination step (same math as `qr::run_qr_rank`, factored for the
-/// chunked driver).
-#[allow(clippy::needless_range_loop)] // elimination loops read clearest indexed
+/// One elimination step of the chunked driver: the owner's reflector,
+/// its broadcast, and the trailing update.
 pub(crate) fn qr_step(
     ctx: &mut Ctx,
     comm: &mut grads_mpi::Comm,
@@ -833,70 +832,15 @@ pub(crate) fn qr_step(
     local: &mut QrLocal,
     k: usize,
 ) {
-    let n = cfg.n_real;
-    let p = comm.size();
-    let fscale = cfg.flop_scale();
-    let bscale = cfg.byte_scale();
     let owner = local.dist.owner(k);
-    let m = n - k;
-    let (mut w, mut tau) = (Vec::new(), 0.0);
-    if comm.rank() == owner {
-        let lc = local.dist.local_index(k);
-        let col = &mut local.a[lc * n..(lc + 1) * n];
-        let x = &col[k..n];
-        let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let x0 = x[0];
-        let a_val = if x0 >= 0.0 { -norm } else { norm };
-        let v0 = x0 - a_val;
-        let mut wv = vec![1.0; m];
-        if v0.abs() > 0.0 && norm > 0.0 {
-            for i in 1..m {
-                wv[i] = x[i] / v0;
-            }
-        } else {
-            for i in 1..m {
-                wv[i] = 0.0;
-            }
-        }
-        let wnorm2: f64 = wv.iter().map(|v| v * v).sum();
-        let t = if norm > 0.0 { 2.0 / wnorm2 } else { 0.0 };
-        col[k] = a_val;
-        col[k + 1..k + m].copy_from_slice(&wv[1..]);
-        comm.compute(ctx, (4 * m) as f64 * fscale);
-        w = wv;
-        tau = t;
-    }
-    let bytes = 8.0 * (m as f64 + 2.0) * bscale;
-    if p > 1 {
-        let (w2, t2) = comm.bcast_t(
-            ctx,
-            owner,
-            bytes,
-            (comm.rank() == owner).then(|| (w.clone(), tau)),
-        );
-        w = w2;
-        tau = t2;
-    }
-    local.tau[k] = tau;
-    let mut updated = 0usize;
-    let ncols = local.dist.local_len(local.rank);
-    for lc in 0..ncols {
-        let g = local.dist.global_index(local.rank, lc);
-        if g <= k {
-            continue;
-        }
-        let col = &mut local.a[lc * n..(lc + 1) * n];
-        let mut s = 0.0;
-        for i in 0..m {
-            s += w[i] * col[k + i];
-        }
-        s *= tau;
-        for i in 0..m {
-            col[k + i] -= s * w[i];
-        }
-        updated += 1;
-    }
-    comm.compute(ctx, (4 * m * updated) as f64 * fscale);
+    let reflector = (comm.rank() == owner).then(|| householder_reflector(ctx, comm, cfg, local, k));
+    let bytes = 8.0 * ((cfg.n_real - k) as f64 + 2.0) * cfg.byte_scale();
+    let (w, tau) = if comm.size() > 1 {
+        comm.bcast_t(ctx, owner, bytes, reflector)
+    } else {
+        reflector.expect("a single rank owns every column")
+    };
+    apply_reflector(ctx, comm, cfg, local, k, &w, tau);
 }
 
 #[cfg(test)]

@@ -174,16 +174,17 @@ impl SpanLog {
         if spans.iter().any(|s| s.tenant == MARKET_TENANT) {
             trace.process_name(n_tenants.into(), "market");
         }
-        // One thread_name per distinct (tenant, job) row, first-seen order.
-        let mut named: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
+        // One thread_name per distinct row, first-seen order. Market spans
+        // carry their round in `job` but share the one "rounds" row.
+        let mut named: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
         for s in &spans {
-            if named.insert((s.tenant, s.job)) {
+            let (pid, tid) = track(s);
+            if named.insert((pid, tid)) {
                 let label = if s.tenant == MARKET_TENANT {
                     "rounds".to_string()
                 } else {
                     format!("job {}", s.job)
                 };
-                let (pid, tid) = track(s);
                 trace.thread_name(pid, tid, &label);
             }
         }
