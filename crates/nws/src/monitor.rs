@@ -266,9 +266,18 @@ impl NwsService {
     /// Hosts whose served CPU forecast bits differ from the last
     /// synchronized capture, ascending. Empty when tracking is off.
     pub fn dirty_hosts(&self) -> Vec<HostId> {
-        match &self.track {
-            Some(t) => set_bits(&t.dirty_hosts).map(|h| HostId(h as u32)).collect(),
-            None => Vec::new(),
+        let mut out = Vec::new();
+        self.dirty_hosts_into(&mut out);
+        out
+    }
+
+    /// [`NwsService::dirty_hosts`] into a caller-owned buffer: `out` is
+    /// cleared and refilled, so a caller that asks every round reuses one
+    /// allocation.
+    pub fn dirty_hosts_into(&self, out: &mut Vec<HostId>) {
+        out.clear();
+        if let Some(t) = &self.track {
+            out.extend(set_bits(&t.dirty_hosts).map(|h| HostId(h as u32)));
         }
     }
 

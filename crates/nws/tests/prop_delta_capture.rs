@@ -108,6 +108,8 @@ fn check_script(g: &Grid, ops: Vec<Op>) -> Result<(), TestCaseError> {
     nws.enable_delta_tracking();
     let mut prev = ForecastSnapshot::capture_sync(g, &mut nws);
     let mut captured = vec![1.0f64.to_bits(); n_hosts];
+    // Reused across captures, so each refill must drop the last one's hosts.
+    let mut reused = Vec::new();
     for (step, o) in ops.into_iter().chain([Op::Capture]).enumerate() {
         match o {
             Op::Cpu { host, v } => nws.observe_cpu(HostId(host), palette(v)),
@@ -140,6 +142,8 @@ fn check_script(g: &Grid, ops: Vec<Op>) -> Result<(), TestCaseError> {
                     dirty
                 );
                 prop_assert_eq!(&dirty, &recount(&nws, &captured), "step {}", step);
+                nws.dirty_hosts_into(&mut reused);
+                prop_assert_eq!(&reused, &dirty, "step {}: reused buffer", step);
                 let full = ForecastSnapshot::capture(g, &nws);
                 let delta = ForecastSnapshot::capture_delta(g, &mut nws, &prev);
                 prop_assert_eq!(

@@ -153,6 +153,10 @@ impl MappingPlan {
 
     /// Publish the `svc.epoch.*` counters. Zero-perturbation like every
     /// other metric: reads accumulated integers, computes nothing new.
+    /// The service captures a snapshot only in rounds that decide (see
+    /// `svc.capture_rounds`), so `index_repairs` and `index_rebuilds`
+    /// count repairs at those rounds, each over the hosts whose forecast
+    /// moved since the previous capture.
     pub fn publish(&self, obs: &Obs) {
         obs.counter_add("svc.epoch.index_repairs", self.index_repairs);
         obs.counter_add("svc.epoch.index_rebuilds", self.index_rebuilds);

@@ -6,14 +6,20 @@
 //! 1. retires finished jobs (freeing their slots, charging host-seconds,
 //!    detecting SLO misses against the *actual* finish time);
 //! 2. pulls newly-submitted jobs into the queue;
-//! 3. feeds the NWS one CPU-availability observation per host, as one
-//!    batch (`NwsService::observe_cpu_all`) — the service's own
-//!    occupancy shows up in the forecasts, closing the
-//!    load → forecast → admission feedback loop — and captures **one**
-//!    [`ForecastSnapshot`] that every decision in the round reads. The
-//!    capture is incremental (only hosts observed since the last round
-//!    are re-forecast) and repairs the persistent
-//!    [`grads_sched::SnapshotIndex`] from the same dirty set;
+//! 3. reads the grid's weather on demand. While a job is queued or
+//!    still to arrive, it feeds the NWS one CPU-availability observation
+//!    per host, as one batch (`NwsService::observe_cpu_all`) — the
+//!    service's own occupancy shows up in the forecasts, closing the
+//!    load → forecast → admission feedback loop. A round with a
+//!    non-empty queue then captures **one** [`ForecastSnapshot`] that
+//!    every decision in the round reads. The capture is incremental
+//!    (only hosts whose forecast moved since the last capture are
+//!    re-read) and repairs the persistent [`grads_sched::SnapshotIndex`]
+//!    from the same dirty set. A round with an empty queue decides
+//!    nothing, so it captures nothing; once the stream has also ended,
+//!    no later round can decide, and the drain rounds stop observing.
+//!    No skipped step is read by any decision, so every result bit is
+//!    the same as observing and capturing every round;
 //! 4. clears the commodities market (supply = free slots, demand = the
 //!    queue's budget rates) to get the round's slot-second price;
 //! 5. walks the queue earliest-deadline-first and, for each job, maps it
@@ -235,12 +241,13 @@ struct Running {
     deadline_abs: f64,
 }
 
-/// The persistent per-cluster host orderings and the previous round's
-/// snapshot (the delta-capture baseline). Built at the first dispatch
-/// round, repaired `O(Δ)` afterwards.
+/// The persistent per-cluster host orderings and the last captured
+/// snapshot, which is both what the capturing round's decisions read and
+/// the next capture's delta baseline. Built at the first round that
+/// decides, repaired `O(Δ)` at each later one.
 struct EpochState {
     index: SnapshotIndex,
-    prev_snap: ForecastSnapshot,
+    snap: ForecastSnapshot,
 }
 
 /// The hosts with at least one free core, rebuilt from scratch: the
@@ -355,7 +362,14 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
     let mut high_water_rounds = 0u64;
     let mut end_time = 0.0f64;
     let mut t_last = 0.0f64;
+    let mut weather_rounds = 0u64;
+    let mut capture_rounds = 0u64;
     let mut epoch_state: Option<EpochState> = None;
+    // Per-round buffers, cleared and refilled each round.
+    let mut dirty: Vec<HostId> = Vec::new();
+    let mut consumers: Vec<Consumer> = Vec::new();
+    let mut order: Vec<usize> = Vec::new();
+    let mut still_queued: Vec<bool> = Vec::new();
 
     // Lifecycle spans use only timestamps the decisions already computed
     // (round time, submit time, modeled finish) — no clock reads, so the
@@ -447,55 +461,59 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
 
         rounds += 1;
 
-        // 3. Observe the grid's weather (occupancy-coupled) and freeze
-        // one snapshot for every decision this round.
-        for (i, (a, &free)) in avail.iter_mut().zip(&free_cores).enumerate() {
-            let free_frac = free as f64 / grid.hosts()[i].cores.max(1) as f64;
-            *a = (0.35 + 0.6 * free_frac) * (0.7 + 0.3 * jitter(i, rounds));
+        // 3. Weather, on demand. Only a round with a queue decides, so
+        // only it captures a snapshot; while jobs remain to arrive, every
+        // round still observes, because a later decision reads the
+        // forecasts this history produces. Once the stream has ended and
+        // the queue is empty, no round can decide again.
+        let decides = !queue.is_empty();
+        if decides || pending.peek().is_some() {
+            weather_rounds += 1;
+            // Occupancy-coupled observation: the service's own load shows
+            // up in the forecasts.
+            for (i, (a, &free)) in avail.iter_mut().zip(&free_cores).enumerate() {
+                let free_frac = free as f64 / grid.hosts()[i].cores.max(1) as f64;
+                *a = (0.35 + 0.6 * free_frac) * (0.7 + 0.3 * jitter(i, rounds));
+            }
+            nws.observe_cpu_all(&avail);
         }
-        nws.observe_cpu_all(&avail);
-        // The capture is incremental (bit-identical to a full capture —
-        // the delta-capture contract) and the persistent index is
-        // repaired from the same dirty set.
-        let dirty = nws.dirty_hosts();
-        let snap = match epoch_state.as_mut() {
-            None => {
+        let epoch = if decides {
+            capture_rounds += 1;
+            // The capture is incremental (bit-identical to a full capture —
+            // the delta-capture contract; the dirty set has accumulated
+            // since the last capture, however many rounds ago) and the
+            // persistent index is repaired from the same dirty set.
+            nws.dirty_hosts_into(&mut dirty);
+            if let Some(st) = epoch_state.as_mut() {
+                st.snap = ForecastSnapshot::capture_delta(grid, &mut nws, &st.snap);
+                plan.note_repair(st.index.repair(grid, &st.snap, &dirty));
+            } else {
                 let snap = ForecastSnapshot::capture_sync(grid, &mut nws);
                 epoch_state = Some(EpochState {
                     index: SnapshotIndex::build(grid, &snap),
-                    prev_snap: snap.clone(),
+                    snap,
                 });
-                snap
             }
-            Some(st) => {
-                let snap = ForecastSnapshot::capture_delta(grid, &mut nws, &st.prev_snap);
-                let rep = st.index.repair(grid, &snap, &dirty);
-                plan.note_repair(rep);
-                st.prev_snap = snap.clone();
-                snap
-            }
+            let st = epoch_state.as_ref().expect("captured this round");
+            debug_assert_eq!(
+                st.snap.fingerprint(),
+                ForecastSnapshot::capture(grid, &nws).fingerprint(),
+                "round {rounds}: the delta capture diverged from a full capture"
+            );
+            Some(st)
+        } else {
+            None
         };
-        debug_assert_eq!(
-            snap.fingerprint(),
-            ForecastSnapshot::capture(grid, &nws).fingerprint(),
-            "round {rounds}: the delta capture diverged from a full capture"
-        );
-        let index = &epoch_state
-            .as_ref()
-            .expect("built at the first round")
-            .index;
 
         let free_slots: f64 = free_cores.iter().map(|&c| c as f64).sum();
 
         // 4. Price the round: supply is the free slots, demand is the
         // queue's budget rates capped by its processor needs.
-        let consumers: Vec<Consumer> = queue
-            .iter()
-            .map(|q| Consumer {
-                budget: q.job.budget / q.job.nominal_s(cfg.workload.reference_speed).max(1e-9),
-                max_demand: q.job.procs as f64,
-            })
-            .collect();
+        consumers.clear();
+        consumers.extend(queue.iter().map(|q| Consumer {
+            budget: q.job.budget / q.job.nominal_s(cfg.workload.reference_speed).max(1e-9),
+            max_demand: q.job.procs as f64,
+        }));
         let eq = market.clear(
             &[Producer {
                 capacity: free_slots.max(1e-3),
@@ -519,7 +537,8 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
 
         // 5. Admission, earliest absolute deadline first (ids break ties
         // FIFO — they are in submit order).
-        let mut order: Vec<usize> = (0..queue.len()).collect();
+        order.clear();
+        order.extend(0..queue.len());
         order.sort_by(|&a, &b| {
             queue[a]
                 .deadline_abs
@@ -553,7 +572,8 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
 
         let mut admitted_this_round = 0usize;
         let mut decisions_this_round = 0u64;
-        let mut still_queued: Vec<bool> = vec![true; queue.len()];
+        still_queued.clear();
+        still_queued.resize(queue.len(), true);
         for &qi in &order {
             let q = &queue[qi];
             // Expired while queued (unaffordable or unplaceable too
@@ -584,9 +604,10 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                 continue;
             }
             decisions_this_round += 1;
-            let mapped = plan.map(&q.job, index, grid, &snap);
+            let st = epoch.expect("a round with a queue captured its weather");
+            let mapped = plan.map(&q.job, &st.index, grid, &st.snap);
             #[cfg(debug_assertions)]
-            check_against_rebuild(grid, &snap, &eligible, &q.job, mapped.as_ref());
+            check_against_rebuild(grid, &st.snap, &eligible, &q.job, mapped.as_ref());
             let Some(choice) = mapped else {
                 // defer: no cluster offers `procs` free hosts
                 jspan(&q.job, JobPhase::Defer, Some("no-cluster"), t, t, 0.0);
@@ -697,6 +718,8 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
         plan.publish(&cfg.obs);
     }
     cfg.obs.counter_add("svc.rounds", rounds);
+    cfg.obs.counter_add("svc.weather_rounds", weather_rounds);
+    cfg.obs.counter_add("svc.capture_rounds", capture_rounds);
     cfg.obs.counter_add("svc.auction_rounds", auction_rounds);
     cfg.obs.gauge_set("svc.max_in_flight", max_in_flight as f64);
     cfg.obs.gauge_set("svc.price_mean", mean(&price_series));
@@ -891,6 +914,8 @@ mod tests {
         assert!(json.contains("\"svc.admitted\""), "{json}");
         assert!(json.contains(&format!("\"svc.admitted\": {}", r.totals.admitted)));
         assert!(json.contains("\"svc.rounds\""));
+        assert!(json.contains("\"svc.weather_rounds\""));
+        assert!(json.contains("\"svc.capture_rounds\""));
         assert!(json.contains("\"svc.t0.submitted\""));
         assert!(json.contains("\"svc.fairness\""));
     }
