@@ -10,6 +10,11 @@
 
 use std::collections::VecDeque;
 
+use grads_sim::from_order_key;
+/// The kernel's `f64` order key, re-exported for the scheduler's auction
+/// heap and snapshot-index keys.
+pub use grads_sim::order_key;
+
 /// A one-step-ahead forecaster over a scalar measurement stream.
 pub trait Predictor {
     /// Human-readable name, e.g. `"sliding_median(21)"`.
@@ -133,28 +138,14 @@ impl Predictor for SlidingMedian {
     }
 }
 
-/// `x`'s rank in the [`f64::total_cmp`] order as an integer:
-/// `order_key(a).cmp(&order_key(b)) == a.total_cmp(&b)` (the same bit
-/// flip `total_cmp` applies), and the flip is its own inverse. Also the
-/// sort key of the scheduler's auction heap and snapshot-index rebuild.
-pub fn order_key(x: f64) -> i64 {
-    let bits = x.to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
-}
-
-/// The value whose [`order_key`] is `key`: the flip is its own inverse.
-fn from_key(key: i64) -> f64 {
-    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
-}
-
 /// The median of a sorted, non-empty window of keys: the middle value,
 /// or the mean of the middle two.
 pub(crate) fn median(v: &[i64]) -> f64 {
     let n = v.len();
     if n % 2 == 1 {
-        from_key(v[n / 2])
+        from_order_key(v[n / 2])
     } else {
-        0.5 * (from_key(v[n / 2 - 1]) + from_key(v[n / 2]))
+        0.5 * (from_order_key(v[n / 2 - 1]) + from_order_key(v[n / 2]))
     }
 }
 
@@ -163,7 +154,7 @@ pub(crate) fn median(v: &[i64]) -> f64 {
 pub(crate) fn trimmed_mean(v: &[i64], trim: usize) -> f64 {
     let t = if v.len() > 2 * trim { trim } else { 0 };
     let kept = &v[t..v.len() - t];
-    kept.iter().map(|&k| from_key(k)).sum::<f64>() / kept.len() as f64
+    kept.iter().map(|&k| from_order_key(k)).sum::<f64>() / kept.len() as f64
 }
 
 /// Push `value` into the FIFO `window` of length at most `k`, keeping
@@ -438,7 +429,7 @@ mod tests {
             let mut keys: Vec<i64> = v.iter().map(|&x| order_key(x)).collect();
             slide_sorted(&mut keys, len, old, value);
             keys.into_iter()
-                .map(|k| from_key(k).to_bits())
+                .map(|k| from_order_key(k).to_bits())
                 .collect::<Vec<_>>()
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -456,7 +447,7 @@ mod tests {
         );
         let nan = [f64::NAN, -f64::NAN, f64::NEG_INFINITY, f64::INFINITY];
         for x in nan {
-            assert_eq!(from_key(order_key(x)).to_bits(), x.to_bits());
+            assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits());
         }
         assert!(order_key(-f64::NAN) < order_key(f64::NEG_INFINITY));
         assert!(order_key(f64::INFINITY) < order_key(f64::NAN));

@@ -10,9 +10,12 @@
 //! randomized push/cancel property test below holds it to that model bit
 //! for bit.
 //!
-//! The heap array holds only 32-byte [`Node`]s: the order packed into
-//! integers plus the handle. Payloads ([`EventKind`]) sit in a slab
-//! indexed by handle and never move while the heap reorders.
+//! The heap array holds only 32-byte [`Node`]s: `(t, class, key)` packed
+//! into one 128-bit word, then `seq` and the handle. Payloads
+//! ([`EventKind`]) sit in a slab indexed by handle and never move while
+//! the heap reorders.
+
+use std::hint::select_unpredictable;
 
 use crate::process::ProcId;
 use crate::topology::HostId;
@@ -70,31 +73,36 @@ pub(crate) struct Event {
 /// Handle value meaning "no pending event".
 pub(crate) const NO_HANDLE: u32 = u32::MAX;
 
-/// Bits of a node's `ck` word below the class: keys must fit in them.
+/// Bits of a node's `tck` word below the class: keys must fit in them.
 const KEY_BITS: u32 = 61;
 
-/// `t`'s rank in the [`f64::total_cmp`] order as an integer (the bit flip
-/// `total_cmp` applies); the flip is its own inverse.
+/// `x`'s rank in the [`f64::total_cmp`] order as an integer:
+/// `order_key(a).cmp(&order_key(b)) == a.total_cmp(&b)` (the same bit
+/// flip `total_cmp` applies), and the flip is its own inverse. The
+/// kernel's event heap, the NWS sliding medians and the scheduler's
+/// auction heap and index keys all sort `f64`s through it.
 #[inline]
-fn order_key(t: f64) -> i64 {
-    let bits = t.to_bits() as i64;
+pub fn order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// The time whose [`order_key`] is `k`.
+/// The value whose [`order_key`] is `key`.
 #[inline]
-fn from_order_key(k: i64) -> f64 {
-    f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
+pub fn from_order_key(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// One heap slot: an event's `(t, class, key, seq)` packed so that the
-/// kernel's total order is the integer tuple order on `(t, ck, seq)`.
+/// Flips the sign bit of `t`'s [`order_key`] in a node's high half, so
+/// that the word's unsigned order is the key's signed order.
+const SIGN: u64 = 1 << 63;
+
+/// One heap slot: an event's `(t, class, key)` packed into one 128-bit
+/// word whose unsigned order is the kernel's order on them, then `seq`.
 #[derive(Clone, Copy)]
 struct Node {
-    /// [`order_key`] of the event time.
-    t: i64,
-    /// `class << KEY_BITS | key`.
-    ck: u64,
+    /// `(order_key(t) as u64 ^ SIGN) << 64 | class << KEY_BITS | key`.
+    tck: u128,
     seq: u64,
     handle: u32,
 }
@@ -102,10 +110,24 @@ struct Node {
 const _: () = assert!(std::mem::size_of::<Node>() == 32);
 
 impl Node {
-    /// `true` when `self` fires strictly before `other`.
+    /// `true` when `self` fires strictly before `other`: the order on
+    /// `(tck, seq)`, evaluated without a short-circuit so that it compiles
+    /// to flag arithmetic instead of a branch per word.
     #[inline(always)]
     fn before(&self, other: &Node) -> bool {
-        (self.t, self.ck, self.seq) < (other.t, other.ck, other.seq)
+        (self.tck < other.tck) | ((self.tck == other.tck) & (self.seq < other.seq))
+    }
+
+    /// The event time.
+    #[inline]
+    fn t(&self) -> f64 {
+        from_order_key(((self.tck >> 64) as u64 ^ SIGN) as i64)
+    }
+
+    /// `class << KEY_BITS | key`.
+    #[inline]
+    fn ck(&self) -> u64 {
+        self.tck as u64
     }
 }
 
@@ -156,9 +178,9 @@ impl IndexedHeap {
             ev.class,
             ev.key
         );
+        let t = (order_key(ev.t) as u64 ^ SIGN) as u128;
         Node {
-            t: order_key(ev.t),
-            ck: (ev.class as u64) << KEY_BITS | ev.key,
+            tck: t << 64 | ((ev.class as u128) << KEY_BITS) | ev.key as u128,
             seq: ev.seq,
             handle,
         }
@@ -189,7 +211,7 @@ impl IndexedHeap {
     pub(crate) fn peek(&self) -> Option<(f64, u8)> {
         self.heap
             .first()
-            .map(|n| (from_order_key(n.t), (n.ck >> KEY_BITS) as u8))
+            .map(|n| (n.t(), (n.ck() >> KEY_BITS) as u8))
     }
 
     /// Pop the earliest pending event. Its handle is recycled.
@@ -203,9 +225,9 @@ impl IndexedHeap {
         self.pos[h as usize] = NO_HANDLE;
         self.free.push(h);
         Some(Event {
-            t: from_order_key(top.t),
-            class: (top.ck >> KEY_BITS) as u8,
-            key: top.ck & ((1 << KEY_BITS) - 1),
+            t: top.t(),
+            class: (top.ck() >> KEY_BITS) as u8,
+            key: top.ck() & ((1 << KEY_BITS) - 1),
             seq: top.seq,
             kind: self.kinds[h as usize],
         })
@@ -281,20 +303,33 @@ impl IndexedHeap {
     }
 
     /// Move the hole at `i` down until `node` fits, then place it.
+    ///
+    /// A full group of four siblings yields its earliest by a two-round
+    /// tournament of unpredictable selects, so the child pick costs no
+    /// branch; only a partial last group walks its children in a loop.
+    /// Keys are unique (every event has its own `seq`), so both pick the
+    /// child a first-minimum scan would.
     #[inline]
     fn sift_down(&mut self, mut i: usize, node: Node) {
         let n = self.heap.len();
         loop {
             let first = ARITY * i + 1;
-            if first >= n {
-                break;
-            }
-            let mut c = first;
-            for k in first + 1..(first + ARITY).min(n) {
-                if self.heap[k].before(&self.heap[c]) {
-                    c = k;
+            let c = if first + ARITY <= n {
+                let g = &self.heap[first..first + ARITY];
+                let a = select_unpredictable(g[1].before(&g[0]), 1, 0);
+                let b = select_unpredictable(g[3].before(&g[2]), 3, 2);
+                first + select_unpredictable(g[b].before(&g[a]), b, a)
+            } else if first < n {
+                let mut c = first;
+                for k in first + 1..n {
+                    if self.heap[k].before(&self.heap[c]) {
+                        c = k;
+                    }
                 }
-            }
+                c
+            } else {
+                break;
+            };
             let child = self.heap[c];
             if !child.before(&node) {
                 break;
@@ -575,6 +610,112 @@ mod tests {
                 1 => h.heap[h.heap.len() - 1].seq,
                 _ => live[(r >> 8) as usize % live.len()],
             }
+        }
+    }
+
+    /// `Node::before` is the `Model` comparator on every pair of events
+    /// drawn from the random-script test's special times, all eight
+    /// classes, the edge keys and two seqs: the packing, the sign flip of
+    /// the high half and the branch-free compare, tested directly rather
+    /// than through pops.
+    #[test]
+    fn node_order_is_the_model_order() {
+        const TIMES: [f64; 11] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            1e-300,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            1e300,
+            -1e300,
+        ];
+        const KEYS: [u64; 4] = [0, 1, (1 << KEY_BITS) - 2, (1 << KEY_BITS) - 1];
+        let mut events = Vec::new();
+        for &t in &TIMES {
+            for class in 0..8u8 {
+                for &key in &KEYS {
+                    for seq in [3, 7] {
+                        events.push(Event {
+                            t,
+                            class,
+                            key,
+                            seq,
+                            kind: EventKind::SleepDone(ProcId(0)),
+                        });
+                    }
+                }
+            }
+        }
+        let nodes: Vec<Node> = events.iter().map(|e| IndexedHeap::node(e, 0)).collect();
+        for (a, na) in events.iter().zip(&nodes) {
+            assert_eq!(na.t().to_bits(), a.t.to_bits(), "time decodes");
+            assert_eq!(na.ck(), (a.class as u64) << KEY_BITS | a.key);
+            for (b, nb) in events.iter().zip(&nodes) {
+                assert_eq!(
+                    na.before(nb),
+                    Model(*a).order(&Model(*b)).is_lt(),
+                    "{:?} vs {:?}",
+                    (a.t, a.class, a.key, a.seq),
+                    (b.t, b.class, b.key, b.seq)
+                );
+            }
+        }
+    }
+
+    /// Every heap size 1..=64, so the last sibling group holds one to four
+    /// children at several depths and both the tournament and the
+    /// partial-group loop run. At each size every position is replaced
+    /// once and removed (then refilled) once, and the drain must pop the
+    /// live events in `Model` order.
+    #[test]
+    fn every_tail_shape_pops_in_model_order() {
+        // Few distinct times, so ties reach the class, key and seq.
+        let mk = |i: u64, seq: u64| Event {
+            t: [2.0, -0.0, 1.0, 0.0, 3.5][(i * 7 % 5) as usize],
+            class: (i * 3 % 8) as u8,
+            key: i % 3,
+            seq,
+            kind: EventKind::CpuDone {
+                id: seq as usize,
+                gen: 1,
+            },
+        };
+        let bits = |e: &Event| (e.t.to_bits(), e.class, e.key, e.seq);
+        for n in 1..=64usize {
+            let mut h = IndexedHeap::default();
+            let mut live: Vec<Event> = Vec::new();
+            let mut seq = 0u64;
+            let mut fresh = |live: &mut Vec<Event>| {
+                let e = mk(seq * 13 + n as u64, seq);
+                seq += 1;
+                live.push(e);
+                e
+            };
+            for _ in 0..n {
+                h.push(fresh(&mut live));
+            }
+            for i in 0..n {
+                let (handle, old) = (h.heap[i].handle, h.heap[i].seq);
+                live.retain(|e| e.seq != old);
+                assert_eq!(h.replace(handle, fresh(&mut live)), handle);
+            }
+            for i in 0..n {
+                let (handle, old) = (h.heap[i].handle, h.heap[i].seq);
+                assert!(h.remove(handle));
+                live.retain(|e| e.seq != old);
+                h.push(fresh(&mut live));
+            }
+            assert_eq!(h.len(), n);
+            live.sort_by(|a, b| Model(*a).order(&Model(*b)));
+            for want in &live {
+                let got = h.pop().expect("as many pops as live events");
+                assert_eq!(bits(&got), bits(want), "heap of {n}");
+            }
+            assert!(h.is_empty());
         }
     }
 

@@ -94,4 +94,5 @@ pub mod prelude {
 }
 
 pub use dml::{parse_dml, DmlError};
+pub use equeue::{from_order_key, order_key};
 pub use prelude::*;
