@@ -39,6 +39,7 @@ use crate::process::{
 use crate::sharing::{cpu_share, FairScratch};
 use crate::topology::{Grid, HostId, LinkId};
 use crate::trace::{Trace, TraceKind, TraceRecord};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -326,6 +327,11 @@ impl EpochMap {
     fn begin(&mut self) {
         self.epoch += 1;
     }
+    /// Back to the state of a new map: no slots, epoch 0.
+    fn reset(&mut self) {
+        self.slots.clear();
+        self.epoch = 0;
+    }
     fn contains(&self, i: usize) -> bool {
         self.slots[i].0 == self.epoch
     }
@@ -363,6 +369,138 @@ struct RateScratch {
     class_rates: Vec<f64>,
     /// Route id → class index for the component being solved.
     route_class: EpochMap,
+}
+
+impl RateScratch {
+    /// Empty every buffer and reset every map, keeping capacity.
+    fn clear(&mut self) {
+        self.scoped_hosts.clear();
+        self.link_stack.clear();
+        self.comp_flows.clear();
+        self.offsets.clear();
+        self.links_flat.clear();
+        self.caps_local.clear();
+        self.fair.clear();
+        self.flow_mark.reset();
+        self.comp_link_mark.reset();
+        self.link_local.reset();
+        self.class_of.clear();
+        self.class_mult.clear();
+        self.class_rates.clear();
+        self.route_class.reset();
+    }
+}
+
+/// An engine's growable storage: everything whose size follows the run's
+/// traffic rather than the grid. Dropping the engine empties it and parks
+/// it in [`SPARE_STORAGE`] for the thread's next [`Engine::new`], so a
+/// run starts with the capacity the last one grew instead of regrowing
+/// it from empty.
+///
+/// Only capacity carries over. [`Storage::clear`] and
+/// [`Storage::shape`] leave every buffer as a new engine's: empty slabs
+/// and free lists (so flow, action and event-handle ids are assigned
+/// exactly as in a new engine), reset epoch maps and empty mailboxes.
+/// The two hashed tables, the mail directory and `route_ids`, keep their
+/// bucket counts, but they are only probed by key and never iterated, so
+/// no result can depend on them (DESIGN.md, "Warm engine storage").
+#[derive(Default)]
+struct Storage {
+    events: IndexedHeap,
+    cpu: Vec<Option<CpuAction>>,
+    flows: Vec<Option<Flow>>,
+    free_cpu: Vec<u32>,
+    free_flows: Vec<u32>,
+    active_flows: Vec<u32>,
+    host_actions: Vec<Vec<u32>>,
+    link_flows: Vec<Vec<u32>>,
+    mailboxes: MailDir,
+    routes_tbl: Vec<RouteEntry>,
+    route_arena: Vec<u32>,
+    route_ids: RouteMap<(u32, u32)>,
+    runnable: VecDeque<(ProcId, Grant)>,
+    dirty_hosts: Vec<u32>,
+    dirty_links: Vec<u32>,
+    dirty_host_mark: EpochMap,
+    dirty_link_mark: EpochMap,
+    scratch: RateScratch,
+}
+
+thread_local! {
+    /// The storage of the last engine dropped on this thread, waiting
+    /// for the next [`Engine::new`] here. One slot: an engine dropped
+    /// while it is full frees its storage.
+    static SPARE_STORAGE: RefCell<Option<Storage>> = const { RefCell::new(None) };
+}
+
+impl Storage {
+    /// This thread's spare storage, or new storage if there is none,
+    /// shaped for a grid of `nhosts` hosts and `nlinks` links.
+    fn take(nhosts: usize, nlinks: usize) -> Storage {
+        let mut s = SPARE_STORAGE
+            .try_with(|slot| slot.borrow_mut().take())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        s.shape(nhosts, nlinks);
+        s
+    }
+
+    /// Empty the storage, dropping what the run left in it (undelivered
+    /// payloads, queued sends, pending grants), and park it in this
+    /// thread's slot unless the slot is full or already gone.
+    fn recycle(mut self) {
+        self.clear();
+        let mut spare = Some(self);
+        let _ = SPARE_STORAGE.try_with(|slot| {
+            let mut slot = slot.borrow_mut();
+            if slot.is_none() {
+                *slot = spare.take();
+            }
+        });
+    }
+
+    /// Empty every buffer, keeping its capacity; per-host and per-link
+    /// lists keep their (now empty) inner buffers.
+    fn clear(&mut self) {
+        self.events.clear();
+        self.cpu.clear();
+        self.flows.clear();
+        self.free_cpu.clear();
+        self.free_flows.clear();
+        self.active_flows.clear();
+        self.host_actions.iter_mut().for_each(Vec::clear);
+        self.link_flows.iter_mut().for_each(Vec::clear);
+        self.mailboxes.clear();
+        self.routes_tbl.clear();
+        self.route_arena.clear();
+        self.route_ids.clear();
+        self.runnable.clear();
+        self.dirty_hosts.clear();
+        self.dirty_links.clear();
+        self.dirty_host_mark.reset();
+        self.dirty_link_mark.reset();
+        self.scratch.clear();
+    }
+
+    /// Size cleared storage for a grid: one empty action list per host
+    /// and flow list per link, dirty marks open on a first epoch, and
+    /// route 0 reserved for same-host transfers (see [`Engine::route_id`]).
+    fn shape(&mut self, nhosts: usize, nlinks: usize) {
+        self.host_actions.resize_with(nhosts, Vec::new);
+        self.link_flows.resize_with(nlinks, Vec::new);
+        self.dirty_host_mark.ensure(nhosts);
+        self.dirty_host_mark.begin();
+        self.dirty_link_mark.ensure(nlinks);
+        self.dirty_link_mark.begin();
+        self.scratch.comp_link_mark.ensure(nlinks);
+        self.scratch.link_local.ensure(nlinks);
+        self.routes_tbl.push(RouteEntry {
+            start: 0,
+            len: 0,
+            latency: 0.0,
+        });
+    }
 }
 
 /// The grid emulator.
@@ -484,37 +622,51 @@ fn install_quiet_kill_hook() {
 }
 
 impl Engine {
-    /// Create an engine over a built topology.
+    /// Create an engine over a built topology. It starts with the
+    /// buffers the last engine dropped on this thread left behind, if
+    /// any; their capacity never changes a result (DESIGN.md, "Warm
+    /// engine storage").
     pub fn new(grid: Grid) -> Self {
         install_quiet_kill_hook();
         let nhosts = grid.hosts().len();
         let nlinks = grid.links().len();
-        let mut dirty_host_mark = EpochMap::default();
-        dirty_host_mark.ensure(nhosts);
-        dirty_host_mark.begin();
-        let mut dirty_link_mark = EpochMap::default();
-        dirty_link_mark.ensure(nlinks);
-        dirty_link_mark.begin();
-        let mut scratch = RateScratch::default();
-        scratch.comp_link_mark.ensure(nlinks);
-        scratch.link_local.ensure(nlinks);
+        let Storage {
+            events,
+            cpu,
+            flows,
+            free_cpu,
+            free_flows,
+            active_flows,
+            host_actions,
+            link_flows,
+            mailboxes,
+            routes_tbl,
+            route_arena,
+            route_ids,
+            runnable,
+            dirty_hosts,
+            dirty_links,
+            dirty_host_mark,
+            dirty_link_mark,
+            scratch,
+        } = Storage::take(nhosts, nlinks);
         let link_caps = grid.links().iter().map(|l| l.bandwidth).collect();
         Engine {
             grid,
             now: 0.0,
             last_advance: 0.0,
             seq: 0,
-            events: IndexedHeap::default(),
+            events,
             procs: Vec::new(),
-            cpu: Vec::new(),
-            flows: Vec::new(),
-            mailboxes: MailDir::new(),
+            cpu,
+            flows,
+            mailboxes,
             host_load: vec![0.0; nhosts],
             host_alive: vec![true; nhosts],
             host_flops: vec![0.0; nhosts],
             link_bytes: vec![0.0; nlinks],
             gen_counter: 1,
-            runnable: VecDeque::new(),
+            runnable,
             unbatched_oracle: false,
             trace: Trace::default(),
             completed: Vec::new(),
@@ -524,21 +676,17 @@ impl Engine {
             pending_churn: 0,
             solves: 0,
             coalesced_absorbed: 0,
-            routes_tbl: vec![RouteEntry {
-                start: 0,
-                len: 0,
-                latency: 0.0,
-            }],
-            route_arena: Vec::new(),
-            route_ids: RouteMap::default(),
+            routes_tbl,
+            route_arena,
+            route_ids,
             link_caps,
-            host_actions: vec![Vec::new(); nhosts],
-            link_flows: vec![Vec::new(); nlinks],
-            free_cpu: Vec::new(),
-            active_flows: Vec::new(),
-            free_flows: Vec::new(),
-            dirty_hosts: Vec::new(),
-            dirty_links: Vec::new(),
+            host_actions,
+            link_flows,
+            free_cpu,
+            active_flows,
+            free_flows,
+            dirty_hosts,
+            dirty_links,
             dirty_host_mark,
             dirty_link_mark,
             events_processed: 0,
@@ -1751,6 +1899,36 @@ impl Engine {
                 self.resume(send, Grant::Unit);
             }
         }
+    }
+}
+
+/// Hands the engine's growable storage back to this thread's slot,
+/// whether it ran or not. None of it is a result: `finish` moves
+/// `host_flops`, `link_bytes` and the trace into the [`RunReport`].
+impl Drop for Engine {
+    fn drop(&mut self) {
+        use std::mem::take;
+        Storage {
+            events: take(&mut self.events),
+            cpu: take(&mut self.cpu),
+            flows: take(&mut self.flows),
+            free_cpu: take(&mut self.free_cpu),
+            free_flows: take(&mut self.free_flows),
+            active_flows: take(&mut self.active_flows),
+            host_actions: take(&mut self.host_actions),
+            link_flows: take(&mut self.link_flows),
+            mailboxes: take(&mut self.mailboxes),
+            routes_tbl: take(&mut self.routes_tbl),
+            route_arena: take(&mut self.route_arena),
+            route_ids: take(&mut self.route_ids),
+            runnable: take(&mut self.runnable),
+            dirty_hosts: take(&mut self.dirty_hosts),
+            dirty_links: take(&mut self.dirty_links),
+            dirty_host_mark: take(&mut self.dirty_host_mark),
+            dirty_link_mark: take(&mut self.dirty_link_mark),
+            scratch: take(&mut self.scratch),
+        }
+        .recycle();
     }
 }
 

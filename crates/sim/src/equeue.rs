@@ -159,6 +159,15 @@ impl IndexedHeap {
         self.heap.len()
     }
 
+    /// Drop every pending event and recycled handle, keeping the arrays'
+    /// capacity: handles are then assigned from 0 again, as in a new heap.
+    pub(crate) fn clear(&mut self) {
+        self.heap.clear();
+        self.pos.clear();
+        self.kinds.clear();
+        self.free.clear();
+    }
+
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()

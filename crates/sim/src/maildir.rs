@@ -15,6 +15,13 @@
 //! single matching receive. The directory releases empty mailboxes back to
 //! a free list (keeping their buffer capacity for reuse), so steady-state
 //! size tracks *live* mailboxes, not total messages ever sent.
+//!
+//! [`MailDir::clear`] empties the directory for the next engine on the
+//! thread (DESIGN.md, "Warm engine storage"): the table keeps its bucket
+//! count, which only probe lengths depend on, and the slab keeps its
+//! emptied mailboxes, which later growth hands out again in slot order,
+//! so slot numbers come out as in a new directory and only buffer
+//! capacity carries over.
 
 use crate::process::{MailKey, Payload, ProcId};
 use crate::topology::HostId;
@@ -62,19 +69,38 @@ pub(crate) struct MailDir {
     table: Vec<(u64, u32)>,
     mask: usize,
     occupied: usize,
+    /// Mailboxes by slot. Only `slab[..slots]` are slots this directory
+    /// has handed out; the rest are empty mailboxes kept by
+    /// [`Self::clear`] for their buffers.
     slab: Vec<Mailbox>,
+    slots: usize,
     free: Vec<u32>,
 }
 
-impl MailDir {
-    pub(crate) fn new() -> Self {
+impl Default for MailDir {
+    fn default() -> Self {
         MailDir {
             table: vec![(0, EMPTY); 64],
             mask: 63,
             occupied: 0,
             slab: Vec::new(),
+            slots: 0,
             free: Vec::new(),
         }
+    }
+}
+
+impl MailDir {
+    /// Release every mailbox, dropping the payloads and queued sends
+    /// still in them, and keep the table and the mailboxes' buffers for
+    /// reuse. Afterwards the directory hands out slots `0, 1, 2, ...` as
+    /// a new one does.
+    pub(crate) fn clear(&mut self) {
+        self.slab[..self.slots].iter_mut().for_each(Mailbox::clear);
+        self.slots = 0;
+        self.table.fill((0, EMPTY));
+        self.occupied = 0;
+        self.free.clear();
     }
 
     /// Number of live (non-released) mailboxes.
@@ -115,8 +141,11 @@ impl MailDir {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
-                self.slab.push(Mailbox::default());
-                (self.slab.len() - 1) as u32
+                if self.slots == self.slab.len() {
+                    self.slab.push(Mailbox::default());
+                }
+                self.slots += 1;
+                (self.slots - 1) as u32
             }
         };
         let mut i = key.0 as usize & self.mask;
@@ -199,7 +228,7 @@ mod tests {
 
     #[test]
     fn insert_lookup_release_roundtrip() {
-        let mut d = MailDir::new();
+        let mut d = MailDir::default();
         let k = mail_key(&[1, 2, 3]);
         assert!(d.get_mut(k).is_none());
         d.get_or_insert(k).waiting.push_back(ProcId(7));
@@ -214,7 +243,7 @@ mod tests {
 
     #[test]
     fn slots_are_recycled() {
-        let mut d = MailDir::new();
+        let mut d = MailDir::default();
         for round in 0..1000u64 {
             let k = mail_key(&[round, 42]);
             d.get_or_insert(k).arrived.push_back(Box::new(round));
@@ -223,14 +252,40 @@ mod tests {
             d.release_if_empty(k);
         }
         assert_eq!(d.len(), 0);
-        assert!(d.slab.len() <= 2, "slab should recycle, not grow per key");
+        assert!(d.slots <= 2, "slab should recycle, not grow per key");
+    }
+
+    #[test]
+    fn clear_drops_contents_and_restarts_slot_numbers() {
+        let mut d = MailDir::default();
+        for i in 0..100u64 {
+            d.get_or_insert(mail_key(&[i]))
+                .arrived
+                .push_back(Box::new(i));
+        }
+        let buckets = d.table.len();
+        d.clear();
+        assert_eq!((d.len(), d.slots, d.slab.len()), (0, 0, 100));
+        assert!(d.slab.iter().all(Mailbox::is_empty));
+        assert_eq!(d.table.len(), buckets, "the table keeps its buckets");
+        // A key from before the clear is gone; new keys take slots 0, 1, ...
+        assert!(d.get_mut(mail_key(&[7])).is_none());
+        d.get_or_insert(mail_key(&[500]))
+            .waiting
+            .push_back(ProcId(1));
+        d.get_or_insert(mail_key(&[501]))
+            .waiting
+            .push_back(ProcId(2));
+        assert_eq!((d.slots, d.slab.len()), (2, 100));
+        assert_eq!(d.slab[1].waiting[0], ProcId(2));
+        assert_eq!(d.get_mut(mail_key(&[501])).unwrap().waiting[0], ProcId(2));
     }
 
     /// Model test: random interleavings of insert/lookup/release against a
     /// std HashMap oracle, exercising growth and backward-shift deletion.
     #[test]
     fn matches_hashmap_model() {
-        let mut d = MailDir::new();
+        let mut d = MailDir::default();
         let mut model: HashMap<u64, u64> = HashMap::new();
         // Deterministic pseudo-random op stream.
         let mut x: u64 = 0x243F_6A88_85A3_08D3;

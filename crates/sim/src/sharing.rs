@@ -58,6 +58,18 @@ pub struct FairScratch {
 }
 
 impl FairScratch {
+    /// Empty every buffer, keeping its capacity. Each solve re-sizes
+    /// the buffers it reads, so this changes no result; it only lets a
+    /// recycled scratch start out like a new one.
+    pub(crate) fn clear(&mut self) {
+        self.rem_cap.clear();
+        self.count.clear();
+        self.fixed.clear();
+        self.saturated.clear();
+        self.live.clear();
+        self.undecided.clear();
+    }
+
     /// Max-min fair allocation over flat route arrays.
     ///
     /// `offsets[f] = (start, len)` into `links_flat`; `caps[l]` is the
