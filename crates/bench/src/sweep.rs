@@ -70,32 +70,15 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Path of the simulator benchmark snapshot at the repository root.
-pub fn bench_json_path() -> std::path::PathBuf {
-    bench_json_path_named("BENCH_sim.json")
-}
-
-/// Path of a named benchmark snapshot at the repository root (e.g.
-/// `BENCH_sched.json` for the scheduler decision-path sweep).
-pub fn bench_json_path_named(file: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file)
-}
-
-/// Merge one named top-level section into `BENCH_sim.json` at the repo
+/// Merge one named top-level section into the snapshot `file` at the repo
 /// root, preserving the other sections and their order. `body` must be a
 /// valid JSON value (typically an object built with [`json_obj`]). The
-/// file itself is a single JSON object keyed by section name.
-pub fn merge_bench_section(section: &str, body: &str) {
-    merge_bench_section_in("BENCH_sim.json", section, body)
-}
-
-/// [`merge_bench_section`] against an arbitrary snapshot file at the repo
-/// root, so independent benchmark families (simulator substrate vs
-/// scheduler decision path) keep separate checked-in snapshots.
+/// file itself is a single JSON object keyed by section name, one file
+/// per benchmark family (`BENCH_service.json`, `BENCH_attr.json`).
 pub fn merge_bench_section_in(file: &str, section: &str, body: &str) {
-    let path = bench_json_path_named(file);
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
     let existing = std::fs::read_to_string(&path).unwrap_or_default();
     let mut sections = parse_top_level(&existing);
     match sections.iter_mut().find(|(k, _)| k == section) {
@@ -170,7 +153,7 @@ fn parse_top_level(s: &str) -> Vec<(String, String)> {
 }
 
 /// Build a JSON object from `(key, raw value)` pairs, indented for the
-/// section level of `BENCH_sim.json`.
+/// section level of a `BENCH_*.json` snapshot.
 pub fn json_obj(fields: &[(&str, String)]) -> String {
     let mut out = String::from("{\n");
     for (i, (k, v)) in fields.iter().enumerate() {

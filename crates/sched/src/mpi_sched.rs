@@ -72,8 +72,8 @@ pub fn candidate_sets(
 /// This is the reference selector: it materializes every candidate and
 /// re-runs the forecast ensemble inside the sort and the predictor.
 /// Production decisions go through [`crate::CandidateWalk`]; this loop
-/// stays as the oracle that the walk's property tests and `sched_scale`
-/// compare against.
+/// stays as the oracle that the walk's unit and property tests compare
+/// against.
 pub fn select_mpi_resources(
     grid: &Grid,
     nws: &NwsService,

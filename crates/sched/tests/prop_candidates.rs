@@ -2,7 +2,8 @@
 //! NWS CPU histories, eligibility sets, and size bounds, the fast path —
 //! forecast snapshot + zero-materialization candidate walk + incremental
 //! prefix predictor — picks the **bit-identical** `ResourceChoice` as the
-//! seed reference loop.
+//! seed reference loop, and so does the tree model on two fixed
+//! grid-scale instances (64 and 1024 hosts in 16 clusters).
 
 use grads_nws::{ForecastSnapshot, NwsService};
 use grads_perf::{FlatPrefix, TreeBcastPrefix};
@@ -80,9 +81,79 @@ fn build(inst: &Inst) -> (Grid, NwsService, Vec<HostId>) {
 }
 
 /// Bitwise-comparable projection of a selection result.
-fn key(c: &Option<ResourceChoice>) -> Option<(ClusterId, Vec<HostId>, u64)> {
+type Choice = Option<(ClusterId, Vec<HostId>, u64)>;
+
+fn key(c: &Option<ResourceChoice>) -> Choice {
     c.as_ref()
         .map(|c| (c.cluster, c.hosts.clone(), c.predicted.to_bits()))
+}
+
+/// The `(fast, reference)` choices of the tree-broadcast model: the
+/// incremental `TreeBcastPrefix` through the walk, and the reference loop
+/// scoring the whole-prefix closure against the live service.
+fn tree_model_choices(inst: &Inst) -> (Choice, Choice) {
+    let (grid, nws, eligible) = build(inst);
+    let closure = |hs: &[HostId], grid: &Grid, nws: &NwsService| {
+        TreeBcastPrefix::reference(hs, grid, nws, FLOPS, BCAST_BYTES)
+    };
+    let reference = select_mpi_resources(
+        &grid,
+        &nws,
+        &eligible,
+        inst.min_procs,
+        inst.max_procs,
+        &closure,
+    );
+    let snap = ForecastSnapshot::capture(&grid, &nws);
+    let fast = select_mpi_resources_fast(
+        &grid,
+        &snap,
+        &eligible,
+        inst.min_procs,
+        inst.max_procs,
+        || TreeBcastPrefix::new(&grid, &snap, FLOPS, BCAST_BYTES),
+        1,
+    );
+    (key(&fast), key(&reference))
+}
+
+/// Deterministic pseudo-availability in `[0.25, 0.95)` for host `i`,
+/// sample `j`.
+fn availability(i: usize, j: usize) -> f64 {
+    let h = (i.wrapping_mul(2654435761) ^ j.wrapping_mul(40503)) % 1000;
+    0.25 + 0.7 * (h as f64) / 1000.0
+}
+
+/// `clusters` equal clusters of `hosts` in all, with per-cluster base
+/// speeds and a ten-sample CPU history per host, so effective speeds
+/// differ within every cluster. Every host is eligible, and any size
+/// from one host to a whole cluster is allowed.
+fn grid_scale(hosts: usize, clusters: usize) -> Inst {
+    let per = hosts / clusters;
+    Inst {
+        clusters: (0..clusters)
+            .map(|c| vec![4.0e8 + 1.0e8 * (c % 7) as f64; per])
+            .collect(),
+        obs: (0..hosts)
+            .map(|i| (0..10).map(|j| availability(i, j)).collect())
+            .collect(),
+        eligible: vec![true; hosts],
+        min_procs: 1,
+        max_procs: per,
+    }
+}
+
+/// The tree-model identity at grid scale, 64 × 16 and 1024 × 16 hosts,
+/// where the random instances (at most 24 hosts) cannot reach. The WAN
+/// is the chain `build` lays; candidates never span clusters, so its
+/// shape cannot reach a choice.
+#[test]
+fn tree_model_fast_path_matches_reference_at_grid_scale() {
+    for (hosts, clusters) in [(64, 16), (1024, 16)] {
+        let (fast, reference) = tree_model_choices(&grid_scale(hosts, clusters));
+        assert!(reference.is_some(), "{hosts} x {clusters}: no choice");
+        assert_eq!(fast, reference, "{hosts} x {clusters}");
+    }
 }
 
 proptest! {
@@ -93,20 +164,8 @@ proptest! {
     /// service — bit for bit.
     #[test]
     fn tree_model_fast_path_matches_reference(inst in instance()) {
-        let (grid, nws, eligible) = build(&inst);
-        let closure = |hs: &[HostId], grid: &Grid, nws: &NwsService| {
-            TreeBcastPrefix::reference(hs, grid, nws, FLOPS, BCAST_BYTES)
-        };
-        let reference = select_mpi_resources(
-            &grid, &nws, &eligible, inst.min_procs, inst.max_procs, &closure,
-        );
-        let snap = ForecastSnapshot::capture(&grid, &nws);
-        let fast = select_mpi_resources_fast(
-            &grid, &snap, &eligible, inst.min_procs, inst.max_procs,
-            || TreeBcastPrefix::new(&grid, &snap, FLOPS, BCAST_BYTES),
-            1,
-        );
-        prop_assert_eq!(key(&fast), key(&reference), "tree model diverged");
+        let (fast, reference) = tree_model_choices(&inst);
+        prop_assert_eq!(fast, reference, "tree model diverged");
     }
 
     /// The flat (perfectly parallel) incremental model equals its

@@ -8,6 +8,9 @@
 //! This binary also installs a counting global allocator, which is why
 //! these checks live in their own integration-test binary: the counts are
 //! per thread, and no other test shares the allocator.
+//!
+//! The same WAN-mesh all-to-all also pins coalesced recompute timing to
+//! the eager oracle on uniform and skewed payloads, with its solve count.
 
 use grads_sim::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,9 +93,25 @@ fn mesh(clusters: usize, per: usize) -> (Grid, Vec<HostId>) {
     (b.build().expect("valid mesh"), hosts)
 }
 
+/// Bytes of the message from process `i` to process `j` of `n`.
+type PayloadShape = fn(usize, usize, usize) -> f64;
+
+/// Every message the same size, the shape of a synchronized
+/// `MPI_Alltoall`: flows that share a bottleneck finish in
+/// bitwise-identical completion waves.
+fn uniform(_i: usize, _j: usize, _n: usize) -> f64 {
+    PAYLOAD
+}
+
+/// A distinct size per ordered pair, so transfers finish at their own
+/// instants.
+fn skewed(i: usize, j: usize, n: usize) -> f64 {
+    PAYLOAD + (i * n + j) as f64
+}
+
 /// One process per host: a compute phase, an eager send to every other
 /// process, then a receive (and a short compute) from every other one.
-fn all_to_all(hosts: &[HostId], eng: &mut Engine) {
+fn all_to_all(hosts: &[HostId], eng: &mut Engine, bytes: PayloadShape) {
     let n = hosts.len();
     for i in 0..n {
         let peers = hosts.to_vec();
@@ -100,7 +119,8 @@ fn all_to_all(hosts: &[HostId], eng: &mut Engine) {
             ctx.compute(FLOPS);
             for (j, &peer) in peers.iter().enumerate() {
                 if j != i {
-                    ctx.isend(mail_key(&[i as u64, j as u64]), peer, PAYLOAD, Box::new(()));
+                    let key = mail_key(&[i as u64, j as u64]);
+                    ctx.isend(key, peer, bytes(i, j, n), Box::new(()));
                 }
             }
             for j in 0..n {
@@ -117,7 +137,7 @@ fn all_to_all(hosts: &[HostId], eng: &mut Engine) {
 fn big_all_to_all() -> RunReport {
     let (grid, hosts) = mesh(CLUSTERS, PER_CLUSTER);
     let mut eng = Engine::new(grid);
-    all_to_all(&hosts, &mut eng);
+    all_to_all(&hosts, &mut eng, uniform);
     eng.run()
 }
 
@@ -128,7 +148,7 @@ fn big_all_to_all() -> RunReport {
 fn cut_off_all_to_all() -> RunReport {
     let (grid, hosts) = mesh(2, 4);
     let mut eng = Engine::new(grid);
-    all_to_all(&hosts, &mut eng);
+    all_to_all(&hosts, &mut eng, uniform);
     eng.add_load_window(hosts[0], 0.02, None, 1.0);
     eng.run_until(0.03)
 }
@@ -294,7 +314,7 @@ fn a_second_all_to_all_makes_a_tenth_of_the_allocations() {
         let counted = || {
             let (grid, hosts) = mesh(CLUSTERS, PER_CLUSTER);
             let mut eng = Engine::new(grid);
-            all_to_all(&hosts, &mut eng);
+            all_to_all(&hosts, &mut eng, uniform);
             let before = allocs();
             let r = eng.run();
             (allocs() - before, r)
@@ -332,4 +352,54 @@ fn all_to_all_link_bytes_equal_payload_times_route_length() {
         (carried - expected).abs() <= 1e-12 * expected,
         "links carried {carried} B, routes imply {expected} B"
     );
+}
+
+/// The 4×4 all-to-all under the eager recompute oracle or production
+/// timing, with the run's churn, solve and absorbed-churn counts. (The
+/// 4×16 one takes tens of seconds under the eager oracle in a debug
+/// build.)
+fn counted_all_to_all(bytes: PayloadShape, eager_oracle: bool) -> (RunReport, [u64; 3]) {
+    let (grid, hosts) = mesh(4, 4);
+    let mut eng = Engine::new(grid);
+    eng.set_eager_recompute_oracle(eager_oracle);
+    let obs = grads_obs::Obs::enabled();
+    eng.set_obs(obs.clone());
+    all_to_all(&hosts, &mut eng, bytes);
+    let r = eng.run();
+    let snap = obs.snapshot();
+    let count = |name| snap.counter(name).unwrap_or(0);
+    let counts = [
+        count("sim.recomputes"),
+        count("sim.recompute.solves"),
+        count("sim.recompute.coalesced"),
+    ];
+    (r, counts)
+}
+
+/// Production timing, which defers the rate solve to the end of each
+/// virtual instant, reproduces the eager oracle (one solve per churn)
+/// bit for bit on a 4×4 WAN-mesh all-to-all, with uniform and with
+/// skewed payloads. Every churn is either solved or absorbed, and on
+/// uniform payloads, whose send bursts and completion waves each land on
+/// one instant, production runs at most one solve per four churns.
+#[test]
+fn coalesced_all_to_all_equals_the_eager_oracle() {
+    let shapes: [(&str, PayloadShape); 2] = [("uniform", uniform), ("skewed", skewed)];
+    for (shape, bytes) in shapes {
+        let (eager, _) = counted_all_to_all(bytes, true);
+        let (coalesced, [churns, solves, absorbed]) = counted_all_to_all(bytes, false);
+        assert_eq!(coalesced.completed.len(), 16, "{shape}: every process ends");
+        assert_bitwise_equal(shape, &coalesced, &eager);
+        assert_eq!(
+            solves + absorbed,
+            churns,
+            "{shape}: every churn is either solved or absorbed"
+        );
+        if shape == "uniform" {
+            assert!(
+                4 * solves <= churns,
+                "{shape}: {solves} solves for {churns} churns"
+            );
+        }
+    }
 }
